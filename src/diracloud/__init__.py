@@ -8,11 +8,10 @@ mesh-dependent stability parameter and removes both artifacts.
 """
 from .assembly import (AssembledSystem, DegenerateTau, QuadratureRule,
                        WeakFormMatrices, assemble_system, assemble_weak_form,
-                       build_quadrature, smoothed_derivative, stability_tau,
-                       stability_tau_fem, theta_weights)
+                       build_quadrature, stability_tau, stability_tau_fem)
 from .cli import RunConfig, RunResult, run_solve
-from .cloud import (CloudBasis, ShapeEval, SingularMoment, apply_dirichlet,
-                    build_cloud_basis, evaluate_clouds, evaluate_coupled)
+from .cloud import (CloudBasis, ShapeEval, SingularMoment, build_cloud_basis,
+                    evaluate_clouds, evaluate_coupled)
 from .eigen import (SpectrumReport, classify_spectrum, convergence_rate,
                     solve_generalized)
 from .enrichment import (EnrichmentBasis, WeightFunction, hydrogenic_basis,

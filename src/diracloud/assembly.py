@@ -13,13 +13,11 @@ either from the assembled matrices themselves (ratio of displacement-
 weighted row sums of M_000 and M_100) or from the closed-form FEM
 expression (3/17) h_{j+1} (h_{j+1} - h_j) / (h_{j+1} + h_j).
 """
-import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import CloudBasis, apply_dirichlet, evaluate_coupled
+from .cloud import CloudBasis, evaluate_coupled
 from .grid import Grid
 from .physics import PhysicalSystem, potential
 
@@ -85,55 +83,17 @@ class WeakFormMatrices:
     M_100_V: np.ndarray
 
 
-def smoothed_derivative(cb: CloudBasis, cell):
-    """Averaged (divergence-theorem) derivative over a nodal interval:
-    (psi_i(b) - psi_i(a)) / (b - a) per active node.  Returns the union
-    of active indices and the averaged values."""
-    a, b = cell
-    if not b > a:
-        raise ValueError(f"degenerate cell [{a}, {b}]")
-    ea = evaluate_coupled(cb, a)
-    eb = evaluate_coupled(cb, b)
-    idx = np.union1d(ea.active_indices, eb.active_indices)
-    va = np.zeros(len(idx))
-    vb = np.zeros(len(idx))
-    va[np.searchsorted(idx, ea.active_indices)] = ea.values
-    vb[np.searchsorted(idx, eb.active_indices)] = eb.values
-    return idx, (vb - va) / (b - a)
-
-
-def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem, quad: QuadratureRule,
-                       derivative_mode: str = "analytic",
-                       verbose: bool = False) -> WeakFormMatrices:
-    """One pass over the quadrature points; derivative_mode="smoothed"
-    replaces analytic shape derivatives with the nodal-interval averaged
-    ones (same value for every quadrature point inside the interval)."""
-    if derivative_mode not in ("analytic", "smoothed"):
-        raise ValueError(f"unknown derivative_mode {derivative_mode!r}")
-    grid = cb.grid
-    n = grid.n_intervals
+def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
+                       quad: QuadratureRule) -> WeakFormMatrices:
+    """The weak-form blocks in one pass over the quadrature points."""
+    n = cb.grid.n_intervals
     nd = n - 1
     retained_lo, retained_hi = 1, n - 1
     keys = ("000", "100", "001", "110", "101", "000V", "100V")
     M = {k: np.zeros((nd, nd)) for k in keys}
-
-    smooth = {}
-    if derivative_mode == "smoothed":
-        for j in range(n):
-            smooth[j] = smoothed_derivative(cb, (grid.nodes[j], grid.nodes[j + 1]))
-        interval_of = np.searchsorted(grid.nodes, quad.points, side="right") - 1
-        interval_of = np.clip(interval_of, 0, n - 1)
-
-    t0 = time.time()
-    for q, (x, w) in enumerate(zip(quad.points, quad.weights)):
+    for x, w in zip(quad.points, quad.weights):
         ev = evaluate_coupled(cb, x)
         act, vals, ders = ev.active_indices, ev.values, ev.derivs
-        if derivative_mode == "smoothed":
-            sidx, sval = smooth[int(interval_of[q])]
-            ders = np.zeros_like(vals)
-            pos = np.searchsorted(sidx, act)
-            ok = (pos < len(sidx)) & (sidx[np.minimum(pos, len(sidx) - 1)] == act)
-            ders[ok] = sval[pos[ok]]
         keep = (act >= retained_lo) & (act <= retained_hi)
         idx = act[keep] - retained_lo
         v = vals[keep]
@@ -149,36 +109,23 @@ def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem, quad: QuadratureRule
         M["101"][ix] += (w / x) * odv
         M["000V"][ix] += (w * V) * ov
         M["100V"][ix] += (w * V) * odv
-    if verbose:
-        print(f"assembled {nd}x{nd} blocks over {quad.total_points} points "
-              f"in {time.time() - t0:.1f}s")
     return WeakFormMatrices(M_000=M["000"], M_010=M["100"].T, M_001=M["001"],
                             M_100=M["100"], M_110=M["110"], M_101=M["101"],
                             M_000_V=M["000V"], M_100_V=M["100V"])
 
 
-def _retained_coords(grid_or_coords):
-    if isinstance(grid_or_coords, Grid):
-        return grid_or_coords.nodes[1:-1]
-    return np.asarray(grid_or_coords, dtype=float)
-
-
-def theta_weights(grid_or_coords, j: int) -> np.ndarray:
-    """Displacement row theta_{ji} = x_i - x_j over the working coordinate
-    set (the retained nodes when a Grid is passed).  j is 1-based."""
-    xr = _retained_coords(grid_or_coords)
-    if not (1 <= j <= len(xr)):
-        raise ValueError(f"row index {j} outside 1..{len(xr)}")
-    return xr - xr[j - 1]
-
-
 def stability_tau(wfm, grid_or_coords) -> np.ndarray:
     """Row-wise stability parameter from the assembled matrices:
     tau_j = | sum_i sigma_ji theta_ji / sum_i eta_ji theta_ji |
-    with sigma, eta the rows of M_000 and M_100.  wfm may be a
-    WeakFormMatrices or any object with M_000/M_100 attributes."""
+    with sigma, eta the rows of M_000 and M_100 and theta_ji = x_i - x_j
+    the displacements over the working coordinates (the retained nodes
+    when a Grid is passed).  wfm may be a WeakFormMatrices or any object
+    with M_000/M_100 attributes."""
     M000, M100 = wfm.M_000, wfm.M_100
-    xr = _retained_coords(grid_or_coords)
+    if isinstance(grid_or_coords, Grid):
+        xr = grid_or_coords.nodes[1:-1]
+    else:
+        xr = np.asarray(grid_or_coords, dtype=float)
     if len(xr) != M000.shape[0]:
         raise ValueError("coordinate set does not match matrix dimension")
     tau = np.empty(len(xr))
@@ -213,7 +160,7 @@ class AssembledSystem:
 
 
 def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
-                    grid: Grid = None, tau_override: np.ndarray = None) -> AssembledSystem:
+                    grid: Grid = None) -> AssembledSystem:
     """Build the 2x2-block generalized eigenproblem.  galerkin leaves the
     blocks alone (tau = 0); the cpg variants add the residual blocks with
     row j scaled by tau_j (same tau for both block-rows of a node)."""
@@ -233,11 +180,7 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
     ])
     sB = np.block([[Z, wfm.M_100], [wfm.M_100, Z]])
 
-    if tau_override is not None:
-        tau = np.asarray(tau_override, dtype=float)
-        if tau.shape != (nd,):
-            raise ValueError(f"tau_override must have shape ({nd},)")
-    elif method == "galerkin":
+    if method == "galerkin":
         tau = np.zeros(nd)
     elif method == "cpg":
         if grid is None:
@@ -253,18 +196,6 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
         A = A + T * sA
         B = B + T * sB
     return AssembledSystem(A=A, B=B, script_A=sA, script_B=sB, tau=tau, method=method)
-
-
-def check_spectrum_reality(eigs, imag_tol: float = 1e-8) -> int:
-    """Count eigenvalues with a non-negligible imaginary part and warn:
-    complex pairs are the symptom of an oversized stability parameter."""
-    eigs = np.asarray(eigs)
-    bad = int(np.sum(np.abs(eigs.imag) > imag_tol * np.maximum(np.abs(eigs.real), 1.0)))
-    if bad:
-        warnings.warn(
-            f"{bad} eigenvalues came out complex; the stability parameter "
-            "is likely too large for this configuration", RuntimeWarning)
-    return bad
 
 
 def dump_matrix(path, M, name: str = ""):

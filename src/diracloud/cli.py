@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (DegenerateTau, METHODS, assemble_system, assemble_weak_form,
-                       build_quadrature, check_spectrum_reality, dump_matrix)
+                       build_quadrature, dump_matrix)
 from .cloud import SingularMoment, build_cloud_basis
 from .eigen import (FLAG_GENUINE, FLAG_TAIL, EmptySpectrum, SpectrumReport,
-                    classify_spectrum, convergence_rate, solve_generalized)
+                    check_spectrum_reality, classify_spectrum, convergence_rate,
+                    solve_generalized)
 from .enrichment import basis_from_name
 from .grid import GridConfig, generate_grid
-from .physics import C_LIGHT, PhysicalSystem
+from .physics import C_LIGHT, PhysicalSystem, exact_eigenvalue
 
 OUTDIR_ENV = "DIRACLOUD_OUTDIR"
 
@@ -86,15 +87,25 @@ class RunResult:
     report: SpectrumReport
 
 
-def run_solve(cfg: RunConfig) -> RunResult:
-    """Grid -> clouds -> weak form -> system -> QZ -> classification."""
+def assemble_pencil(cfg: RunConfig):
+    """Grid -> clouds -> weak form -> system; returns (grid, wfm, system)."""
     grid = generate_grid(cfg.grid_config())
     sys = cfg.physical_system()
     cb = build_cloud_basis(grid, basis=basis_from_name(cfg.enrichment, cfg.Z))
     split = sys.nucleus_radius if sys.nucleus == "extended_uniform" else None
     quad = build_quadrature(grid, cfg.quadrature_factor, split_at=split)
     wfm = assemble_weak_form(cb, sys, quad)
-    system = assemble_system(wfm, sys, cfg.method, grid=grid)
+    return grid, wfm, assemble_system(wfm, sys, cfg.method, grid=grid)
+
+
+def run_solve(cfg: RunConfig) -> RunResult:
+    """Pencil -> eigensolve -> classification."""
+    sys = cfg.physical_system()
+    if cfg.levels > 0 or sys.kappa > 0:
+        # classification needs the closed-form levels: a supercritical
+        # Z/kappa pair fails here, before any assembly
+        exact_eigenvalue(sys, 1)
+    grid, _, system = assemble_pencil(cfg)
     # the unperturbed pencil is symmetric with B SPD: take the Cholesky
     # route there, QZ for the row-scaled (nonsymmetric) variants
     eigs = solve_generalized(system.A, system.B,
@@ -144,13 +155,20 @@ def solve_rows(report: SpectrumReport):
     return rows
 
 
-def write_solve_csv(path, cfg, report):
+def _write_csv(path, cfg, *sections):
+    """The config header, then per (column header, rows) section the
+    header line and one comma-joined line per row."""
     lines = _config_header(cfg)
-    lines.append("level,computed_shifted,exact_shifted,relative_error,flag")
-    for row in solve_rows(report):
-        lines.append(",".join(_fmt(v) for v in row))
+    for columns, rows in sections:
+        lines.append(columns)
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def write_solve_csv(path, cfg, report):
+    _write_csv(path, cfg, ("level,computed_shifted,exact_shifted,relative_error,flag",
+                           solve_rows(report)))
 
 
 def report_as_dict(report: SpectrumReport):
@@ -195,17 +213,13 @@ SWEEPABLE = ("nu", "eps", "n_intervals", "quadrature_factor", "method")
 def cmd_sweep(cfg: RunConfig, vary: str, values) -> int:
     if vary not in SWEEPABLE:
         raise ValueError(f"cannot sweep {vary!r}; choose from {SWEEPABLE}")
-    lines = _config_header(cfg)
-    lines.append("param_value,level,computed,exact,rel_error")
+    rows = []
     for val in values:
-        sub = dataclasses.replace(cfg, **{vary: val})
-        res = run_solve(sub)
-        for m in res.report.matches:
-            lines.append(",".join(_fmt(v) for v in (val, m.level, m.computed,
-                                                    m.exact, m.rel_error)))
+        res = run_solve(dataclasses.replace(cfg, **{vary: val}))
+        rows.extend((val, m.level, m.computed, m.exact, m.rel_error)
+                    for m in res.report.matches)
     path = _resolve_output(cfg.output_path, "sweep.csv")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_csv(path, cfg, ("param_value,level,computed,exact,rel_error", rows))
     print(f"wrote {path}")
     return 0
 
@@ -219,25 +233,20 @@ def cmd_convergence(cfg: RunConfig, n_values, rate_levels: int = 5) -> int:
     if len(n_values) < 3:
         raise ValueError("convergence study needs at least 3 node counts")
     samples = {lv: [] for lv in range(1, rate_levels + 1)}
-    lines = _config_header(cfg)
-    lines.append("n,level,h,computed,exact,rel_error")
+    rows = []
     for n in n_values:
         sub = dataclasses.replace(cfg, n_intervals=int(n),
                                   levels=max(cfg.levels, rate_levels))
         res = run_solve(sub)
         h = float(res.grid.spacings[-1])  # the largest spacing on these grids
         for m in res.report.matches:
-            lines.append(",".join(_fmt(v) for v in (n, m.level, h, m.computed,
-                                                    m.exact, m.rel_error)))
+            rows.append((n, m.level, h, m.computed, m.exact, m.rel_error))
             if m.level <= rate_levels:
                 samples[m.level].append((h, m.rel_error))
     rates = rates_from_errors(samples)
-    lines.append("level,rate")
-    for lv, rate in sorted(rates.items()):
-        lines.append(f"{lv},{_fmt(rate)}")
     path = _resolve_output(cfg.output_path, "convergence.csv")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_csv(path, cfg, ("n,level,h,computed,exact,rel_error", rows),
+               ("level,rate", sorted(rates.items())))
     for lv, rate in sorted(rates.items()):
         print(f"level {lv}: rate {rate:.3f}")
     print(f"wrote {path}")
@@ -245,13 +254,7 @@ def cmd_convergence(cfg: RunConfig, n_values, rate_levels: int = 5) -> int:
 
 
 def cmd_dump_matrices(cfg: RunConfig) -> int:
-    grid = generate_grid(cfg.grid_config())
-    sys = cfg.physical_system()
-    cb = build_cloud_basis(grid, basis=basis_from_name(cfg.enrichment, cfg.Z))
-    split = sys.nucleus_radius if sys.nucleus == "extended_uniform" else None
-    quad = build_quadrature(grid, cfg.quadrature_factor, split_at=split)
-    wfm = assemble_weak_form(cb, sys, quad)
-    system = assemble_system(wfm, sys, cfg.method, grid=grid)
+    _, wfm, system = assemble_pencil(cfg)
     outdir = _resolve_output(cfg.output_path, "matrices")
     os.makedirs(outdir, exist_ok=True)
     blocks = {name: getattr(wfm, name) for name in

@@ -68,12 +68,6 @@ def build_cloud_basis(grid: Grid, basis: EnrichmentBasis = None,
                       cond_cap=cond_cap)
 
 
-def apply_dirichlet(basis: CloudBasis) -> np.ndarray:
-    """Retained global indices after dropping the boundary hats."""
-    n = basis.grid.n_intervals
-    return np.arange(1, n)
-
-
 def _hat(x, k, nodes):
     """Value and slope of the linear hat at node k (slope from the right
     piece when x sits exactly on an interior peak)."""

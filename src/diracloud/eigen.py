@@ -7,6 +7,7 @@ spuriosity patterns separately: values instilled between genuine
 levels, and a positive-kappa ground value coinciding with the
 negative-kappa ground level.
 """
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,10 @@ FLAG_GENUINE = "genuine"
 FLAG_INSTILLED = "instilled_spurious"
 FLAG_COINCIDENCE = "coincidence_suspect"
 FLAG_TAIL = "unmatched_tail"
+
+IMAG_TOL = 1e-8         # |im| / max(|re|, 1) above which a value is complex
+MATCH_TOL = 1e-3        # relative distance within which a value hugs an exact level
+COINCIDENCE_TOL = 1e-6  # relative distance that coincides with the mirror level
 
 
 class EmptySpectrum(RuntimeError):
@@ -70,7 +75,6 @@ class SpectrumReport:
     raw: np.ndarray                 # everything the solver returned
     real_spectrum: np.ndarray       # kept real eigenvalues, ascending, unshifted
     positive_shifted: np.ndarray    # positive branch minus mc^2
-    negative_shifted: np.ndarray    # negative branch plus mc^2
     matches: list = field(default_factory=list)   # LevelMatch per requested level
     flags: list = field(default_factory=list)     # one flag per positive_shifted entry
     n_complex: int = 0
@@ -83,17 +87,29 @@ def exact_levels(sys: PhysicalSystem, levels: int):
     return [exact_eigenvalue(sys, nr) for nr in range(start, start + levels)]
 
 
-def classify_spectrum(eigs, sys: PhysicalSystem, levels: int = 15,
-                      imag_tol: float = 1e-8, match_tol: float = 1e-3,
-                      coincidence_tol: float = 1e-6) -> SpectrumReport:
+def _is_real(eigs):
+    """Reality filter; the max(|re|,1) floor keeps near-zero reals testable."""
+    eigs = np.asarray(eigs, dtype=complex)
+    return np.abs(eigs.imag) <= IMAG_TOL * np.maximum(np.abs(eigs.real), 1.0)
+
+
+def check_spectrum_reality(eigs) -> int:
+    """Count eigenvalues with a non-negligible imaginary part and warn:
+    complex pairs are the symptom of an oversized stability parameter."""
+    bad = int(np.size(eigs) - _is_real(eigs).sum())
+    if bad:
+        warnings.warn(
+            f"{bad} eigenvalues came out complex; the stability parameter "
+            "is likely too large for this configuration", RuntimeWarning)
+    return bad
+
+
+def classify_spectrum(eigs, sys: PhysicalSystem, levels: int = 15) -> SpectrumReport:
     raw = np.asarray(eigs, dtype=complex)
-    # reality filter; the max(|re|,1) floor keeps near-zero reals testable
-    keep = np.abs(raw.imag) <= imag_tol * np.maximum(np.abs(raw.real), 1.0)
+    keep = _is_real(raw)
     n_complex = int(len(raw) - keep.sum())
     real = np.sort(raw.real[keep])
-    mc2 = sys.mc2
-    pos = real[real > 0.0] - mc2
-    neg = real[real < 0.0] + mc2
+    pos = real[real > 0.0] - sys.mc2
     if len(real) == 0:
         raise EmptySpectrum("no real eigenvalues survived the reality filter")
 
@@ -114,22 +130,21 @@ def classify_spectrum(eigs, sys: PhysicalSystem, levels: int = 15,
             matched_idx.append(j)
             lo = j + 1
         # instilled spuriosity: unmatched values strictly inside a matched gap,
-        # far (relative to match_tol) from both flanking exact levels
+        # far (relative to MATCH_TOL) from both flanking exact levels
         for a, b, ma, mb in zip(matched_idx[:-1], matched_idx[1:],
                                 matches[:-1], matches[1:]):
             for j in range(a + 1, b):
                 da = abs(pos[j] - ma.exact) / abs(ma.exact)
                 db = abs(pos[j] - mb.exact) / abs(mb.exact)
-                if da > match_tol and db > match_tol:
+                if da > MATCH_TOL and db > MATCH_TOL:
                     flags[j] = FLAG_INSTILLED
     # unphysical coincidence: positive kappa picking up the |kappa| ground level
     if sys.kappa > 0 and len(pos) > 0:
         mirror = exact_eigenvalue(sys, 1)
-        if abs(pos[0] - mirror) <= coincidence_tol * abs(mirror):
+        if abs(pos[0] - mirror) <= COINCIDENCE_TOL * abs(mirror):
             flags[0] = FLAG_COINCIDENCE
     return SpectrumReport(raw=raw, real_spectrum=real, positive_shifted=pos,
-                          negative_shifted=neg, matches=matches, flags=flags,
-                          n_complex=n_complex)
+                          matches=matches, flags=flags, n_complex=n_complex)
 
 
 def convergence_rate(samples) -> float:

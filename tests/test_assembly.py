@@ -1,4 +1,3 @@
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,9 +5,8 @@ import pytest
 from scipy import integrate
 
 from diracloud.assembly import (DegenerateTau, assemble_system, assemble_weak_form,
-                                build_quadrature, check_spectrum_reality, dump_matrix,
-                                smoothed_derivative, stability_tau, stability_tau_fem,
-                                theta_weights)
+                                build_quadrature, dump_matrix, stability_tau,
+                                stability_tau_fem)
 from diracloud.cloud import build_cloud_basis, evaluate_coupled
 from diracloud.enrichment import shepard_basis
 from diracloud.grid import Grid, GridConfig, generate_grid
@@ -118,21 +116,6 @@ def test_derivative_block_interior_columns_sum_to_zero(uuo_wfm_200):
     assert sums.max() <= 1e-12 * np.abs(uuo_wfm_200.M_100).max()
 
 
-def test_smoothed_mode_replaces_only_derivative_blocks(uuo_cloud_200, uuo_quad_200):
-    sys = PhysicalSystem(Z=118.0, kappa=-2)
-    a = assemble_weak_form(uuo_cloud_200, sys, uuo_quad_200)
-    b = assemble_weak_form(uuo_cloud_200, sys, uuo_quad_200,
-                           derivative_mode="smoothed")
-    # value-value blocks are untouched by the derivative mode
-    assert np.array_equal(a.M_000, b.M_000)
-    assert np.array_equal(a.M_001, b.M_001)
-    # derivative blocks come from a genuinely different (cell-averaged)
-    # gradient, so they must differ while staying finite and same-scale
-    assert not np.array_equal(a.M_100, b.M_100)
-    assert np.all(np.isfinite(b.M_100)) and np.all(np.isfinite(b.M_110))
-    assert np.abs(b.M_100).max() == pytest.approx(np.abs(a.M_100).max(), rel=0.5)
-
-
 # ----------------------------------------------------------- system matrices
 
 def test_galerkin_blocks_nearly_symmetric(uuo_wfm_200, uuo_system):
@@ -150,12 +133,13 @@ def test_mass_matrix_positive_definite(uuo_wfm_200, uuo_system):
 
 def test_zero_tau_reduces_stabilized_to_plain(uuo_wfm_200, uuo_system, uuo_grid_200):
     plain = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
-    nrows = plain.A.shape[0] // 2
-    zeroed = assemble_system(uuo_wfm_200, uuo_system, "cpg",
-                             grid=uuo_grid_200, tau_override=np.zeros(nrows))
-    assert np.array_equal(plain.A, zeroed.A)
-    assert np.array_equal(plain.B, zeroed.B)
     stab = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    # stabilized = plain + tau-scaled residual rows, so tau = 0 gives plain
+    T = np.concatenate([stab.tau, stab.tau])[:, None]
+    assert np.array_equal(stab.script_A, plain.script_A)
+    assert np.array_equal(stab.script_B, plain.script_B)
+    assert np.array_equal(stab.A, plain.A + T * stab.script_A)
+    assert np.array_equal(stab.B, plain.B + T * stab.script_B)
     assert not np.array_equal(plain.A, stab.A)
     assert not np.array_equal(plain.B, stab.B)
 
@@ -180,52 +164,7 @@ def test_refining_quadrature_barely_moves_eigenvalues(solve_cached):
     assert shift.max() <= 1e-5
 
 
-# ----------------------------------------------------- smoothed derivatives
-
-def test_smoothed_derivative_rejects_empty_cell(uuo_cloud_200):
-    with pytest.raises(ValueError):
-        smoothed_derivative(uuo_cloud_200, (2.0, 2.0))
-    with pytest.raises(ValueError):
-        smoothed_derivative(uuo_cloud_200, (3.0, 2.0))
-
-
-def test_smoothed_derivative_is_a_cell_average(uuo_cloud_200, uuo_grid_200):
-    a, b = float(uuo_grid_200.nodes[70]), float(uuo_grid_200.nodes[71])
-    idx, sm = smoothed_derivative(uuo_cloud_200, (a, b))
-    xg, wg = np.polynomial.legendre.leggauss(48)
-    xg = 0.5 * (b - a) * xg + 0.5 * (a + b)
-    wg = 0.5 * (b - a) * wg
-    acc = {int(i): 0.0 for i in idx}
-    for x, w in zip(xg, wg):
-        ev = evaluate_coupled(uuo_cloud_200, float(x))
-        for i, d in zip(ev.active_indices.tolist(), ev.derivs):
-            acc[i] += w * d
-    ref = np.array([acc[int(i)] / (b - a) for i in idx])
-    scale = np.abs(ref).max()
-    assert np.abs(sm - ref).max() <= 1e-6 * scale
-    assert abs(sm.sum()) <= 1e-10 * scale
-
-
 # ------------------------------------------------------------ stabilization
-
-def test_theta_weights_uniform_coordinates():
-    th = theta_weights(np.array([1.0, 2.0, 3.0, 4.0]), 2)
-    assert th == pytest.approx([-1.0, 0.0, 1.0, 2.0])
-
-
-def test_theta_weights_accepts_grid(uuo_grid_200):
-    th = theta_weights(uuo_grid_200, 3)
-    assert len(th) == 199
-    x = uuo_grid_200.nodes[1:-1]
-    assert th == pytest.approx(x - x[2])
-
-
-def test_theta_weights_range_checked():
-    with pytest.raises(ValueError):
-        theta_weights(np.array([1.0, 2.0, 3.0]), 0)
-    with pytest.raises(ValueError):
-        theta_weights(np.array([1.0, 2.0, 3.0]), 4)
-
 
 def synthetic_row_problem(hj, hj1):
     """Rows built from exact hat-function moments on a 3-node patch."""
@@ -278,14 +217,6 @@ def test_production_tau_is_finite_and_small(uuo_wfm_200, uuo_grid_200):
 
 
 # ------------------------------------------------------------------- output
-
-def test_reality_check_warns_on_complex_pairs():
-    vals = np.array([1.0 + 0j, 2.0 + 0.5j, 2.0 - 0.5j])
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        check_spectrum_reality(vals)
-    assert len(rec) == 1
-
 
 def test_dump_matrix_round_trips(tmp_path):
     m = np.array([[1.5, 0.0], [-2.25e-7, 3.0]])

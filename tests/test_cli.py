@@ -63,9 +63,13 @@ def test_invalid_grid_is_a_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_supercritical_charge_is_a_config_error(capsys):
+def test_supercritical_charge_is_a_config_error(monkeypatch, capsys):
+    def no_assembly(*args, **kwargs):
+        pytest.fail("a supercritical config reached the weak-form assembly")
+    monkeypatch.setattr(cli, "assemble_weak_form", no_assembly)
     rc = cli.main(["solve", "--Z", "140", "--kappa", "-1"])
     assert rc == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_convergence_needs_three_counts(capsys):
@@ -231,3 +235,14 @@ def test_dump_matrices_writes_every_block(tmp_path):
 
     a_header = (out / "A.txt").read_text().splitlines()[0]
     assert a_header == "# A 38x38"
+
+    # the dumped pencil is the one a solve of the same config builds
+    system = cli.run_solve(cli.RunConfig(Z=1.0, n_intervals=20,
+                                         method="galerkin")).system
+    for name in ("A", "B"):
+        i, j, v = np.loadtxt(out / f"{name}.txt", unpack=True)
+        dumped = np.zeros((38, 38))
+        dumped[i.astype(int) - 1, j.astype(int) - 1] = v
+        assert len(v) == 38 * 38
+        assert np.array_equal(dumped, getattr(system, name))
+    assert np.array_equal(tau, system.tau)

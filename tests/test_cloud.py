@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracloud.cloud import (SingularMoment, apply_dirichlet, build_cloud_basis,
-                             evaluate_clouds, evaluate_coupled)
+from diracloud.assembly import assemble_weak_form, build_quadrature
+from diracloud.cloud import (SingularMoment, build_cloud_basis, evaluate_clouds,
+                             evaluate_coupled)
 from diracloud.enrichment import shepard_basis, sto_default_basis
 from diracloud.grid import Grid, GridConfig, generate_grid
+from diracloud.physics import PhysicalSystem
 
 
 def uniform_grid(n, nu=1.2, h=1.0):
@@ -30,14 +32,14 @@ def test_fem_nodes_default_and_dirichlet():
     g = generate_grid(GridConfig(n_intervals=10, I_a=0.0, I_b=1.0, eps=0.5, nu=2.2))
     cb = build_cloud_basis(g)
     assert cb.fem_nodes == (0, 1, 9, 10)
-    assert apply_dirichlet(cb).tolist() == list(range(1, 10))
+    # the weak form drops the two boundary hats and keeps nodes 1..n-1
+    wfm = assemble_weak_form(cb, PhysicalSystem(Z=1.0, kappa=-1), build_quadrature(g))
+    assert wfm.M_000.shape == (9, 9)
 
 
-def test_dirichlet_unknown_count_at_production_scale():
-    g = generate_grid(GridConfig(n_intervals=600, I_a=0.0, I_b=100.0,
-                                 eps=1e-5, nu=2.2))
-    cb = build_cloud_basis(g)
-    assert 2 * len(apply_dirichlet(cb)) == 1198
+def test_dirichlet_unknown_count_at_production_scale(solve_cached):
+    res = solve_cached(Z=118.0, kappa=-2, method="galerkin")
+    assert res.system.A.shape == res.system.B.shape == (1198, 1198)
 
 
 def test_kronecker_property_at_fem_nodes(uuo_cloud_200, uuo_grid_200):

