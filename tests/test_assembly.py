@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from _oracles import reference_dump
 from diracloud.assembly import (DegenerateTau, assemble_system, assemble_weak_form,
                                 build_quadrature, dump_matrix, stability_tau,
                                 stability_tau_fem)
@@ -226,3 +227,15 @@ def test_dump_matrix_round_trips(tmp_path):
     assert rows.shape == (4, 3)
     for i, j, v in rows:
         assert m[int(i) - 1, int(j) - 1] == v
+
+
+@pytest.mark.parametrize("name", ["", "blk"])
+def test_dump_matrix_matches_per_entry_writer(tmp_path, name):
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(9, 11)) * 10.0 ** rng.integers(-300, 300, size=(9, 11))
+    m[0, :4] = [-0.0, 0.0, 1e-320, -5e-324]          # signed zero, subnormals
+    m[1, :4] = [1.7976931348623157e308, -1.7976931348623157e308, -3.0, 1e22]
+    m[2, :2] = [0.1, -123456789.125]
+    dump_matrix(tmp_path / "fast.txt", m, name=name)
+    reference_dump(tmp_path / "ref.txt", m, name=name)
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,6 +88,28 @@ def test_solver_breakdown_is_a_numerical_error(monkeypatch, capsys):
     rc = cli.main(["solve", "--n-intervals", "40"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_weak_form_breakdown_is_a_numerical_error(capsys):
+    # hydrogenic enrichment at Z=118 overflows the moment diagonal of the
+    # batched shape pass mid-domain; the run stops there with exit 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["solve", "--Z", "118", "--n-intervals", "200",
+                       "--enrichment", "hydrogenic:1,0"])
+    assert rc == 3
+    assert "moment diagonal not positive at x=20.02" in capsys.readouterr().err
+
+
+def test_cli_module_runs_as_main_without_a_second_copy():
+    # importing the package must not import diracloud.cli, or running it
+    # with -m warns and executes a second copy of the module
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "diracloud.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --------------------------------------------------------------- solve runs
