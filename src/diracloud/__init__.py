@@ -10,8 +10,7 @@ from .assembly import (AssembledSystem, DegenerateTau, QuadratureRule,
                        WeakFormMatrices, assemble_system, assemble_weak_form,
                        build_quadrature, stability_tau, stability_tau_fem)
 from .cloud import (CloudBasis, ShapeEval, ShapeStack, SingularMoment,
-                    build_cloud_basis, evaluate_clouds, evaluate_coupled,
-                    evaluate_shapes)
+                    build_cloud_basis, evaluate_coupled, evaluate_shapes)
 from .eigen import (SpectrumReport, classify_spectrum, convergence_rate,
                     solve_generalized)
 from .enrichment import (EnrichmentBasis, WeightFunction, hydrogenic_basis,

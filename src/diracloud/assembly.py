@@ -39,7 +39,6 @@ class QuadratureRule:
     cells: np.ndarray    # (ncells, 2) interval endpoints
     points: np.ndarray
     weights: np.ndarray
-    points_per_cell: int = 2
 
     @property
     def total_points(self):
@@ -49,7 +48,9 @@ class QuadratureRule:
 def build_quadrature(grid: Grid, factor: int = 10, split_at: float = None) -> QuadratureRule:
     """factor/2 equal cells per nodal interval, 2-point Gauss each, so
     factor*n points total.  split_at (e.g. a potential kink) forces a
-    cell boundary at that coordinate when it falls inside the domain."""
+    cell boundary at that coordinate when it falls inside the domain;
+    each side of the split gets at least one cell, so at factor 2 the
+    split interval holds two."""
     if factor < 2 or factor % 2 != 0:
         raise ValueError(f"quadrature factor must be even and >= 2, got {factor}")
     ncell = factor // 2
@@ -59,8 +60,9 @@ def build_quadrature(grid: Grid, factor: int = 10, split_at: float = None) -> Qu
         if split_at is not None and a < split_at < b:
             # distribute the cells over the two pieces, at least one each
             left = max(1, min(ncell - 1, round(ncell * (split_at - a) / (b - a))))
+            right = max(1, ncell - left)
             edges = np.concatenate([np.linspace(a, split_at, left + 1),
-                                    np.linspace(split_at, b, ncell - left + 1)[1:]])
+                                    np.linspace(split_at, b, right + 1)[1:]])
         else:
             edges = np.linspace(a, b, ncell + 1)
         cells.extend(zip(edges[:-1], edges[1:]))
@@ -124,18 +126,15 @@ def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
                             M_000_V=M["000V"], M_100_V=M["100V"])
 
 
-def stability_tau(wfm, grid_or_coords) -> np.ndarray:
+def stability_tau(wfm, coords) -> np.ndarray:
     """Row-wise stability parameter from the assembled matrices:
     tau_j = | sum_i sigma_ji theta_ji / sum_i eta_ji theta_ji |
     with sigma, eta the rows of M_000 and M_100 and theta_ji = x_i - x_j
     the displacements over the working coordinates (the retained nodes
-    when a Grid is passed).  wfm may be a WeakFormMatrices or any object
-    with M_000/M_100 attributes."""
+    grid.nodes[1:-1] in a run).  wfm may be a WeakFormMatrices or any
+    object with M_000/M_100 attributes."""
     M000, M100 = wfm.M_000, wfm.M_100
-    if isinstance(grid_or_coords, Grid):
-        xr = grid_or_coords.nodes[1:-1]
-    else:
-        xr = np.asarray(grid_or_coords, dtype=float)
+    xr = np.asarray(coords, dtype=float)
     if len(xr) != M000.shape[0]:
         raise ValueError("coordinate set does not match matrix dimension")
     tau = np.empty(len(xr))
@@ -149,12 +148,15 @@ def stability_tau(wfm, grid_or_coords) -> np.ndarray:
     return tau
 
 
-def stability_tau_fem(grid: Grid, j: int) -> float:
-    """Closed-form FEM stability parameter for row j (1-based):
+def stability_tau_fem(grid: Grid, j):
+    """Closed-form FEM stability parameter for row j (1-based, a scalar
+    or an array of rows):
     (3/17) h_{j+1} (h_{j+1} - h_j) / (h_{j+1} + h_j)."""
     h = grid.spacings
-    if not (1 <= j <= len(h) - 1):
-        raise ValueError(f"row index {j} outside 1..{len(h) - 1}")
+    j = np.asarray(j)
+    bad = (j < 1) | (j > len(h) - 1)
+    if np.any(bad):
+        raise ValueError(f"row index {j[bad].flat[0]} outside 1..{len(h) - 1}")
     hj, hj1 = h[j - 1], h[j]
     return (3.0 / 17.0) * hj1 * (hj1 - hj) / (hj1 + hj)
 
@@ -166,7 +168,6 @@ class AssembledSystem:
     script_A: np.ndarray
     script_B: np.ndarray
     tau: np.ndarray
-    method: str
 
 
 def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
@@ -176,6 +177,8 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
     row j scaled by tau_j (same tau for both block-rows of a node)."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method != "galerkin" and grid is None:
+        raise ValueError(f"{method} needs the grid for the stability parameter")
     nd = wfm.M_000.shape[0]
     c, k, mc2 = sys.c, sys.kappa, sys.mc2
     Z = np.zeros((nd, nd))
@@ -193,19 +196,15 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
     if method == "galerkin":
         tau = np.zeros(nd)
     elif method == "cpg":
-        if grid is None:
-            raise ValueError("cpg needs the grid for the stability parameter")
-        tau = stability_tau(wfm, grid)
+        tau = stability_tau(wfm, grid.nodes[1:-1])
     else:  # cpg_fem_tau
-        if grid is None:
-            raise ValueError("cpg_fem_tau needs the grid spacings")
-        tau = np.array([stability_tau_fem(grid, j) for j in range(1, nd + 1)])
+        tau = stability_tau_fem(grid, np.arange(1, nd + 1))
 
     if np.any(tau != 0.0):
         T = np.concatenate([tau, tau])[:, None]
         A = A + T * sA
         B = B + T * sB
-    return AssembledSystem(A=A, B=B, script_A=sA, script_B=sB, tau=tau, method=method)
+    return AssembledSystem(A=A, B=B, script_A=sA, script_B=sB, tau=tau)
 
 
 def dump_matrix(path, M, name: str = ""):

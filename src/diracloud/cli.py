@@ -229,19 +229,22 @@ def rates_from_errors(samples_per_level: dict) -> dict:
     return {lv: convergence_rate(samples) for lv, samples in samples_per_level.items()}
 
 
-def cmd_convergence(cfg: RunConfig, n_values, rate_levels: int = 5) -> int:
+RATE_LEVELS = 5  # levels whose convergence rate the study fits
+
+
+def cmd_convergence(cfg: RunConfig, n_values) -> int:
     if len(n_values) < 3:
         raise ValueError("convergence study needs at least 3 node counts")
-    samples = {lv: [] for lv in range(1, rate_levels + 1)}
+    samples = {lv: [] for lv in range(1, RATE_LEVELS + 1)}
     rows = []
     for n in n_values:
         sub = dataclasses.replace(cfg, n_intervals=int(n),
-                                  levels=max(cfg.levels, rate_levels))
+                                  levels=max(cfg.levels, RATE_LEVELS))
         res = run_solve(sub)
         h = float(res.grid.spacings[-1])  # the largest spacing on these grids
         for m in res.report.matches:
             rows.append((n, m.level, h, m.computed, m.exact, m.rel_error))
-            if m.level <= rate_levels:
+            if m.level <= RATE_LEVELS:
                 samples[m.level].append((h, m.rel_error))
     rates = rates_from_errors(samples)
     path = _resolve_output(cfg.output_path, "convergence.csv")
@@ -257,9 +260,7 @@ def cmd_dump_matrices(cfg: RunConfig) -> int:
     _, wfm, system = assemble_pencil(cfg)
     outdir = _resolve_output(cfg.output_path, "matrices")
     os.makedirs(outdir, exist_ok=True)
-    blocks = {name: getattr(wfm, name) for name in
-              ("M_000", "M_010", "M_001", "M_100", "M_110", "M_101",
-               "M_000_V", "M_100_V")}
+    blocks = {f.name: getattr(wfm, f.name) for f in dataclasses.fields(wfm)}
     blocks.update(A=system.A, B=system.B,
                   script_A=system.script_A, script_B=system.script_B)
     for name, mat in blocks.items():
@@ -332,15 +333,6 @@ def _add_config_flags(p):
     p.add_argument("--output", dest="output_path")
 
 
-def _parse_values(vary, raw):
-    parts = [s.strip() for s in raw.split(",") if s.strip()]
-    if vary == "method":
-        return parts
-    if vary in ("n_intervals", "quadrature_factor"):
-        return [int(s) for s in parts]
-    return [float(s) for s in parts]
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="diracloud",
                                  description="radial Dirac spectra with hp-cloud bases")
@@ -360,7 +352,8 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         if args.command == "sweep":
-            values = _parse_values(args.vary, args.values)
+            values = [_coerce(args.vary, s.strip())
+                      for s in args.values.split(",") if s.strip()]
         if args.command == "convergence":
             n_values = [int(s) for s in args.n_values.split(",") if s.strip()]
     except (ValueError, OSError) as e:

@@ -19,7 +19,7 @@ All of this runs over an array of points in one vectorised pass
 (evaluate_shapes): the clouds covering each point are gathered into a
 padded (npts, W) stack in ascending node order, the moment matrices form
 an (npts, m, m) stack, and one batched eigh factorizes them all.
-evaluate_clouds and evaluate_coupled are its one-point views.
+evaluate_coupled is its one-point view.
 
 Essential boundary conditions use FEM coupling: linear hats at the two
 first and two last nodes, with the reproducing-condition correction
@@ -77,13 +77,12 @@ class ShapeStack:
 
 
 def build_cloud_basis(grid: Grid, basis: EnrichmentBasis = None,
-                      weight: WeightFunction = None,
                       cond_cap: float = 1e12) -> CloudBasis:
     n = grid.n_intervals
     fem = tuple(sorted({0, 1, n - 1, n}))
     return CloudBasis(grid=grid,
                       basis=basis if basis is not None else sto_default_basis(),
-                      weight=weight if weight is not None else QUARTIC_WEIGHT,
+                      weight=QUARTIC_WEIGHT,
                       fem_nodes=fem,
                       cond_cap=cond_cap)
 
@@ -123,8 +122,8 @@ def _apply(A, v):
     return (A @ v[:, :, None])[:, :, 0]
 
 
-def evaluate_shapes(cb: CloudBasis, x, coupled: bool = True) -> ShapeStack:
-    """MLS shapes (with the boundary FEM hats when coupled) at every point
+def evaluate_shapes(cb: CloudBasis, x) -> ShapeStack:
+    """MLS shapes with the boundary FEM hats coupled in, at every point
     of x in one vectorised pass.  Every point passes the domain check,
     coverage >= m, a positive finite moment diagonal and the condition
     cap; otherwise the first offending point raises."""
@@ -143,7 +142,7 @@ def evaluate_shapes(cb: CloudBasis, x, coupled: bool = True) -> ShapeStack:
     left_end = np.minimum.accumulate((nodes - rho - slack)[::-1])[::-1]
     lo = np.searchsorted(right_end, x, side="right")
     hi = np.searchsorted(left_end, x, side="left")
-    hats = [(k,) + _hat(x, k, nodes) for k in cb.fem_nodes] if coupled else []
+    hats = [(k,) + _hat(x, k, nodes) for k in cb.fem_nodes]
     hats = [h for h in hats if h[3].any()]
     for k, _, _, on in hats:  # a hat may reach past its own cloud
         lo = np.where(on, np.minimum(lo, k), lo)
@@ -223,18 +222,9 @@ def evaluate_shapes(cb: CloudBasis, x, coupled: bool = True) -> ShapeStack:
                       derivs=ders, cond=cond)
 
 
-def _evaluate_one(cb: CloudBasis, x: float, coupled: bool) -> ShapeEval:
-    st = evaluate_shapes(cb, x, coupled)
+def evaluate_coupled(cb: CloudBasis, x: float) -> ShapeEval:
+    """The shapes at one point: the active slots of evaluate_shapes."""
+    st = evaluate_shapes(cb, x)
     a = st.active[0]
     return ShapeEval(x=x, active_indices=st.indices[0, a], values=st.values[0, a],
                      derivs=st.derivs[0, a], cond=st.cond[0])
-
-
-def evaluate_clouds(cb: CloudBasis, x: float) -> ShapeEval:
-    """Pure MLS shapes (no boundary coupling)."""
-    return _evaluate_one(cb, x, coupled=False)
-
-
-def evaluate_coupled(cb: CloudBasis, x: float) -> ShapeEval:
-    """MLS shapes with the boundary FEM hats coupled in."""
-    return _evaluate_one(cb, x, coupled=True)

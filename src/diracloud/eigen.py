@@ -52,14 +52,11 @@ def solve_generalized(A, B, return_vectors: bool = False,
         d = 1.0 / np.sqrt(db)
         Ae = d[:, None] * A * d[None, :]
         Be = d[:, None] * B * d[None, :]
+        out = sla.eigh(Ae, Be, eigvals_only=not return_vectors)
         if return_vectors:
-            w, vr = sla.eigh(Ae, Be)
-            return w.astype(complex), d[:, None] * vr
-        return sla.eigh(Ae, Be, eigvals_only=True).astype(complex)
-    if return_vectors:
-        w, vr = sla.eig(A, B, right=True)
-        return w, vr
-    return sla.eig(A, B, right=False)
+            return out[0].astype(complex), d[:, None] * out[1]
+        return out.astype(complex)
+    return sla.eig(A, B, right=return_vectors)
 
 
 @dataclass(frozen=True, eq=False)

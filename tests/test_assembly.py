@@ -19,7 +19,6 @@ from diracloud.physics import PhysicalSystem
 def test_quadrature_point_count(uuo_grid_200):
     q = build_quadrature(uuo_grid_200, factor=10)
     assert q.total_points == 2000
-    assert q.points_per_cell == 2
 
 
 def test_quadrature_point_count_at_production_size():
@@ -35,9 +34,11 @@ def test_quadrature_factor_must_be_even_and_positive(uuo_grid_200):
 
 
 def test_quadrature_weights_cover_the_domain(uuo_grid_200):
-    q = build_quadrature(uuo_grid_200, factor=10)
-    assert q.weights.sum() == pytest.approx(100.0, rel=1e-13)
-    assert np.all(np.diff(q.points) > 0)
+    r = PhysicalSystem(Z=118.0, kappa=-2, A=294.0, nucleus="extended_uniform").nucleus_radius
+    for factor, split in ((10, None), (10, r), (2, r)):
+        q = build_quadrature(uuo_grid_200, factor=factor, split_at=split)
+        assert q.weights.sum() == pytest.approx(100.0, rel=1e-13), (factor, split)
+        assert np.all(np.diff(q.points) > 0)
 
 
 def test_quadrature_exact_for_cubics():
@@ -48,9 +49,11 @@ def test_quadrature_exact_for_cubics():
 
 def test_quadrature_split_point_becomes_a_cell_edge(uuo_grid_200):
     r = 0.0123456
-    q = build_quadrature(uuo_grid_200, factor=10, split_at=r)
-    edges = np.concatenate([q.cells[:, 0], q.cells[-1:, 1]])
-    assert np.min(np.abs(edges - r)) < 1e-15 * max(1.0, r)
+    for factor in (10, 2):  # at factor 2 the split interval gets two cells
+        q = build_quadrature(uuo_grid_200, factor=factor, split_at=r)
+        edges = np.concatenate([q.cells[:, 0], q.cells[-1:, 1]])
+        assert np.min(np.abs(edges - r)) < 1e-15 * max(1.0, r), factor
+        assert np.array_equal(q.cells[1:, 0], q.cells[:-1, 1]), factor
 
 
 # ---------------------------------------------------- weak-form block oracle
@@ -198,7 +201,7 @@ def test_tau_degenerate_row_raises():
         stability_tau(wfm, coords)
 
 
-def test_tau_fem_closed_form():
+def test_tau_fem_closed_form(uuo_grid_200):
     fake = SimpleNamespace(spacings=np.array([1.0, 2.0]))
     assert stability_tau_fem(fake, 1) == pytest.approx(3.0 / 17.0 * 2.0 / 3.0)
     uniform = SimpleNamespace(spacings=np.array([2.0, 2.0]))
@@ -207,10 +210,18 @@ def test_tau_fem_closed_form():
         stability_tau_fem(fake, 0)
     with pytest.raises(ValueError):
         stability_tau_fem(fake, 2)
+    # an array of rows is the per-row scalar calls, bit for bit
+    n = uuo_grid_200.n_intervals
+    rows = np.arange(1, n)
+    tau = stability_tau_fem(uuo_grid_200, rows)
+    assert np.array_equal(tau, [stability_tau_fem(uuo_grid_200, j) for j in rows])
+    for rows, bad in (([0, 1], 0), ([1, n], n)):
+        with pytest.raises(ValueError, match=f"row index {bad} outside"):
+            stability_tau_fem(uuo_grid_200, np.array(rows))
 
 
 def test_production_tau_is_finite_and_small(uuo_wfm_200, uuo_grid_200):
-    tau = stability_tau(uuo_wfm_200, uuo_grid_200)
+    tau = stability_tau(uuo_wfm_200, uuo_grid_200.nodes[1:-1])
     assert tau.shape == (199,)
     assert np.all(np.isfinite(tau))
     assert np.all(tau >= 0.0)

@@ -204,18 +204,28 @@ def test_stabilized_methods_run_from_the_cli(tmp_path):
 
 # ------------------------------------------------------------ sweep + rates
 
-def test_sweep_varies_one_parameter(tmp_path):
-    out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--Z", "1", "--n-intervals", "40", "--method", "galerkin",
-            "--levels", "2", "--vary", "nu", "--values", "2.2,2.4",
-            "--output", str(out)]
-    assert cli.main(argv) == 0
-    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "param_value,level,computed,exact,rel_error"
-    body = [l.split(",") for l in lines[1:]]
-    assert len(body) == 4
-    assert sorted({r[0] for r in body}) == ["2.2", "2.4"]
-    assert [r[1] for r in body] == ["1", "2", "1", "2"]
+def test_sweep_varies_one_parameter(tmp_path, monkeypatch):
+    # one float, one str and one int field: each value reaches the run
+    # with the type of its RunConfig field
+    seen = []
+    run_solve = cli.run_solve
+    monkeypatch.setattr(cli, "run_solve", lambda cfg: seen.append(cfg) or run_solve(cfg))
+    for vary, values, want in (("nu", "2.2,2.4", [2.2, 2.4]),
+                               ("method", "galerkin,cpg", ["galerkin", "cpg"]),
+                               ("n_intervals", "40,50", [40, 50])):
+        out = tmp_path / f"sweep_{vary}.csv"
+        argv = ["sweep", "--Z", "1", "--n-intervals", "40", "--method", "galerkin",
+                "--levels", "2", "--vary", vary, "--values", values,
+                "--output", str(out)]
+        seen.clear()
+        assert cli.main(argv) == 0
+        got = [getattr(cfg, vary) for cfg in seen]
+        assert got == want and list(map(type, got)) == list(map(type, want)), vary
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "param_value,level,computed,exact,rel_error"
+        body = [l.split(",") for l in lines[1:]]
+        assert [r[0] for r in body] == [str(v) for v in want for _ in (1, 2)], vary
+        assert [r[1] for r in body] == ["1", "2", "1", "2"], vary
 
 
 def test_rates_from_errors_recovers_quadratic():

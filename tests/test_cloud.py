@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import reference_shapes
 from diracloud.assembly import assemble_weak_form, build_quadrature
-from diracloud.cloud import (SingularMoment, build_cloud_basis, evaluate_clouds,
-                             evaluate_coupled)
+from diracloud.cloud import SingularMoment, build_cloud_basis, evaluate_coupled
 from diracloud.enrichment import shepard_basis, sto_default_basis
 from diracloud.grid import Grid, GridConfig, generate_grid
 from diracloud.physics import PhysicalSystem
@@ -20,10 +20,11 @@ def uniform_grid(n, nu=1.2, h=1.0):
 
 
 def test_shepard_midpoint_splits_evenly():
-    g = uniform_grid(4, nu=1.2)
+    # mid-domain, clear of the boundary hats
+    g = uniform_grid(10, nu=1.2)
     cb = build_cloud_basis(g, basis=shepard_basis())
-    ev = evaluate_clouds(cb, 1.5)
-    assert ev.active_indices.tolist() == [1, 2]
+    ev = evaluate_coupled(cb, 4.5)
+    assert ev.active_indices.tolist() == [4, 5]
     assert ev.values == pytest.approx([0.5, 0.5], abs=1e-15)
     assert ev.derivs.sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -78,7 +79,7 @@ def test_shifted_frame_consistency(uuo_cloud_200, uuo_grid_200, uuo_quad_200):
 
 def test_pure_and_coupled_agree_away_from_the_boundary(uuo_cloud_200, uuo_grid_200):
     x = float(0.5 * (uuo_grid_200.nodes[100] + uuo_grid_200.nodes[101]))
-    a = evaluate_clouds(uuo_cloud_200, x)
+    a = reference_shapes(uuo_cloud_200, x, coupled=False)
     b = evaluate_coupled(uuo_cloud_200, x)
     assert np.array_equal(a.active_indices, b.active_indices)
     assert a.values == pytest.approx(b.values, abs=1e-14)
@@ -112,14 +113,15 @@ def test_uncovered_point_raises():
     starved = Grid(config=g.config, nodes=g.nodes, spacings=g.spacings,
                    dilations=np.full(7, 0.3))
     cb = build_cloud_basis(starved, basis=shepard_basis())
-    with pytest.raises(SingularMoment):
-        evaluate_clouds(cb, 1.5)
+    # the boundary hat of node 1 reaches x=1.5 but is no cloud
+    with pytest.raises(SingularMoment, match="only 0 clouds cover x=1.5"):
+        evaluate_coupled(cb, 1.5)
 
 
 def test_condition_cap_enforced(uuo_grid_200):
     cb = build_cloud_basis(uuo_grid_200, cond_cap=1.0)
-    with pytest.raises(SingularMoment):
-        evaluate_clouds(cb, 0.5)
+    with pytest.raises(SingularMoment, match="cond estimate"):
+        evaluate_coupled(cb, 0.5)
 
 
 def test_moment_condition_is_reported(uuo_cloud_200):

@@ -5,8 +5,8 @@ import pytest
 
 from _oracles import reference_shapes, reference_weak_form
 from diracloud.assembly import assemble_weak_form, build_quadrature
-from diracloud.cloud import (SingularMoment, build_cloud_basis, evaluate_clouds,
-                             evaluate_coupled, evaluate_shapes)
+from diracloud.cloud import (SingularMoment, build_cloud_basis, evaluate_coupled,
+                             evaluate_shapes)
 from diracloud.enrichment import basis_from_name, shepard_basis
 from diracloud.grid import Grid, GridConfig
 
@@ -29,13 +29,13 @@ def raised(fn, *args):
     return info.type, str(info.value)
 
 
-@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "pure"])
-@pytest.mark.parametrize("name,Z", BASES)
-def test_batched_shapes_match_per_point_oracle(uuo_grid_200, uuo_quad_200, name, Z, coupled):
+# the ids name the shape mode compared, the coupled one
+@pytest.mark.parametrize("name,Z", BASES, ids=[f"{n}-{z}-coupled" for n, z in BASES])
+def test_batched_shapes_match_per_point_oracle(uuo_grid_200, uuo_quad_200, name, Z):
     cb = cloud_for(uuo_grid_200, name, Z)
-    st = evaluate_shapes(cb, uuo_quad_200.points, coupled)
+    st = evaluate_shapes(cb, uuo_quad_200.points)
     for p, x in enumerate(uuo_quad_200.points):
-        ev = reference_shapes(cb, x, coupled)
+        ev = reference_shapes(cb, x, coupled=True)
         act = st.active[p]
         assert np.array_equal(st.indices[p, act], ev.active_indices), x
         assert not np.any(st.values[p, ~act]) and not np.any(st.derivs[p, ~act])
@@ -61,15 +61,14 @@ def test_chunked_weak_form_matches_per_point_scatter(uuo_grid_200, uuo_quad_200,
 
 def test_single_point_calls_are_rows_of_the_batch(uuo_cloud_200, uuo_quad_200):
     xs = uuo_quad_200.points[::97]
-    for coupled, one in ((True, evaluate_coupled), (False, evaluate_clouds)):
-        st = evaluate_shapes(uuo_cloud_200, xs, coupled)
-        for p, x in enumerate(xs):
-            ev = one(uuo_cloud_200, float(x))
-            act = st.active[p]
-            assert np.array_equal(ev.active_indices, st.indices[p, act])
-            assert np.array_equal(ev.values, st.values[p, act])
-            assert np.array_equal(ev.derivs, st.derivs[p, act])
-            assert ev.cond == st.cond[p]
+    st = evaluate_shapes(uuo_cloud_200, xs)
+    for p, x in enumerate(xs):
+        ev = evaluate_coupled(uuo_cloud_200, float(x))
+        act = st.active[p]
+        assert np.array_equal(ev.active_indices, st.indices[p, act])
+        assert np.array_equal(ev.values, st.values[p, act])
+        assert np.array_equal(ev.derivs, st.derivs[p, act])
+        assert ev.cond == st.cond[p]
 
 
 # ------------------------------------------------ fail-fast through the batch
