@@ -17,9 +17,7 @@ from .enrichment import (EnrichmentBasis, WeightFunction, hydrogenic_basis,
                          laguerre, quartic_spline, quartic_spline_deriv,
                          sto_default_basis)
 from .grid import Grid, GridConfig, generate_grid
-from .physics import (C_LIGHT, ConvectionDiagnostics, PhysicalSystem,
-                      SupercriticalCharge, convection_diagnostics,
-                      exact_eigenvalue, potential, second_order_coefficients,
-                      w_pm)
+from .physics import (C_LIGHT, PhysicalSystem, SupercriticalCharge,
+                      exact_eigenvalue, potential)
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .eigen import (FLAG_GENUINE, FLAG_TAIL, EmptySpectrum, SpectrumReport,
                     solve_generalized)
 from .enrichment import basis_from_name
 from .grid import GridConfig, generate_grid
-from .physics import C_LIGHT, PhysicalSystem, exact_eigenvalue
+from .physics import C_LIGHT, NUCLEI, PhysicalSystem, exact_eigenvalue
 
 OUTDIR_ENV = "DIRACLOUD_OUTDIR"
 
@@ -65,6 +65,7 @@ class RunConfig:
         # cross-field checks delegate to the component configs
         self.grid_config()
         self.physical_system()
+        basis_from_name(self.enrichment, self.Z)
 
     def grid_config(self) -> GridConfig:
         return GridConfig(n_intervals=self.n_intervals, I_a=self.I_a,
@@ -213,9 +214,11 @@ SWEEPABLE = ("nu", "eps", "n_intervals", "quadrature_factor", "method")
 def cmd_sweep(cfg: RunConfig, vary: str, values) -> int:
     if vary not in SWEEPABLE:
         raise ValueError(f"cannot sweep {vary!r}; choose from {SWEEPABLE}")
+    # every value is validated before the first solve runs
+    subs = [dataclasses.replace(cfg, **{vary: val}) for val in values]
     rows = []
-    for val in values:
-        res = run_solve(dataclasses.replace(cfg, **{vary: val}))
+    for val, sub in zip(values, subs):
+        res = run_solve(sub)
         rows.extend((val, m.level, m.computed, m.exact, m.rel_error)
                     for m in res.report.matches)
     path = _resolve_output(cfg.output_path, "sweep.csv")
@@ -235,15 +238,18 @@ RATE_LEVELS = 5  # levels whose convergence rate the study fits
 def cmd_convergence(cfg: RunConfig, n_values) -> int:
     if len(n_values) < 3:
         raise ValueError("convergence study needs at least 3 node counts")
+    # every node count is validated before the first solve runs
+    subs = [dataclasses.replace(cfg, n_intervals=int(n),
+                                levels=max(cfg.levels, RATE_LEVELS))
+            for n in n_values]
     samples = {lv: [] for lv in range(1, RATE_LEVELS + 1)}
     rows = []
-    for n in n_values:
-        sub = dataclasses.replace(cfg, n_intervals=int(n),
-                                  levels=max(cfg.levels, RATE_LEVELS))
+    for sub in subs:
         res = run_solve(sub)
         h = float(res.grid.spacings[-1])  # the largest spacing on these grids
         for m in res.report.matches:
-            rows.append((n, m.level, h, m.computed, m.exact, m.rel_error))
+            rows.append((sub.n_intervals, m.level, h, m.computed, m.exact,
+                         m.rel_error))
             if m.level <= RATE_LEVELS:
                 samples[m.level].append((h, m.rel_error))
     rates = rates_from_errors(samples)
@@ -325,7 +331,7 @@ def _add_config_flags(p):
     p.add_argument("--kappa", type=int)
     p.add_argument("--c", type=float)
     p.add_argument("--m", type=float)
-    p.add_argument("--nucleus", choices=("point", "extended_uniform"))
+    p.add_argument("--nucleus", choices=NUCLEI)
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--enrichment")
     p.add_argument("--quadrature-factor", dest="quadrature_factor", type=int)

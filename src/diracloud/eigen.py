@@ -1,6 +1,9 @@
 """Dense generalized eigensolve and spectrum classification.
 
-The solve is a straight QZ iteration (scipy.linalg.eig on the pencil).
+The solve takes one of two dense paths: a QZ iteration (scipy.linalg.eig)
+on the tau-scaled, nonsymmetric pencil of cpg and cpg_fem_tau, and the
+equilibrated Cholesky reduction (scipy.linalg.eigh) on the symmetric
+pencil of galerkin, whose B is positive definite.
 Classification pairs the computed bound states against the closed-form
 relativistic levels with a greedy monotone matcher and flags the two
 spuriosity patterns separately: values instilled between genuine

@@ -116,21 +116,19 @@ def hydrogenic_basis(Z: float, nr: int, ell: int) -> EnrichmentBasis:
     dc = np.array([k * ck for k, ck in enumerate(c)][1:] or [0.0])
     a = 2.0 * Z / nr  # y = a x
 
-    def L(y):
-        return sum(ck * y**k for k, ck in enumerate(c))
-
     def Lp(y):
         return sum(ck * y**k for k, ck in enumerate(dc))
 
     def R(s):
         y = a * np.asarray(s, dtype=float)
-        return y**ell * L(y) * np.exp(-0.5 * y)
+        return y**ell * laguerre(nr, ell, y) * np.exp(-0.5 * y)
 
     def dR(s):
         y = a * np.asarray(s, dtype=float)
-        core = y**ell * (Lp(y) - 0.5 * L(y))
+        L = laguerre(nr, ell, y)
+        core = y**ell * (Lp(y) - 0.5 * L)
         if ell > 0:
-            core = core + ell * y ** (ell - 1) * L(y)
+            core = core + ell * y ** (ell - 1) * L
         return a * core * np.exp(-0.5 * y)
 
     name = f"hydrogenic:{nr},{ell}"
@@ -138,7 +136,8 @@ def hydrogenic_basis(Z: float, nr: int, ell: int) -> EnrichmentBasis:
 
 
 def basis_from_name(name: str, Z: float = 1.0) -> EnrichmentBasis:
-    """Resolve a CLI-style enrichment name: "sto" or "hydrogenic:nr,ell"."""
+    """Resolve a CLI-style enrichment name: "sto", "shepard" or
+    "hydrogenic:nr,ell"."""
     if name == "sto":
         return sto_default_basis()
     if name == "shepard":

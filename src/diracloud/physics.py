@@ -3,11 +3,6 @@
 Everything is in Hartree atomic units (hbar = m_e = e = 1), so the
 fine-structure constant is alpha = 1/c.  Eigenvalues are reported
 shifted by -mc^2 so that bound states sit in (-mc^2, 0).
-
-The second-order reductions of the radial system (one equation per
-component) supply the convection/reaction coefficients used for the
-grid Peclet / Damkohler diagnostics; the G-component equation is the
-one whose convection coefficient changes sign inside the domain.
 """
 from dataclasses import dataclass
 
@@ -15,14 +10,11 @@ import numpy as np
 
 C_LIGHT = 137.035999084
 BOHR_IN_FM = 5.29177210903e4  # 1 bohr in femtometers
+NUCLEI = ("point", "extended_uniform")  # nuclear charge models
 
 
 class SupercriticalCharge(ValueError):
     """Z alpha exceeds |kappa|: the point-nucleus formula breaks down."""
-
-
-class CoefficientPole(ValueError):
-    """lambda hits w+-(x); the second-order reduction is singular there."""
 
 
 @dataclass(frozen=True)
@@ -32,7 +24,7 @@ class PhysicalSystem:
     A: float = 0.0            # atomic weight, only used for the nucleus radius
     c: float = C_LIGHT
     m: float = 1.0
-    nucleus: str = "point"    # "point" | "extended_uniform"
+    nucleus: str = "point"    # one of NUCLEI
     r0_fm: float = 1.2        # nuclear radius model R = r0 * A^(1/3)
 
     def __post_init__(self):
@@ -42,7 +34,7 @@ class PhysicalSystem:
             raise ValueError(f"Z must be >= 0, got {self.Z}")
         if self.c <= 0:
             raise ValueError("c must be positive")
-        if self.nucleus not in ("point", "extended_uniform"):
+        if self.nucleus not in NUCLEI:
             raise ValueError(f"unknown nucleus model {self.nucleus!r}")
         if self.nucleus == "extended_uniform" and self.A <= 0:
             raise ValueError("extended_uniform nucleus requires A > 0")
@@ -77,24 +69,6 @@ def potential(sys: PhysicalSystem, x):
     return np.where(x <= R, inside, outside)
 
 
-def potential_deriv(sys: PhysicalSystem, x):
-    """V'(x), needed by the second-order coefficients."""
-    x = np.asarray(x, dtype=float)
-    if sys.nucleus == "point":
-        if np.any(x <= 0.0):
-            raise ValueError("point-nucleus potential undefined at x <= 0")
-        return sys.Z / x**2
-    R = sys.nucleus_radius
-    return np.where(x <= R, sys.Z * x / R**3, sys.Z / np.where(x > 0.0, x, 1.0) ** 2)
-
-
-def w_pm(sys: PhysicalSystem, x, sign: int):
-    """w+-(x) = +-mc^2 + V(x)."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return sign * sys.mc2 + potential(sys, x)
-
-
 def exact_eigenvalue(sys: PhysicalSystem, nr: int) -> float:
     """Shifted bound-state level of the point-nucleus problem,
 
@@ -112,52 +86,3 @@ def exact_eigenvalue(sys: PhysicalSystem, nr: int) -> float:
             f"(Z alpha)^2 = {za*za:.6f} >= kappa^2 = {sys.kappa**2}")
     s = np.sqrt(sys.kappa * sys.kappa - za * za)
     return sys.mc2 / np.sqrt(1.0 + (za / (nr - 1 + s)) ** 2) - sys.mc2
-
-
-def second_order_coefficients(sys: PhysicalSystem, lam: float, x: float):
-    """(gamma1, gamma2, theta1, theta2) of the decoupled second-order
-    equations F'' + gamma1 F' + gamma2 F = 0 and G'' + theta1 G' + theta2 G = 0.
-    lam is the unshifted eigenvalue parameter."""
-    wp = w_pm(sys, x, +1)
-    wm = w_pm(sys, x, -1)
-    dV = potential_deriv(sys, x)
-    if wm - lam == 0.0 or wp - lam == 0.0:
-        raise CoefficientPole(f"lambda = w_pm at x = {x}")
-    k = sys.kappa
-    c2 = sys.c * sys.c
-    gamma1 = -dV / (wm - lam)
-    theta1 = -dV / (wp - lam)
-    shared = (wp - lam) * (wm - lam) / c2
-    gamma2 = shared - (k * k + k) / x**2 - k * dV / (x * (wm - lam))
-    theta2 = shared - (k * k - k) / x**2 + k * dV / (x * (wp - lam))
-    return gamma1, gamma2, theta1, theta2
-
-
-@dataclass(frozen=True, eq=False)
-class ConvectionDiagnostics:
-    peclet: np.ndarray
-    damkohler: np.ndarray
-    product2PeDa: np.ndarray
-
-
-def convection_diagnostics(sys: PhysicalSystem, lam: float, grid,
-                           component: str = "G") -> ConvectionDiagnostics:
-    """Grid Peclet and Damkohler numbers per nodal interval, sampling the
-    convection coefficient u and reaction coefficient s at midpoints.
-    The normalized second-order form has unit diffusivity, K = 1.
-    component selects the F-equation or the G-equation coefficients."""
-    if component not in ("F", "G"):
-        raise ValueError("component must be 'F' or 'G'")
-    nodes = grid.nodes
-    h = grid.spacings
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    pe = np.empty(len(mids))
-    da = np.empty(len(mids))
-    prod = np.empty(len(mids))
-    for j, (xm, hj) in enumerate(zip(mids, h)):
-        g1, g2, t1, t2 = second_order_coefficients(sys, lam, xm)
-        u, s = (g1, g2) if component == "F" else (t1, t2)
-        pe[j] = abs(u) * hj / 2.0
-        da[j] = s * hj / abs(u) if u != 0.0 else np.inf
-        prod[j] = s * hj * hj  # = 2 Pe_j Da_j, stays finite when u -> 0
-    return ConvectionDiagnostics(peclet=pe, damkohler=da, product2PeDa=prod)

@@ -67,6 +67,27 @@ def test_invalid_grid_is_a_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["bogus", "hydrogenic:0,0"])
+def test_invalid_enrichment_is_rejected_by_the_config(name):
+    with pytest.raises(ValueError, match="enrichment|hydrogenic"):
+        cli.RunConfig(enrichment=name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--vary", "n_intervals", "--values", "200,300,1"],
+    ["sweep", "--vary", "method", "--values", "cpg,bogus"],
+    ["convergence", "--n-values", "200,300,1"],
+    ["solve", "--enrichment", "bogus"],
+], ids=["sweep-n", "sweep-method", "convergence", "enrichment"])
+def test_bad_values_exit_before_any_assembly(argv, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "assemble_pencil", lambda cfg: calls.append(cfg))
+    rc = cli.main(argv + ["--Z", "118", "--kappa", "-2"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_supercritical_charge_is_a_config_error(monkeypatch, capsys):
     def no_assembly(*args, **kwargs):
         pytest.fail("a supercritical config reached the weak-form assembly")
