@@ -108,7 +108,8 @@ def run_solve(cfg: RunConfig) -> RunResult:
         exact_eigenvalue(sys, 1)
     grid, _, system = assemble_pencil(cfg)
     # the unperturbed pencil is symmetric with B SPD: take the Cholesky
-    # route there, QZ for the row-scaled (nonsymmetric) variants
+    # route there, the LU + dgeev reduction for the row-scaled
+    # (nonsymmetric) variants
     eigs = solve_generalized(system.A, system.B,
                              symmetric_definite=not np.any(system.tau != 0.0))
     check_spectrum_reality(eigs)

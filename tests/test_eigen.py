@@ -2,7 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from diracloud import eigen
+from diracloud.assembly import assemble_system
 from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
                              FLAG_INSTILLED, FLAG_TAIL, check_spectrum_reality,
                              classify_spectrum, convergence_rate, exact_levels,
@@ -56,7 +59,7 @@ def test_symmetric_path_agrees_with_qz():
     A = 0.5 * (A + A.T)
     B = B @ B.T + 6.0 * np.eye(6)
     fast = np.sort(solve_generalized(A, B, symmetric_definite=True).real)
-    slow = np.sort(solve_generalized(A, B).real)
+    slow = np.sort(sla.eigvals(A, B).real)
     assert fast == pytest.approx(slow, rel=1e-10, abs=1e-12)
     w, V = solve_generalized(A, B, symmetric_definite=True, return_vectors=True)
     for k in range(len(w)):
@@ -69,6 +72,90 @@ def test_symmetric_path_agrees_with_qz():
 def test_symmetric_path_rejects_nonpositive_mass_diagonal():
     with pytest.raises(ValueError):
         solve_generalized(np.eye(2), -np.eye(2), symmetric_definite=True)
+
+
+def _forbid_qz(monkeypatch):
+    """Make a QZ call (scipy.linalg.eig with a B) fail the test."""
+    real_eig = sla.eig
+
+    def eig(a, b=None, **kwargs):
+        assert b is None, "the solve fell back to QZ"
+        return real_eig(a, **kwargs)
+
+    monkeypatch.setattr(eigen.sla, "eig", eig)
+
+
+def _graded_pencil(rng, dim):
+    """A nonsymmetric A against a B whose diagonal spans eight decades,
+    as exponential grids give: cond(B) ~ 1e8, cond(dBd) ~ 1."""
+    A = rng.normal(size=(dim, dim))
+    s = np.sqrt(np.logspace(0, 8, dim))
+    E = 0.1 * rng.normal(size=(dim, dim))
+    B = s[:, None] * (np.eye(dim) + E @ E.T) * s[None, :]
+    return s[:, None] * A * s[None, :], B
+
+
+def test_equilibrated_path_vectors_satisfy_the_pencil(monkeypatch):
+    A, B = _graded_pencil(np.random.default_rng(5), 12)
+    ref = sla.eigvals(A, B)
+    _forbid_qz(monkeypatch)
+    w, V = solve_generalized(A, B, return_vectors=True)
+    scale = max(1.0, np.abs(ref).max())
+    assert max_pairing_distance(w, ref) <= 1e-10 * scale
+    nA, nB = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
+    for k in range(len(w)):
+        x = V[:, k]
+        r = np.linalg.norm(A @ x - w[k] * (B @ x))
+        assert r <= 1e-10 * (nA + abs(w[k]) * nB) * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("method", ["cpg", "cpg_fem_tau", "galerkin"])
+def test_equilibrated_path_agrees_with_qz_on_the_flagship_pencil(
+        method, monkeypatch, uuo_wfm_200, uuo_system, uuo_grid_200):
+    # dense QZ is the oracle; galerkin normally takes eigh and is run
+    # through the nonsymmetric path here as a cross-check
+    out = assemble_system(uuo_wfm_200, uuo_system, method, grid=uuo_grid_200)
+    qz = classify_spectrum(sla.eigvals(out.A, out.B), uuo_system)
+    _forbid_qz(monkeypatch)
+    fast = classify_spectrum(solve_generalized(out.A, out.B), uuo_system)
+    assert fast.flags == qz.flags
+    assert fast.n_complex == qz.n_complex
+    assert len(fast.matches) == len(qz.matches) == 15
+    for m, q in zip(fast.matches, qz.matches):
+        assert m.computed == pytest.approx(q.computed, rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_nonpositive_mass_diagonal_falls_back_to_qz(bad):
+    rng = np.random.default_rng(13)
+    A, B = random_pencil(rng, 6)
+    B[2, 2] = bad
+    # no scale 1 / sqrt(diag B) may be formed from such an entry
+    with np.errstate(divide="raise", invalid="raise"):
+        w, V = solve_generalized(A, B, return_vectors=True)
+    w_qz, V_qz = sla.eig(A, B)
+    np.testing.assert_array_equal(w, w_qz)
+    np.testing.assert_array_equal(V, V_qz)
+
+
+def test_singular_mass_falls_back_to_qz():
+    rng = np.random.default_rng(17)
+    A = rng.normal(size=(5, 5))
+    B = np.ones((5, 5)) + np.eye(5)
+    B[:, 4] = B[:, 3]  # positive diagonal, exactly singular
+    np.testing.assert_array_equal(solve_generalized(A, B), sla.eig(A, B)[0])
+    B[:, 4] = B[:, 3] * (1.0 + 1e-9)  # nonsingular, rcond far below the floor
+    np.testing.assert_array_equal(solve_generalized(A, B), sla.eig(A, B)[0])
+
+
+@pytest.mark.parametrize("where", ["A", "B"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 2)])
+def test_nonfinite_pencil_entries_are_rejected(where, value, entry):
+    A, B = _graded_pencil(np.random.default_rng(19), 4)
+    (A if where == "A" else B)[entry] = value
+    with pytest.raises(ValueError):
+        solve_generalized(A, B)
 
 
 # ------------------------------------------------------------- exact ladders
