@@ -1,14 +1,15 @@
 """Dense generalized eigensolve and spectrum classification.
 
-The solve takes one of three dense paths, all on the pencil equilibrated
-by d = diag(B)^{-1/2} on both sides (exponential grids give B nodal
-masses spanning many decades; the scaling leaves the spectrum alone):
+The solve takes one of three dense paths.  The first two work on the
+pencil scaled by d = diag(B)^{-1/2} on both sides, which leaves the
+spectrum alone (exponential grids give B nodal masses spanning many
+decades, and both reductions lose digits without it):
 - galerkin's symmetric pencil, whose B is positive definite: the
   Cholesky reduction (scipy.linalg.eigh);
 - the tau-scaled, nonsymmetric pencil of cpg and cpg_fem_tau: an LU
   reduction to the standard problem (dBd)^-1 (dAd), solved by LAPACK
   dgeev (scipy.linalg.eigvals);
-- a QZ iteration (scipy.linalg.eig) on the unscaled pencil, the
+- a QZ iteration (scipy.linalg.eig) on the unscaled pencil: the
   fallback of the nonsymmetric path when the scaling or the reduction
   is unsafe, and the reference the faster paths are tested against.
 Classification pairs the computed bound states against the closed-form
@@ -54,9 +55,10 @@ def solve_generalized(A, B, return_vectors: bool = False,
     """All eigenvalues of A x = lambda B x (complex array).  With
     return_vectors=True also the right eigenvectors, column-wise.
 
-    Both paths first equilibrate the pencil by d = diag(B)^{-1/2}, a
-    congruence that leaves the spectrum untouched and takes cond(B) on
-    the flagship grid from about 1e9 to about 1e2.
+    The symmetric and the default path both equilibrate the pencil by
+    d = diag(B)^{-1/2} first, a congruence that leaves the spectrum
+    untouched and takes cond(B) on the flagship grid from about 1e9 to
+    about 1e2.
 
     symmetric_definite=True takes the Cholesky-reduction path (A
     symmetric, B SPD), which returns an exactly real spectrum.  The
