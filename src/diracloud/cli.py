@@ -22,8 +22,8 @@ from .assembly import (DegenerateTau, METHODS, assemble_system, assemble_weak_fo
                        build_quadrature, dump_matrix)
 from .cloud import SingularMoment, build_cloud_basis
 from .eigen import (FLAG_GENUINE, FLAG_TAIL, EmptySpectrum, SpectrumReport,
-                    check_spectrum_reality, classify_spectrum, convergence_rate,
-                    solve_generalized)
+                    bound_window, check_spectrum_reality, classify_spectrum,
+                    convergence_rate, solve_generalized)
 from .enrichment import basis_from_name
 from .grid import GridConfig, generate_grid
 from .physics import C_LIGHT, NUCLEI, PhysicalSystem, exact_eigenvalue
@@ -84,8 +84,10 @@ class RunResult:
     config: RunConfig
     grid: object
     system: object
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray   # what the eigen path computed: the window or all
     report: SpectrumReport
+    eigen_path: str           # window, lu_dgeev, qz or eigh
+    eigen_window: dict = None  # the window record (shifted), when one was asked for
 
 
 def assemble_pencil(cfg: RunConfig):
@@ -108,14 +110,28 @@ def run_solve(cfg: RunConfig) -> RunResult:
         exact_eigenvalue(sys, 1)
     grid, _, system = assemble_pencil(cfg)
     # the unperturbed pencil is symmetric with B SPD: take the Cholesky
-    # route there, the LU + dgeev reduction for the row-scaled
-    # (nonsymmetric) variants
-    eigs = solve_generalized(system.A, system.B,
-                             symmetric_definite=not np.any(system.tau != 0.0))
+    # route there.  The row-scaled (nonsymmetric) variants solve only the
+    # bound window when levels are matched, everything by LU + dgeev
+    # otherwise or when the window cannot be certified.
+    symmetric = not np.any(system.tau != 0.0)
+    window = bound_window(sys, cfg.levels) if cfg.levels > 0 and not symmetric else None
+    info = {}
+    eigs = solve_generalized(system.A, system.B, symmetric_definite=symmetric,
+                             window=window, info=info)
     check_spectrum_reality(eigs)
     report = classify_spectrum(eigs, sys, levels=cfg.levels)
     return RunResult(config=cfg, grid=grid, system=system,
-                     eigenvalues=eigs, report=report)
+                     eigenvalues=eigs, report=report, eigen_path=info["path"],
+                     eigen_window=_shifted_window(info.get("window"), sys.mc2))
+
+
+def _shifted_window(rec, mc2):
+    """The eigen layer's window record with its energies shifted by -mc^2."""
+    if rec is None:
+        return None
+    edges = rec["slice_edges"]
+    return dict(rec, lo=rec["lo"] - mc2, hi=rec["hi"] - mc2,
+                slice_edges=None if edges is None else [e - mc2 for e in edges])
 
 
 # ---------------------------------------------------------------- output
@@ -173,18 +189,24 @@ def write_solve_csv(path, cfg, report):
                            solve_rows(report)))
 
 
-def report_as_dict(report: SpectrumReport):
+def report_as_dict(res: RunResult):
+    """The JSON twin's report.  n_eigenvalues, n_complex and
+    positive_shifted describe what the eigen path computed: the bound
+    window on the window path, every eigenvalue on the others."""
+    report = res.report
     return {
         "n_eigenvalues": len(report.raw),
         "n_complex": report.n_complex,
         "positive_shifted": [float(v) for v in report.positive_shifted],
         "flags": list(report.flags),
         "matches": [dataclasses.asdict(m) for m in report.matches],
+        "eigen_path": res.eigen_path,
+        "eigen_window": res.eigen_window,
     }
 
 
-def write_solve_json(path, cfg, report):
-    payload = {"config": cfg.as_dict(), "report": report_as_dict(report)}
+def write_solve_json(path, cfg, res: RunResult):
+    payload = {"config": cfg.as_dict(), "report": report_as_dict(res)}
     with open(path, "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
@@ -198,7 +220,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     base = _resolve_output(cfg.output_path, "solve.csv")
     root = base[:-4] if base.endswith(".csv") else base
     write_solve_csv(root + ".csv", cfg, res.report)
-    write_solve_json(root + ".json", cfg, res.report)
+    write_solve_json(root + ".json", cfg, res)
     for m in res.report.matches:
         print(f"level {m.level:3d}  {m.computed: .10e}  exact {m.exact: .10e}  "
               f"rel {m.rel_error:.2e}")

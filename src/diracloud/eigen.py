@@ -1,17 +1,25 @@
-"""Dense generalized eigensolve and spectrum classification.
+"""Generalized eigensolve and spectrum classification.
 
-The solve takes one of three dense paths.  The first two work on the
-pencil scaled by d = diag(B)^{-1/2} on both sides, which leaves the
-spectrum alone (exponential grids give B nodal masses spanning many
-decades, and both reductions lose digits without it):
+The solve takes one of four paths.  All but QZ work on the pencil
+scaled by d = diag(B)^{-1/2} on both sides, which leaves the spectrum
+alone (exponential grids give B nodal masses spanning many decades, and
+every reduction loses digits without it):
 - galerkin's symmetric pencil, whose B is positive definite: the
-  Cholesky reduction (scipy.linalg.eigh);
-- the tau-scaled, nonsymmetric pencil of cpg and cpg_fem_tau: an LU
+  Cholesky reduction (scipy.linalg.eigh), every eigenvalue;
+- the tau-scaled, nonsymmetric pencil of cpg and cpg_fem_tau, when a
+  bound window is given: only the eigenvalues inside it, from banded
+  LAPACK on the pencil with its unknowns interleaved (G1, F1, G2, F2,
+  ...), which makes both matrices banded.  Real inverse iteration
+  started at the closed-form levels finds them; Sakurai-Sugiura / Beyn
+  contour moments over slices of the window certify that nothing else
+  is inside.  Any doubt sends the solve to the dense path below;
+- the same pencil without a window, or after such a doubt: an LU
   reduction to the standard problem (dBd)^-1 (dAd), solved by LAPACK
-  dgeev (scipy.linalg.eigvals);
+  dgeev (scipy.linalg.eigvals), every eigenvalue;
 - a QZ iteration (scipy.linalg.eig) on the unscaled pencil: the
-  fallback of the nonsymmetric path when the scaling or the reduction
-  is unsafe, and the reference the faster paths are tested against.
+  fallback of the dense nonsymmetric path when the scaling or the
+  reduction is unsafe, and the reference the faster paths are tested
+  against.
 Classification pairs the computed bound states against the closed-form
 relativistic levels with a greedy monotone matcher and flags the two
 spuriosity patterns separately: values instilled between genuine
@@ -35,6 +43,14 @@ IMAG_TOL = 1e-8         # |im| / max(|re|, 1) above which a value is complex
 MATCH_TOL = 1e-3        # relative distance within which a value hugs an exact level
 COINCIDENCE_TOL = 1e-6  # relative distance that coincides with the mirror level
 RCOND_FLOOR = 1e-6      # rcond of the equilibrated B below which the nonsymmetric solve takes QZ
+# the bound-window path
+INVIT_TOL = 1e-14       # relative change at which an inverse iteration has settled
+INVIT_MAXIT = 10        # inverse-iteration steps before the level counts as not found
+DISTINCT_TOL = 1e-8     # relative distance below which two found levels are one eigenvalue
+CONTOUR_NODES = 12      # trapezoid nodes on the upper half of each slice's circle
+PROBES = 4              # real random columns the contour moments are taken of
+PROBE_SEED = 0          # seed of those columns and of the inverse-iteration start
+SV_GAP = 1e3            # weakest kept over largest dropped moment singular value
 
 
 class EmptySpectrum(RuntimeError):
@@ -50,15 +66,33 @@ def _equilibrate(M, d):
     return out
 
 
-def solve_generalized(A, B, return_vectors: bool = False,
-                      symmetric_definite: bool = False):
-    """All eigenvalues of A x = lambda B x (complex array).  With
-    return_vectors=True also the right eigenvectors, column-wise.
+@dataclass(frozen=True)
+class BoundWindow:
+    """Eigenvalues (lo, hi] of the pencil, unshifted, and the closed-form
+    levels inside, ascending: the starts of the windowed solve."""
+    lo: float
+    hi: float
+    guesses: tuple
 
-    The symmetric and the default path both equilibrate the pencil by
-    d = diag(B)^{-1/2} first, a congruence that leaves the spectrum
-    untouched and takes cond(B) on the flagship grid from about 1e9 to
-    about 1e2.
+
+def bound_window(sys: PhysicalSystem, levels: int) -> BoundWindow:
+    """The bound window of a run matching `levels` levels: from -mc^2 to
+    midway between exact levels `levels` and `levels + 1` (shifted)."""
+    ex = exact_levels(sys, levels + 1)
+    return BoundWindow(lo=0.0, hi=float(sys.mc2 + 0.5 * (ex[-2] + ex[-1])),
+                       guesses=tuple(float(sys.mc2 + e) for e in ex[:-1]))
+
+
+def solve_generalized(A, B, return_vectors: bool = False,
+                      symmetric_definite: bool = False,
+                      window: BoundWindow = None, info: dict = None):
+    """Eigenvalues of A x = lambda B x (complex array): all of them, or
+    with `window` only those inside it.  With return_vectors=True also
+    the right eigenvectors, column-wise.
+
+    Every path but QZ equilibrates the pencil by d = diag(B)^{-1/2}
+    first, a congruence that leaves the spectrum untouched and takes
+    cond(B) on the flagship grid from about 1e9 to about 1e2.
 
     symmetric_definite=True takes the Cholesky-reduction path (A
     symmetric, B SPD), which returns an exactly real spectrum.  The
@@ -67,17 +101,36 @@ def solve_generalized(A, B, return_vectors: bool = False,
     Its backward error in the pencil grows like eps / rcond(dBd), so it
     falls back to a QZ iteration on the unscaled (A, B) when a diagonal
     entry of B is not positive and finite, or when the rcond estimate
-    of dBd is below RCOND_FLOOR.  A NaN or inf in A or B raises
+    of dBd is below RCOND_FLOOR.
+
+    window (a BoundWindow; eigenvalues only, nonsymmetric path, a 2x2
+    block pencil) returns the eigenvalues in (window.lo, window.hi],
+    found and certified on the banded pencil (see _solve_window), and
+    everything the default path returns when the window cannot be
+    certified.  A dict passed as `info` receives the path that ran under
+    "path" (window, lu_dgeev, qz or eigh) and, when a window was given,
+    its record under "window": lo and hi, the slice edges and per-slice
+    counts of the certificate, and under "fallback" why the window was
+    given up (None when it was not).  A NaN or inf in A or B raises
     ValueError on every path."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"pencil shapes mismatch: {A.shape} vs {B.shape}")
+    if window is not None and (return_vectors or symmetric_definite
+                               or A.shape[0] % 2 or not window.guesses):
+        raise ValueError("window= returns eigenvalues of a nonsymmetric "
+                         "2x2 block pencil only, from at least one guess")
+    info = {} if info is None else info
+    if window is not None:
+        rec = info["window"] = {"lo": window.lo, "hi": window.hi, "slice_edges": None,
+                                "slice_counts": None, "fallback": None}
     db = np.diag(B)
     if symmetric_definite:
         if np.any(db <= 0.0):
             raise ValueError("symmetric_definite needs positive diagonal in B")
         d = 1.0 / np.sqrt(db)
+        info["path"] = "eigh"
         out = sla.eigh(_equilibrate(A, d), _equilibrate(B, d),
                        eigvals_only=not return_vectors,
                        overwrite_a=True, overwrite_b=True)
@@ -85,8 +138,16 @@ def solve_generalized(A, B, return_vectors: bool = False,
             return out[0].astype(complex), d[:, None] * out[1]
         return out.astype(complex)
     if not np.all((db > 0.0) & np.isfinite(db)):
+        if window is not None:
+            rec["fallback"] = "a diagonal entry of B is not positive and finite"
+        info["path"] = "qz"
         return sla.eig(A, B, right=return_vectors)
     d = 1.0 / np.sqrt(db)
+    if window is not None:
+        w = _solve_window(A, B, d, window, rec)
+        if w is not None:
+            info["path"] = "window"
+            return w
     # two buffers in all: dBd becomes its LU factors, dAd becomes C
     Be = _equilibrate(B, d)
     lange, gecon = sla.get_lapack_funcs(("lange", "gecon"), (Be,))
@@ -97,12 +158,182 @@ def solve_generalized(A, B, return_vectors: bool = False,
         lu, piv = sla.lu_factor(Be, overwrite_a=True)
     rcond, _ = gecon(lu, anorm, norm="1")
     if not rcond >= RCOND_FLOOR:
+        info["path"] = "qz"
         return sla.eig(A, B, right=return_vectors)
+    info["path"] = "lu_dgeev"
     C = sla.lu_solve((lu, piv), _equilibrate(A, d), overwrite_b=True)
     if return_vectors:
         w, V = sla.eig(C, right=True, overwrite_a=True)
         return w, d[:, None] * V
     return sla.eigvals(C, overwrite_a=True)
+
+
+# ------------------------------------------------------ the bound window
+
+
+def _interleaved_bands(A, B, d):
+    """dAd and dBd with the unknowns of the two block rows interleaved,
+    (G1, F1, G2, F2, ...), in LAPACK band storage (entry (i, j) in row
+    k + i - j), and their common half-bandwidth k."""
+    n = len(d)
+    perm = np.empty(n, dtype=int)
+    perm[0::2] = np.arange(n // 2)
+    perm[1::2] = np.arange(n // 2, n)
+    pos = np.empty(n, dtype=int)
+    pos[perm] = np.arange(n)
+    i, j = np.nonzero((A != 0.0) | (B != 0.0))
+    k = int(np.abs(pos[i] - pos[j]).max(initial=0))
+    col = np.arange(n)[None, :]
+    row = col + np.arange(-k, k + 1)[:, None]
+    inside = (row >= 0) & (row < n)
+    pi = perm[np.where(inside, row, 0)]
+    pj = np.broadcast_to(perm[col], pi.shape)
+    scale = np.where(inside, d[pi] * d[pj], 0.0)
+    return A[pi, pj] * scale, B[pi, pj] * scale, k
+
+
+def _band_matvec(Mb, k, X):
+    """M X for M in band storage (half-bandwidth k) and X of n rows.
+    (BLAS dgbmv does the same, but a threaded OpenBLAS spends
+    milliseconds per call on it.)"""
+    n = Mb.shape[1]
+    X2 = X.reshape(n, -1)
+    Y = np.zeros(X2.shape)
+    for r in range(2 * k + 1):
+        o = r - k  # row index minus column index
+        lo, hi = max(0, -o), min(n, n - o)
+        Y[lo + o:hi + o] += Mb[r, lo:hi, None] * X2[lo:hi]
+    return Y.reshape(X.shape)
+
+
+def _factor_band(Ab, Bb, k, z):
+    """Banded LU (dgbtrf, or zgbtrf for a complex z) of z B - A: the
+    factors, the pivots and the LAPACK info (> 0: exactly singular)."""
+    ab = np.zeros((3 * k + 1, Ab.shape[1]), dtype=np.result_type(z, Ab), order="F")
+    np.multiply(Bb, z, out=ab[k:])  # the top k rows take the fill-in
+    ab[k:] -= Ab
+    gbtrf, = sla.get_lapack_funcs(("gbtrf",), (ab,))
+    return gbtrf(ab, k, k, overwrite_ab=True)
+
+
+def _inverse_iteration(Ab, Bb, k, shift, x):
+    """The eigenvalue nearest the real `shift`, from inverse iteration
+    with that fixed shift, or None when the estimate does not settle
+    within INVIT_MAXIT steps or A - shift B is exactly singular."""
+    lu, piv, info = _factor_band(Ab, Bb, k, shift)
+    if info:
+        return None
+    gbtrs, = sla.get_lapack_funcs(("gbtrs",), (lu,))
+    lam = None
+    for _ in range(INVIT_MAXIT):
+        y, _ = gbtrs(lu, k, k, _band_matvec(Bb, k, x), piv)
+        est = shift - (x @ x) / (x @ y)  # y = x / (shift - lambda) at an eigenvector
+        x = y / np.linalg.norm(y)
+        if lam is not None and abs(est - lam) <= INVIT_TOL * abs(est):
+            return est
+        lam = est
+    return None
+
+
+def _slice_edges(found, lo, hi):
+    """Edges of slices that partition (lo, hi]: one slice per found
+    eigenvalue, with edges midway between neighbours (the lowest one
+    mirrored about its value), then slices of doubling width, starting
+    at that lowest slice's, down to lo."""
+    edges = list(0.5 * (found[:-1] + found[1:])) + [hi]
+    below = max(lo, 2.0 * found[0] - edges[0])
+    edges.insert(0, below)
+    width = edges[1] - edges[0]
+    while below > lo:
+        below = max(lo, below - width)
+        edges.insert(0, below)
+        width *= 2.0
+    return np.array(edges)
+
+
+def _moment_singular_values(Ab, Bb, k, a, b, BV):
+    """Singular values of the zeroth contour moment of (z B - A)^-1 B V
+    on the circle over [a, b], by the trapezoid rule; None when a node
+    is exactly singular.  Only the upper half is solved: the pencil is
+    real, so the lower nodes give the complex conjugates."""
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    rhs = BV.astype(complex, order="F")
+    gbtrs, = sla.get_lapack_funcs(("gbtrs",), (rhs,))
+    S = np.zeros(BV.shape, dtype=complex)
+    for t in np.pi * (2 * np.arange(CONTOUR_NODES) + 1) / (2 * CONTOUR_NODES):
+        w = r * complex(np.cos(t), np.sin(t))
+        lu, piv, info = _factor_band(Ab, Bb, k, c + w)
+        if info:
+            return None
+        X, _ = gbtrs(lu, k, k, rhs, piv)
+        S += w * X
+    return np.linalg.svd(S.real / CONTOUR_NODES, compute_uv=False)
+
+
+def _solve_window(A, B, d, win: BoundWindow, rec):
+    """The eigenvalues in (win.lo, win.hi], or None when they cannot be
+    certified complete.
+
+    1. Inverse iteration on the banded d(A, B)d, started at each guess,
+       finds one eigenvalue per guess.
+    2. The greedy matcher of classify_spectrum pairs the found values
+       with the guesses.  Each pair must lie closer together than the
+       guess lies to hi, so no value above the window could have won it.
+    3. The window is cut into slices (see _slice_edges).  On each, the
+       rank of the contour moment must equal the found values inside,
+       with a gap: every kept singular value at least SV_GAP times every
+       dropped one, over all slices.
+
+    rec (the window record of solve_generalized: lo, hi, slice_edges,
+    slice_counts, fallback) receives the slice edges and the certified
+    per-slice counts, or under "fallback" why the window was given up."""
+
+    def doubt(reason):
+        rec["fallback"] = reason
+        return None
+
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    Ab, Bb, k = _interleaved_bands(A, B, d)
+    n = len(d)
+    rng = np.random.default_rng(PROBE_SEED)
+    x0 = rng.standard_normal(n)
+    found = []
+    for i, g in enumerate(win.guesses, start=1):
+        lam = _inverse_iteration(Ab, Bb, k, g, x0)
+        if lam is None:
+            return doubt(f"inverse iteration from guess {i} did not settle")
+        if win.lo < lam <= win.hi:
+            found.append(lam)
+    found = np.sort(found)
+    if np.any(np.diff(found) <= DISTINCT_TOL * np.abs(found[1:])):
+        return doubt("two guesses found the same eigenvalue")
+    picked = _match_levels(found, win.guesses)
+    if len(picked) < len(win.guesses) or any(
+            abs(found[j] - g) >= win.hi - g for j, g in zip(picked, win.guesses)):
+        return doubt("a matched level lies farther from its guess than the "
+                     "window edge, or a guess has no match")
+
+    edges = _slice_edges(found, win.lo, win.hi)
+    counts = [int(np.sum((found > a) & (found <= b)))
+              for a, b in zip(edges[:-1], edges[1:])]
+    BV = _band_matvec(Bb, k, rng.standard_normal((n, PROBES)))
+    svals = []
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]), start=1):
+        s = _moment_singular_values(Ab, Bb, k, a, b, BV)
+        if s is None:
+            return doubt(f"a contour node of slice {i} is singular")
+        svals.append(s)
+    kept = min(s[m - 1] for s, m in zip(svals, counts) if m)
+    for i, (s, m) in enumerate(zip(svals, counts), start=1):
+        dropped = s[m] if m < len(s) else np.inf
+        if dropped * SV_GAP > kept:
+            sv = ", ".join(f"{v:.2e}" for v in s)
+            return doubt(f"slice {i} of {len(counts)} holds {m} found; its moment "
+                         f"singular values are {sv}, the weakest kept {kept:.2e}")
+    rec["slice_edges"] = edges.tolist()
+    rec["slice_counts"] = counts
+    return found.astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +367,20 @@ def _is_real(eigs):
     return np.abs(eigs.imag) <= IMAG_TOL * np.maximum(np.abs(eigs.real), 1.0)
 
 
+def _match_levels(values, targets):
+    """Greedy monotone matching: for each target in turn, the index of the
+    nearest of the ascending `values` above the previous pick (ties break
+    toward the lower value via argmin order); stops when values run out."""
+    picked, lo = [], 0
+    for ex in targets:
+        if lo >= len(values):
+            break
+        j = lo + int(np.argmin(np.abs(values[lo:] - ex)))
+        picked.append(j)
+        lo = j + 1
+    return picked
+
+
 def check_spectrum_reality(eigs) -> int:
     """Count eigenvalues with a non-negligible imaginary part and warn:
     complex pairs are the symptom of an oversized stability parameter."""
@@ -160,18 +405,11 @@ def classify_spectrum(eigs, sys: PhysicalSystem, levels: int = 15) -> SpectrumRe
     matches = []
     if levels > 0:
         targets = exact_levels(sys, levels)
-        matched_idx = []
-        lo = 0
-        for lv, ex in enumerate(targets, start=1):
-            if lo >= len(pos):
-                break
-            j = lo + int(np.argmin(np.abs(pos[lo:] - ex)))
-            # ties break toward the lower computed value via argmin order
+        matched_idx = _match_levels(pos, targets)
+        for lv, (j, ex) in enumerate(zip(matched_idx, targets), start=1):
             matches.append(LevelMatch(level=lv, computed=float(pos[j]), exact=float(ex),
                                       rel_error=float(abs(pos[j] - ex) / abs(ex))))
             flags[j] = FLAG_GENUINE
-            matched_idx.append(j)
-            lo = j + 1
         # instilled spuriosity: unmatched values strictly inside a matched gap,
         # far (relative to MATCH_TOL) from both flanking exact levels
         for a, b, ma, mb in zip(matched_idx[:-1], matched_idx[1:],

@@ -170,8 +170,9 @@ def test_solve_writes_csv_and_json(tmp_path, monkeypatch):
     assert set(payload["config"]) == field_names
     rep = payload["report"]
     assert set(rep) == {"n_eigenvalues", "n_complex", "positive_shifted",
-                        "flags", "matches"}
+                        "flags", "matches", "eigen_path", "eigen_window"}
     assert rep["n_complex"] == 0
+    assert rep["eigen_path"] == "eigh" and rep["eigen_window"] is None
     assert rep["matches"][0]["level"] == 1
 
     # the 13-digit CSV text round-trips against the JSON doubles
@@ -179,14 +180,38 @@ def test_solve_writes_csv_and_json(tmp_path, monkeypatch):
                                                  rel=1e-12)
 
 
+CPG_WINDOW_ARGS = ["--Z", "118", "--kappa", "-2", "--n-intervals", "200",
+                   "--method", "cpg"]
+
+
 def test_solve_output_is_deterministic(tmp_path, monkeypatch):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for d in (a, b):
-        d.mkdir()
-        monkeypatch.chdir(d)
-        assert cli.main(["solve"] + HYDROGEN_ARGS) == 0
-    assert (a / "solve.csv").read_bytes() == (b / "solve.csv").read_bytes()
-    assert (a / "solve.json").read_bytes() == (b / "solve.json").read_bytes()
+    # a galerkin (eigh) run and a cpg run on the bound-window path
+    for name, argv in (("galerkin", HYDROGEN_ARGS), ("cpg", CPG_WINDOW_ARGS)):
+        a, b = tmp_path / name / "a", tmp_path / name / "b"
+        for d in (a, b):
+            d.mkdir(parents=True)
+            monkeypatch.chdir(d)
+            assert cli.main(["solve"] + argv) == 0
+        assert (a / "solve.csv").read_bytes() == (b / "solve.csv").read_bytes()
+        assert (a / "solve.json").read_bytes() == (b / "solve.json").read_bytes()
+
+
+def test_json_twin_records_the_window(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["solve"] + CPG_WINDOW_ARGS) == 0
+    rep = json.loads((tmp_path / "solve.json").read_text())["report"]
+    assert rep["eigen_path"] == "window"
+    win = rep["eigen_window"]
+    assert set(win) == {"lo", "hi", "slice_edges", "slice_counts", "fallback"}
+    assert win["fallback"] is None
+    mc2 = cli.RunConfig().physical_system().mc2
+    assert win["lo"] == pytest.approx(-mc2, rel=1e-12)
+    assert win["slice_edges"][0] == win["lo"] and win["slice_edges"][-1] == win["hi"]
+    assert len(win["slice_counts"]) == len(win["slice_edges"]) - 1
+    # the counts describe what was computed: the window, 15 levels
+    assert sum(win["slice_counts"]) == rep["n_eigenvalues"] == 15
+    assert len(rep["positive_shifted"]) == 15
+    assert max(rep["positive_shifted"]) <= win["hi"]
 
 
 def test_solve_with_zero_levels_writes_header_only(tmp_path, monkeypatch):

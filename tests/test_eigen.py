@@ -6,10 +6,11 @@ import scipy.linalg as sla
 
 from diracloud import eigen
 from diracloud.assembly import assemble_system
+from diracloud.cli import solve_rows
 from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
-                             FLAG_INSTILLED, FLAG_TAIL, check_spectrum_reality,
-                             classify_spectrum, convergence_rate, exact_levels,
-                             solve_generalized)
+                             FLAG_INSTILLED, FLAG_TAIL, BoundWindow, bound_window,
+                             check_spectrum_reality, classify_spectrum,
+                             convergence_rate, exact_levels, solve_generalized)
 from diracloud.physics import PhysicalSystem, exact_eigenvalue
 
 from _oracles import charpoly_eigenvalues, max_pairing_distance, random_pencil
@@ -157,6 +158,179 @@ def test_nonfinite_pencil_entries_are_rejected(where, value, entry):
     # a non-finite diagonal of B goes to QZ's own check, not into a scale
     with pytest.raises(ValueError), np.errstate(divide="raise", invalid="raise"):
         solve_generalized(A, B)
+
+
+# ---------------------------------------------------------- the bound window
+
+def _dense_in_window(A, B, win):
+    """The default (LU + dgeev) spectrum, its in-window part and the
+    complex values among those."""
+    dense = solve_generalized(A, B)
+    inside = (dense.real > win.lo) & (dense.real <= win.hi)
+    cplx = np.abs(dense.imag) > eigen.IMAG_TOL * np.maximum(np.abs(dense.real), 1.0)
+    return dense, int(inside.sum()), int((inside & cplx).sum())
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(kappa=-2, method="cpg"),
+    dict(kappa=-2, method="cpg", n_intervals=1000),
+    dict(kappa=2, method="cpg"),
+    dict(kappa=-2, method="cpg_fem_tau", nu=1.1),
+    dict(kappa=-2, method="cpg", A=294.0, nucleus="extended_uniform", levels=3),
+], ids=["flagship", "n1000", "kappa+2", "fem_tau", "extended"])
+def test_window_agrees_with_the_dense_path(kwargs, solve_cached):
+    res = solve_cached(Z=118.0, **kwargs)
+    sys = res.config.physical_system()
+    levels = res.config.levels
+    assert res.eigen_path == "window"
+    assert res.eigen_window["fallback"] is None
+    win = bound_window(sys, levels)
+    dense, n_inside, n_complex_inside = _dense_in_window(res.system.A, res.system.B, win)
+    assert len(res.eigenvalues) == n_inside == sum(res.eigen_window["slice_counts"])
+    assert res.report.n_complex == n_complex_inside == 0
+    ref = classify_spectrum(dense, sys, levels=levels)
+    got = res.report
+    assert got.flags == ref.flags[:len(got.flags)]
+    assert len(got.matches) == len(ref.matches) == levels
+    for m, r in zip(got.matches, ref.matches):
+        assert m.computed == pytest.approx(r.computed, rel=1e-10)
+    assert [row[0] for row in solve_rows(got)] == [row[0] for row in solve_rows(ref)]
+
+
+def test_window_count_catches_the_instilled_galerkin_state(solve_cached):
+    # the galerkin pencil's instilled state sits between levels 13 and 14,
+    # away from every closed-form guess: inverse iteration misses it, and
+    # the contour count over its slice must not
+    res = solve_cached(Z=118.0, kappa=-2, method="galerkin")
+    A, B = res.system.A, res.system.B
+    win = bound_window(res.config.physical_system(), 15)
+    info = {}
+    w = solve_generalized(A, B, window=win, info=info)
+    assert info["path"] == "lu_dgeev"
+    assert info["window"]["fallback"].startswith("slice ")
+    np.testing.assert_array_equal(w, solve_generalized(A, B))
+    rep = classify_spectrum(w, res.config.physical_system())
+    assert rep.flags.count(FLAG_INSTILLED) == 1
+
+
+def test_dense_levels_are_kept_when_the_window_cannot_be_certified(solve_cached):
+    # at n=60 the levels are off by O(1) from the closed form: the window
+    # gives up and the run returns the dense spectrum and rows of before
+    res = solve_cached(Z=118.0, kappa=-2, method="cpg", n_intervals=60)
+    assert res.eigen_path == "lu_dgeev"
+    assert res.eigen_window["fallback"] is not None
+    assert res.eigen_window["slice_counts"] is None
+    dense = solve_generalized(res.system.A, res.system.B)
+    np.testing.assert_array_equal(res.eigenvalues, dense)
+    ref = classify_spectrum(dense, res.config.physical_system())
+    assert solve_rows(res.report) == solve_rows(ref)
+    assert res.report.flags == ref.flags
+
+
+def test_zero_levels_solve_every_eigenvalue(solve_cached):
+    res = solve_cached(Z=118.0, kappa=-2, method="cpg", n_intervals=60, levels=0)
+    assert res.eigen_path == "lu_dgeev"
+    assert res.eigen_window is None
+    assert len(res.eigenvalues) == 118
+    assert solve_rows(res.report) == []
+
+
+def test_window_takes_eigenvalues_of_the_nonsymmetric_path_only(
+        uuo_wfm_200, uuo_system, uuo_grid_200):
+    out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    win = bound_window(uuo_system, 15)
+    with pytest.raises(ValueError, match="window"):
+        solve_generalized(out.A, out.B, window=win, return_vectors=True)
+    with pytest.raises(ValueError, match="window"):
+        solve_generalized(out.A, out.B, window=win, symmetric_definite=True)
+    with pytest.raises(ValueError, match="window"):
+        solve_generalized(out.A[1:, 1:], out.B[1:, 1:], window=win)
+    with pytest.raises(ValueError, match="window"):
+        solve_generalized(out.A, out.B, window=BoundWindow(win.lo, win.hi, ()))
+
+
+def test_window_record_partitions_the_window(uuo_wfm_200, uuo_system, uuo_grid_200,
+                                             monkeypatch):
+    out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    win = bound_window(uuo_system, 15)
+    assert win.lo == 0.0 and len(win.guesses) == 15
+    ex = exact_levels(uuo_system, 16)
+    assert win.hi - uuo_system.mc2 == pytest.approx(0.5 * (ex[14] + ex[15]), rel=1e-12)
+    _forbid_qz(monkeypatch)
+    info = {}
+    w = solve_generalized(out.A, out.B, window=win, info=info)
+    rec = info["window"]
+    assert info["path"] == "window" and rec["fallback"] is None
+    edges = np.array(rec["slice_edges"])
+    assert edges[0] == win.lo and edges[-1] == win.hi
+    assert np.all(np.diff(edges) > 0.0)
+    counts = [int(np.sum((w.real > a) & (w.real <= b)))
+              for a, b in zip(edges[:-1], edges[1:])]
+    assert counts == rec["slice_counts"]
+    assert max(counts) == 1 and sum(counts) == len(w) == 15
+    np.testing.assert_array_equal(w.imag, 0.0)
+
+
+def test_window_with_a_nonpositive_mass_diagonal_takes_qz():
+    A, B = random_pencil(np.random.default_rng(29), 6)
+    B[3, 3] = 0.0
+    win = BoundWindow(lo=-10.0, hi=10.0, guesses=(0.0,))
+    info = {}
+    with np.errstate(divide="raise", invalid="raise"):
+        w = solve_generalized(A, B, window=win, info=info)
+    np.testing.assert_array_equal(w, sla.eig(A, B)[0])
+    assert info["path"] == "qz"
+    assert "diagonal" in info["window"]["fallback"]
+
+
+def test_interleaved_bands_hold_the_whole_pencil(uuo_wfm_200, uuo_system, uuo_grid_200):
+    out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    n = out.A.shape[0]
+    d = 1.0 / np.sqrt(np.diag(out.B))
+    Ab, Bb, k = eigen._interleaved_bands(out.A, out.B, d)
+    assert k == 9  # blocks of half-bandwidth 4, interleaved
+    perm = np.concatenate([np.arange(n // 2)[:, None],
+                           np.arange(n // 2, n)[:, None]], axis=1).ravel()
+    x = np.random.default_rng(23).normal(size=(n, 3))
+    for M, Mb in ((out.A, Ab), (out.B, Bb)):
+        dense = (d[:, None] * M * d[None, :])[np.ix_(perm, perm)]
+        np.testing.assert_allclose(eigen._band_matvec(Mb, k, x), dense @ x,
+                                   rtol=0, atol=1e-12 * np.abs(dense).max())
+        i, j = np.nonzero(dense)
+        np.testing.assert_allclose(Mb[k + i - j, j], dense[i, j], rtol=1e-15, atol=0)
+
+
+def _cpg_200(wfm, system, grid):
+    out = assemble_system(wfm, system, "cpg", grid=grid)
+    win = bound_window(system, 15)
+    return out, win, solve_generalized(out.A, out.B, window=win).real
+
+
+def test_a_level_matched_beyond_the_window_edge_falls_back(
+        uuo_wfm_200, uuo_system, uuo_grid_200):
+    # the last guess just above its level and the edge closer still: a
+    # value above the window could win that match in the dense spectrum
+    out, win, w = _cpg_200(uuo_wfm_200, uuo_system, uuo_grid_200)
+    g = w[-1] + 0.1
+    edgy = BoundWindow(lo=win.lo, hi=g + 0.025, guesses=win.guesses[:-1] + (g,))
+    info = {}
+    got = solve_generalized(out.A, out.B, window=edgy, info=info)
+    assert info["path"] == "lu_dgeev"
+    assert "window edge" in info["window"]["fallback"]
+    np.testing.assert_array_equal(got, solve_generalized(out.A, out.B))
+
+
+def test_two_guesses_on_one_eigenvalue_fall_back(uuo_wfm_200, uuo_system, uuo_grid_200):
+    # a 16th guess beside the 15th: both settle on level 15, which must
+    # not be returned twice
+    out, win, w = _cpg_200(uuo_wfm_200, uuo_system, uuo_grid_200)
+    twice = BoundWindow(lo=win.lo, hi=win.hi,
+                        guesses=win.guesses + (win.guesses[-1] + 1e-3,))
+    info = {}
+    got = solve_generalized(out.A, out.B, window=twice, info=info)
+    assert info["path"] == "lu_dgeev"
+    assert "same eigenvalue" in info["window"]["fallback"]
+    np.testing.assert_array_equal(got, solve_generalized(out.A, out.B))
 
 
 # ------------------------------------------------------------- exact ladders
