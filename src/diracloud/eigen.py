@@ -253,19 +253,19 @@ def _slice_edges(found, lo, hi):
 
 def _moment_singular_values(Ab, Bb, k, a, b, BV):
     """Singular values of the zeroth contour moment of (z B - A)^-1 B V
-    on the circle over [a, b], by the trapezoid rule; None when a node
-    is exactly singular.  Only the upper half is solved: the pencil is
-    real, so the lower nodes give the complex conjugates."""
+    (BV real, held as a complex Fortran array) on the circle over [a, b],
+    by the trapezoid rule; None when a node is exactly singular.  Only
+    the upper half is solved: the pencil is real, so the lower nodes
+    give the complex conjugates."""
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    rhs = BV.astype(complex, order="F")
-    gbtrs, = sla.get_lapack_funcs(("gbtrs",), (rhs,))
+    gbtrs, = sla.get_lapack_funcs(("gbtrs",), (BV,))
     S = np.zeros(BV.shape, dtype=complex)
     for t in np.pi * (2 * np.arange(CONTOUR_NODES) + 1) / (2 * CONTOUR_NODES):
         w = r * complex(np.cos(t), np.sin(t))
         lu, piv, info = _factor_band(Ab, Bb, k, c + w)
         if info:
             return None
-        X, _ = gbtrs(lu, k, k, rhs, piv)
+        X, _ = gbtrs(lu, k, k, BV, piv)
         S += w * X
     return np.linalg.svd(S.real / CONTOUR_NODES, compute_uv=False)
 
@@ -317,7 +317,7 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     edges = _slice_edges(found, win.lo, win.hi)
     counts = [int(np.sum((found > a) & (found <= b)))
               for a, b in zip(edges[:-1], edges[1:])]
-    BV = _band_matvec(Bb, k, rng.standard_normal((n, PROBES)))
+    BV = _band_matvec(Bb, k, rng.standard_normal((n, PROBES))).astype(complex, order="F")
     svals = []
     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]), start=1):
         s = _moment_singular_values(Ab, Bb, k, a, b, BV)
