@@ -64,8 +64,12 @@ class RunConfig:
             raise ValueError("quadrature_factor must be even and >= 2")
         # cross-field checks delegate to the component configs
         self.grid_config()
-        self.physical_system()
+        sys = self.physical_system()
         basis_from_name(self.enrichment, self.Z)
+        if self.levels > 0 or self.kappa > 0:
+            # classification needs the closed-form levels: a supercritical
+            # Z/kappa pair fails here
+            exact_eigenvalue(sys, 1)
 
     def grid_config(self) -> GridConfig:
         return GridConfig(n_intervals=self.n_intervals, I_a=self.I_a,
@@ -84,8 +88,7 @@ class RunResult:
     config: RunConfig
     grid: object
     system: object
-    eigenvalues: np.ndarray   # what the eigen path computed: the window or all
-    report: SpectrumReport
+    report: SpectrumReport    # its raw is what the eigen path computed: the window or all
     eigen_path: str           # window, lu_dgeev, qz or eigh
     eigen_window: dict = None  # the window record (shifted), when one was asked for
 
@@ -104,10 +107,6 @@ def assemble_pencil(cfg: RunConfig):
 def run_solve(cfg: RunConfig) -> RunResult:
     """Pencil -> eigensolve -> classification."""
     sys = cfg.physical_system()
-    if cfg.levels > 0 or sys.kappa > 0:
-        # classification needs the closed-form levels: a supercritical
-        # Z/kappa pair fails here, before any assembly
-        exact_eigenvalue(sys, 1)
     grid, _, system = assemble_pencil(cfg)
     # the unperturbed pencil is symmetric with B SPD: take the Cholesky
     # route there.  The row-scaled (nonsymmetric) variants solve only the
@@ -120,8 +119,8 @@ def run_solve(cfg: RunConfig) -> RunResult:
                              window=window, info=info)
     check_spectrum_reality(eigs)
     report = classify_spectrum(eigs, sys, levels=cfg.levels)
-    return RunResult(config=cfg, grid=grid, system=system,
-                     eigenvalues=eigs, report=report, eigen_path=info["path"],
+    return RunResult(config=cfg, grid=grid, system=system, report=report,
+                     eigen_path=info["path"],
                      eigen_window=_shifted_window(info.get("window"), sys.mc2))
 
 
@@ -308,12 +307,7 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 def _coerce(key, raw):
     if key not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {key!r}")
-    t = _FIELD_TYPES[key]
-    if t in (int, "int"):
-        return int(raw)
-    if t in (float, "float"):
-        return float(raw)
-    return raw
+    return _FIELD_TYPES[key](raw)
 
 
 def read_config_file(path) -> dict:
@@ -342,24 +336,17 @@ def build_config(args) -> RunConfig:
     return RunConfig(**kv)
 
 
+# the flags not spelled as their field with "-" for "_", and the fields
+# whose values come from a fixed list
+_FLAG_NAMES = {"I_a": "--Ia", "I_b": "--Ib", "output_path": "--output"}
+_CHOICES = {"nucleus": NUCLEI, "method": METHODS}
+
+
 def _add_config_flags(p):
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--n-intervals", dest="n_intervals", type=int)
-    p.add_argument("--Ia", dest="I_a", type=float)
-    p.add_argument("--Ib", dest="I_b", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--Z", type=float)
-    p.add_argument("--A", type=float)
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--m", type=float)
-    p.add_argument("--nucleus", choices=NUCLEI)
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--enrichment")
-    p.add_argument("--quadrature-factor", dest="quadrature_factor", type=int)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--output", dest="output_path")
+    for key, t in _FIELD_TYPES.items():
+        p.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")),
+                       dest=key, type=t, choices=_CHOICES.get(key))
 
 
 def main(argv=None) -> int:
@@ -402,8 +389,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {e}", file=_sys.stderr)
         return NUMERICAL_ERROR
     except ValueError as e:
-        # includes SupercriticalCharge: a bad Z/kappa combination is a
-        # config problem, not a solver breakdown
+        # the per-value configs of sweep and convergence, and a grid that
+        # degenerates when built: config problems, not solver breakdowns
         print(f"config error: {e}", file=_sys.stderr)
         return CONFIG_ERROR
 

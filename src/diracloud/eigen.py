@@ -68,9 +68,9 @@ def _equilibrate(M, d):
 
 @dataclass(frozen=True)
 class BoundWindow:
-    """Eigenvalues (lo, hi] of the pencil, unshifted, and the closed-form
-    levels inside, ascending: the starts of the windowed solve."""
-    lo: float
+    """Eigenvalues (0, hi] of the pencil, unshifted (0 is the -mc^2
+    threshold), and the closed-form levels inside, ascending: the starts
+    of the windowed solve."""
     hi: float
     guesses: tuple
 
@@ -79,7 +79,7 @@ def bound_window(sys: PhysicalSystem, levels: int) -> BoundWindow:
     """The bound window of a run matching `levels` levels: from -mc^2 to
     midway between exact levels `levels` and `levels + 1` (shifted)."""
     ex = exact_levels(sys, levels + 1)
-    return BoundWindow(lo=0.0, hi=float(sys.mc2 + 0.5 * (ex[-2] + ex[-1])),
+    return BoundWindow(hi=float(sys.mc2 + 0.5 * (ex[-2] + ex[-1])),
                        guesses=tuple(float(sys.mc2 + e) for e in ex[:-1]))
 
 
@@ -104,15 +104,15 @@ def solve_generalized(A, B, return_vectors: bool = False,
     of dBd is below RCOND_FLOOR.
 
     window (a BoundWindow; eigenvalues only, nonsymmetric path, a 2x2
-    block pencil) returns the eigenvalues in (window.lo, window.hi],
-    found and certified on the banded pencil (see _solve_window), and
-    everything the default path returns when the window cannot be
-    certified.  A dict passed as `info` receives the path that ran under
-    "path" (window, lu_dgeev, qz or eigh) and, when a window was given,
-    its record under "window": lo and hi, the slice edges and per-slice
-    counts of the certificate, and under "fallback" why the window was
-    given up (None when it was not).  A NaN or inf in A or B raises
-    ValueError on every path."""
+    block pencil) returns the eigenvalues in (0, window.hi], above the
+    -mc^2 threshold, found and certified on the banded pencil (see
+    _solve_window), and everything the default path returns when the
+    window cannot be certified.  A dict passed as `info` receives the
+    path that ran under "path" (window, lu_dgeev, qz or eigh) and, when
+    a window was given, its record under "window": lo (always 0) and
+    hi, the slice edges and per-slice counts of the certificate, and
+    under "fallback" why the window was given up (None when it was
+    not).  A NaN or inf in A or B raises ValueError on every path."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -123,7 +123,7 @@ def solve_generalized(A, B, return_vectors: bool = False,
                          "2x2 block pencil only, from at least one guess")
     info = {} if info is None else info
     if window is not None:
-        rec = info["window"] = {"lo": window.lo, "hi": window.hi, "slice_edges": None,
+        rec = info["window"] = {"lo": 0.0, "hi": window.hi, "slice_edges": None,
                                 "slice_counts": None, "fallback": None}
     db = np.diag(B)
     if symmetric_definite:
@@ -235,17 +235,17 @@ def _inverse_iteration(Ab, Bb, k, shift, x):
     return None
 
 
-def _slice_edges(found, lo, hi):
-    """Edges of slices that partition (lo, hi]: one slice per found
+def _slice_edges(found, hi):
+    """Edges of slices that partition (0, hi]: one slice per found
     eigenvalue, with edges midway between neighbours (the lowest one
     mirrored about its value), then slices of doubling width, starting
-    at that lowest slice's, down to lo."""
+    at that lowest slice's, down to 0."""
     edges = list(0.5 * (found[:-1] + found[1:])) + [hi]
-    below = max(lo, 2.0 * found[0] - edges[0])
+    below = max(0.0, 2.0 * found[0] - edges[0])
     edges.insert(0, below)
     width = edges[1] - edges[0]
-    while below > lo:
-        below = max(lo, below - width)
+    while below > 0.0:
+        below = max(0.0, below - width)
         edges.insert(0, below)
         width *= 2.0
     return np.array(edges)
@@ -271,7 +271,7 @@ def _moment_singular_values(Ab, Bb, k, a, b, BV):
 
 
 def _solve_window(A, B, d, win: BoundWindow, rec):
-    """The eigenvalues in (win.lo, win.hi], or None when they cannot be
+    """The eigenvalues in (0, win.hi], or None when they cannot be
     certified complete.
 
     1. Inverse iteration on the banded d(A, B)d, started at each guess,
@@ -303,7 +303,7 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
         lam = _inverse_iteration(Ab, Bb, k, g, x0)
         if lam is None:
             return doubt(f"inverse iteration from guess {i} did not settle")
-        if win.lo < lam <= win.hi:
+        if 0.0 < lam <= win.hi:
             found.append(lam)
     found = np.sort(found)
     if np.any(np.diff(found) <= DISTINCT_TOL * np.abs(found[1:])):
@@ -314,7 +314,7 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
         return doubt("a matched level lies farther from its guess than the "
                      "window edge, or a guess has no match")
 
-    edges = _slice_edges(found, win.lo, win.hi)
+    edges = _slice_edges(found, win.hi)
     counts = [int(np.sum((found > a) & (found <= b)))
               for a, b in zip(edges[:-1], edges[1:])]
     BV = _band_matvec(Bb, k, rng.standard_normal((n, PROBES))).astype(complex, order="F")
@@ -347,7 +347,6 @@ class LevelMatch:
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     raw: np.ndarray                 # everything the solver returned
-    real_spectrum: np.ndarray       # kept real eigenvalues, ascending, unshifted
     positive_shifted: np.ndarray    # positive branch minus mc^2
     matches: list = field(default_factory=list)   # LevelMatch per requested level
     flags: list = field(default_factory=list)     # one flag per positive_shifted entry
@@ -424,7 +423,7 @@ def classify_spectrum(eigs, sys: PhysicalSystem, levels: int = 15) -> SpectrumRe
         mirror = exact_eigenvalue(sys, 1)
         if abs(pos[0] - mirror) <= COINCIDENCE_TOL * abs(mirror):
             flags[0] = FLAG_COINCIDENCE
-    return SpectrumReport(raw=raw, real_spectrum=real, positive_shifted=pos,
+    return SpectrumReport(raw=raw, positive_shifted=pos,
                           matches=matches, flags=flags, n_complex=n_complex)
 
 

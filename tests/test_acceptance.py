@@ -179,8 +179,9 @@ def test_eigensolver_oracle(uuo_wfm_200, uuo_system, uuo_grid_200):
         assert max_pairing_distance(solve_generalized(A, B), ref) <= 1e-8 * scale
 
     # residual contracts on the assembled systems themselves, in the
-    # solver's general (QZ) mode: the one mode that is backward stable in
-    # the original frame of a pencil whose mass diagonal spans ten decades
+    # solver's default mode (LU + dgeev on the pencil equilibrated by
+    # diag(B)^-1/2, vectors mapped back), measured in the original frame
+    # of a pencil whose mass diagonal spans ten decades
     plain = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
     stab = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
     for out in (plain, stab):

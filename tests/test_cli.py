@@ -78,7 +78,10 @@ def test_invalid_enrichment_is_rejected_by_the_config(name):
     ["sweep", "--vary", "method", "--values", "cpg,bogus"],
     ["convergence", "--n-values", "200,300,1"],
     ["solve", "--enrichment", "bogus"],
-], ids=["sweep-n", "sweep-method", "convergence", "enrichment"])
+    ["solve", "--levels", "-1"],
+    ["solve", "--quadrature-factor", "3"],
+], ids=["sweep-n", "sweep-method", "convergence", "enrichment", "levels",
+        "quadrature-factor"])
 def test_bad_values_exit_before_any_assembly(argv, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "assemble_pencil", lambda cfg: calls.append(cfg))
@@ -95,6 +98,10 @@ def test_supercritical_charge_is_a_config_error(monkeypatch, capsys):
     rc = cli.main(["solve", "--Z", "140", "--kappa", "-1"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="kappa"):
+        cli.RunConfig(Z=140.0, kappa=-1)
+    # with no levels to match, a negative kappa needs no closed form
+    cli.RunConfig(Z=140.0, kappa=-1, levels=0)
 
 
 def test_convergence_needs_three_counts(capsys):
@@ -131,6 +138,62 @@ def test_cli_module_runs_as_main_without_a_second_copy():
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "diracloud.cli", "--help"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ------------------------------------------------------------- CLI surface
+
+# a valid value other than the default for every RunConfig field, under
+# the flag that sets it
+FLAG_VALUES = {
+    "--n-intervals": ("n_intervals", "60"),
+    "--Ia": ("I_a", "0.5"),
+    "--Ib": ("I_b", "90"),
+    "--eps": ("eps", "2e-5"),
+    "--nu": ("nu", "2.4"),
+    "--Z": ("Z", "10"),
+    "--A": ("A", "20"),
+    "--kappa": ("kappa", "2"),
+    "--c": ("c", "150"),
+    "--m": ("m", "2"),
+    "--nucleus": ("nucleus", "extended_uniform"),
+    "--method": ("method", "galerkin"),
+    "--enrichment": ("enrichment", "shepard"),
+    "--quadrature-factor": ("quadrature_factor", "8"),
+    "--levels": ("levels", "3"),
+    "--output": ("output_path", "run.csv"),
+}
+
+COMMAND_ARGS = {
+    "solve": [],
+    "sweep": ["--vary", "nu", "--values", "2.2,2.4"],
+    "convergence": ["--n-values", "30,40,50"],
+    "dump-matrices": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_every_field_has_one_flag(command, monkeypatch, tmp_path):
+    fields = {f.name: f.type for f in dataclasses.fields(cli.RunConfig)}
+    keys = [key for key, _ in FLAG_VALUES.values()]
+    assert sorted(keys) == sorted(fields), "one flag per RunConfig field"
+    seen = []
+    for name in ("cmd_solve", "cmd_sweep", "cmd_convergence", "cmd_dump_matrices"):
+        monkeypatch.setattr(cli, name, lambda cfg, *rest: seen.append(cfg) or 0)
+    argv = [command] + COMMAND_ARGS[command]
+    for flag, (_, raw) in FLAG_VALUES.items():
+        argv += [flag, raw]
+    assert cli.main(argv) == 0
+    cfg, = seen
+    defaults = cli.RunConfig()
+    for flag, (key, raw) in FLAG_VALUES.items():
+        got = getattr(cfg, key)
+        assert got == fields[key](raw) and type(got) is fields[key], flag
+        assert got != getattr(defaults, key), flag
+    # a config file with the same values gives the same config
+    p = write_config(tmp_path / "all.cfg", "".join(
+        f"{key} = {raw}\n" for key, raw in FLAG_VALUES.values()))
+    assert cli.main([command] + COMMAND_ARGS[command] + ["--config", p]) == 0
+    assert seen[1] == cfg
 
 
 # --------------------------------------------------------------- solve runs
@@ -221,6 +284,22 @@ def test_solve_with_zero_levels_writes_header_only(tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     _, cols, rows = parse_solve_csv(tmp_path / "solve.csv")
     assert cols is not None and rows == []
+
+
+def test_instilled_state_gets_a_row_without_a_level(tmp_path, monkeypatch, capsys):
+    # the n=200 galerkin pencil instills one state between levels 11 and 12
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--Z", "118", "--kappa", "-2", "--n-intervals", "200",
+            "--method", "galerkin"]
+    assert cli.main(argv) == 0
+    _, _, rows = parse_solve_csv(tmp_path / "solve.csv")
+    assert [r[0] for r in rows] == [str(lv) for lv in range(1, 12)] + [""] + [
+        str(lv) for lv in range(12, 16)]
+    _, computed, exact, rel_error, flag = rows[11]
+    assert (exact, rel_error, flag) == ("", "", "instilled_spurious")
+    assert float(computed) == pytest.approx(-43.35197, abs=1e-5)
+    printed = capsys.readouterr().out.splitlines()
+    assert f"flagged    {float(computed): .10e}  instilled_spurious" in printed
 
 
 def test_output_dir_env_redirects_files(tmp_path, monkeypatch):

@@ -155,9 +155,11 @@ def test_singular_mass_falls_back_to_qz():
 def test_nonfinite_pencil_entries_are_rejected(where, value, entry):
     A, B = _graded_pencil(np.random.default_rng(19), 4)
     (A if where == "A" else B)[entry] = value
-    # a non-finite diagonal of B goes to QZ's own check, not into a scale
-    with pytest.raises(ValueError), np.errstate(divide="raise", invalid="raise"):
-        solve_generalized(A, B)
+    # a non-finite diagonal of B goes to QZ's own check, not into a scale;
+    # the window path checks every other entry before banding the pencil
+    for window in (None, BoundWindow(hi=1e9, guesses=(1.0,))):
+        with pytest.raises(ValueError), np.errstate(divide="raise", invalid="raise"):
+            solve_generalized(A, B, window=window)
 
 
 # ---------------------------------------------------------- the bound window
@@ -166,7 +168,7 @@ def _dense_in_window(A, B, win):
     """The default (LU + dgeev) spectrum, its in-window part and the
     complex values among those."""
     dense = solve_generalized(A, B)
-    inside = (dense.real > win.lo) & (dense.real <= win.hi)
+    inside = (dense.real > 0.0) & (dense.real <= win.hi)
     cplx = np.abs(dense.imag) > eigen.IMAG_TOL * np.maximum(np.abs(dense.real), 1.0)
     return dense, int(inside.sum()), int((inside & cplx).sum())
 
@@ -186,7 +188,7 @@ def test_window_agrees_with_the_dense_path(kwargs, solve_cached):
     assert res.eigen_window["fallback"] is None
     win = bound_window(sys, levels)
     dense, n_inside, n_complex_inside = _dense_in_window(res.system.A, res.system.B, win)
-    assert len(res.eigenvalues) == n_inside == sum(res.eigen_window["slice_counts"])
+    assert len(res.report.raw) == n_inside == sum(res.eigen_window["slice_counts"])
     assert res.report.n_complex == n_complex_inside == 0
     ref = classify_spectrum(dense, sys, levels=levels)
     got = res.report
@@ -221,7 +223,7 @@ def test_dense_levels_are_kept_when_the_window_cannot_be_certified(solve_cached)
     assert res.eigen_window["fallback"] is not None
     assert res.eigen_window["slice_counts"] is None
     dense = solve_generalized(res.system.A, res.system.B)
-    np.testing.assert_array_equal(res.eigenvalues, dense)
+    np.testing.assert_array_equal(res.report.raw, dense)
     ref = classify_spectrum(dense, res.config.physical_system())
     assert solve_rows(res.report) == solve_rows(ref)
     assert res.report.flags == ref.flags
@@ -231,7 +233,7 @@ def test_zero_levels_solve_every_eigenvalue(solve_cached):
     res = solve_cached(Z=118.0, kappa=-2, method="cpg", n_intervals=60, levels=0)
     assert res.eigen_path == "lu_dgeev"
     assert res.eigen_window is None
-    assert len(res.eigenvalues) == 118
+    assert len(res.report.raw) == 118
     assert solve_rows(res.report) == []
 
 
@@ -246,14 +248,14 @@ def test_window_takes_eigenvalues_of_the_nonsymmetric_path_only(
     with pytest.raises(ValueError, match="window"):
         solve_generalized(out.A[1:, 1:], out.B[1:, 1:], window=win)
     with pytest.raises(ValueError, match="window"):
-        solve_generalized(out.A, out.B, window=BoundWindow(win.lo, win.hi, ()))
+        solve_generalized(out.A, out.B, window=BoundWindow(win.hi, ()))
 
 
 def test_window_record_partitions_the_window(uuo_wfm_200, uuo_system, uuo_grid_200,
                                              monkeypatch):
     out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
     win = bound_window(uuo_system, 15)
-    assert win.lo == 0.0 and len(win.guesses) == 15
+    assert len(win.guesses) == 15
     ex = exact_levels(uuo_system, 16)
     assert win.hi - uuo_system.mc2 == pytest.approx(0.5 * (ex[14] + ex[15]), rel=1e-12)
     _forbid_qz(monkeypatch)
@@ -262,7 +264,7 @@ def test_window_record_partitions_the_window(uuo_wfm_200, uuo_system, uuo_grid_2
     rec = info["window"]
     assert info["path"] == "window" and rec["fallback"] is None
     edges = np.array(rec["slice_edges"])
-    assert edges[0] == win.lo and edges[-1] == win.hi
+    assert edges[0] == 0.0 and edges[-1] == win.hi
     assert np.all(np.diff(edges) > 0.0)
     counts = [int(np.sum((w.real > a) & (w.real <= b)))
               for a, b in zip(edges[:-1], edges[1:])]
@@ -274,7 +276,7 @@ def test_window_record_partitions_the_window(uuo_wfm_200, uuo_system, uuo_grid_2
 def test_window_with_a_nonpositive_mass_diagonal_takes_qz():
     A, B = random_pencil(np.random.default_rng(29), 6)
     B[3, 3] = 0.0
-    win = BoundWindow(lo=-10.0, hi=10.0, guesses=(0.0,))
+    win = BoundWindow(hi=10.0, guesses=(0.0,))
     info = {}
     with np.errstate(divide="raise", invalid="raise"):
         w = solve_generalized(A, B, window=win, info=info)
@@ -312,7 +314,7 @@ def test_a_level_matched_beyond_the_window_edge_falls_back(
     # value above the window could win that match in the dense spectrum
     out, win, w = _cpg_200(uuo_wfm_200, uuo_system, uuo_grid_200)
     g = w[-1] + 0.1
-    edgy = BoundWindow(lo=win.lo, hi=g + 0.025, guesses=win.guesses[:-1] + (g,))
+    edgy = BoundWindow(hi=g + 0.025, guesses=win.guesses[:-1] + (g,))
     info = {}
     got = solve_generalized(out.A, out.B, window=edgy, info=info)
     assert info["path"] == "lu_dgeev"
@@ -324,7 +326,7 @@ def test_two_guesses_on_one_eigenvalue_fall_back(uuo_wfm_200, uuo_system, uuo_gr
     # a 16th guess beside the 15th: both settle on level 15, which must
     # not be returned twice
     out, win, w = _cpg_200(uuo_wfm_200, uuo_system, uuo_grid_200)
-    twice = BoundWindow(lo=win.lo, hi=win.hi,
+    twice = BoundWindow(hi=win.hi,
                         guesses=win.guesses + (win.guesses[-1] + 1e-3,))
     info = {}
     got = solve_generalized(out.A, out.B, window=twice, info=info)
@@ -400,7 +402,7 @@ def test_reality_filter_scales_with_magnitude():
                      -HYDROGEN.mc2 - 3.0])
     rep = classify_spectrum(eigs, HYDROGEN, levels=1)
     assert rep.n_complex == 1           # 5+1e-3j dropped
-    assert len(rep.real_spectrum) == 3  # the 1e-9 ripple at zero survives
+    assert len(rep.raw) - rep.n_complex == 3  # the 1e-9 ripple at zero survives
     assert rep.positive_shifted == pytest.approx([e1])
     assert rep.matches[0].rel_error < 1e-14
     with pytest.warns(RuntimeWarning):
@@ -425,6 +427,13 @@ def test_zero_levels_classifies_everything_as_tail():
     rep = classify_spectrum(unshift(HYDROGEN, ex), HYDROGEN, levels=0)
     assert rep.matches == []
     assert rep.flags == [FLAG_TAIL] * 3
+
+
+def test_fewer_values_than_levels_match_the_lowest_levels():
+    ex = exact_levels(HYDROGEN, 3)
+    rep = classify_spectrum(unshift(HYDROGEN, ex[:2]), HYDROGEN, levels=3)
+    assert [m.level for m in rep.matches] == [1, 2]
+    assert rep.flags == [FLAG_GENUINE] * 2
 
 
 def test_matching_tie_breaks_toward_the_lower_value():
