@@ -15,11 +15,11 @@ either from the assembled matrices themselves (ratio of displacement-
 weighted row sums of M_000 and M_100) or from the closed-form FEM
 expression (3/17) h_{j+1} (h_{j+1} - h_j) / (h_{j+1} + h_j).
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cloud import CloudBasis, evaluate_shapes
+from .cloud import CloudBasis, SingularMoment, evaluate_shapes
 from .cloud import evaluate_coupled  # noqa: F401  traced by name by the benchmark
 from .grid import Grid
 from .physics import PhysicalSystem, potential
@@ -94,7 +94,9 @@ def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
     """The weak-form blocks from batched shape evaluations over chunks of
     quadrature points.  Each chunk forms every (row, column) pair of
     retained shapes sharing a point, in point-major order, so every entry
-    receives its contributions in quadrature-point order."""
+    receives its contributions in quadrature-point order.  Raises
+    SingularMoment when a block holds inf or NaN (shapes that overflow
+    without tripping a moment check)."""
     n = cb.grid.n_intervals
     nd = n - 1
     retained_lo, retained_hi = 1, n - 1
@@ -121,9 +123,13 @@ def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
         np.add.at(flat["101"], lin, wx * odv)
         np.add.at(flat["000V"], lin, wV * ov)
         np.add.at(flat["100V"], lin, wV * odv)
-    return WeakFormMatrices(M_000=M["000"], M_010=M["100"].T, M_001=M["001"],
-                            M_100=M["100"], M_110=M["110"], M_101=M["101"],
-                            M_000_V=M["000V"], M_100_V=M["100V"])
+    wfm = WeakFormMatrices(M_000=M["000"], M_010=M["100"].T, M_001=M["001"],
+                           M_100=M["100"], M_110=M["110"], M_101=M["101"],
+                           M_000_V=M["000V"], M_100_V=M["100V"])
+    for f in fields(wfm):
+        if not np.isfinite(getattr(wfm, f.name)).all():
+            raise SingularMoment(f"weak-form block {f.name} has non-finite entries")
+    return wfm
 
 
 def stability_tau(wfm, coords) -> np.ndarray:
@@ -208,14 +214,26 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
 
 
 def dump_matrix(path, M, name: str = ""):
-    """Text dump as 'row col value' triplets (1-based indices), one
-    joined write per row."""
+    """Text dump of every entry as 'row col value' triplets (1-based
+    indices, value as '{:.17g}'), after an optional '# name RxC' line.
+
+    Each row starts from per-column ' col 0' templates, and only its
+    entries that are not +0.0 are patched in: -0.0 from a ' col -0'
+    template, nonzeros, NaN and inf formatted one by one.  A row is one
+    write of the row number joined between its column suffixes, so
+    memory stays at the size of a row."""
     M = np.asarray(M)
     nr, nc = M.shape
-    cols = [f" {j} " for j in range(1, nc + 1)]
+    zero = [f" {j} 0\n" for j in range(1, nc + 1)]
+    negzero = [f" {j} -0\n" for j in range(1, nc + 1)]
+    special = (M != 0) | np.signbit(M)
     with open(path, "w") as f:
         if name:
             f.write(f"# {name} {nr}x{nc}\n")
-        for i in range(nr):
+        for i in range(nr if nc else 0):
+            line = zero.copy()
+            js = np.flatnonzero(special[i])
+            for j, v in zip(js.tolist(), M[i, js].tolist()):
+                line[j] = f" {j + 1} {v:.17g}\n" if v else negzero[j]
             r = str(i + 1)
-            f.write("".join([f"{r}{c}{v:.17g}\n" for c, v in zip(cols, M[i].tolist())]))
+            f.write(r + r.join(line))

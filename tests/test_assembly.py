@@ -247,6 +247,19 @@ def test_dump_matrix_matches_per_entry_writer(tmp_path, name):
     m[0, :4] = [-0.0, 0.0, 1e-320, -5e-324]          # signed zero, subnormals
     m[1, :4] = [1.7976931348623157e308, -1.7976931348623157e308, -3.0, 1e22]
     m[2, :2] = [0.1, -123456789.125]
-    dump_matrix(tmp_path / "fast.txt", m, name=name)
-    reference_dump(tmp_path / "ref.txt", m, name=name)
-    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    # mostly +0.0, as the assembled blocks are: runs of the entries the
+    # writer formats (nonzeros, NaN, inf) or takes from a template (-0.0)
+    sparse = np.zeros((8, 13))
+    sparse[0, 2:6] = -0.0
+    sparse[1, :] = rng.normal(size=13)                # fully nonzero row
+    sparse[2, 4:7] = [np.nan, np.inf, -np.inf]
+    sparse[3, [0, 12]] = [5e-324, -2.5e-310]          # subnormals at both ends
+    sparse[4, 3:9] = [-0.0, np.nan, -0.0, 1e-320, -np.nan, -0.0]
+    sparse[6, 12] = -0.0                              # sparse[5] stays all +0.0
+    sparse[7, 0] = np.inf
+    cases = [m, sparse, sparse[:1], sparse[:, 4:5], sparse[4:5, 3:4],
+             np.zeros((3, 0)), np.zeros((0, 4))]
+    for k, case in enumerate(cases):
+        dump_matrix(tmp_path / "fast.txt", case, name=name)
+        reference_dump(tmp_path / "ref.txt", case, name=name)
+        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), k

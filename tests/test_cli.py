@@ -9,7 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _oracles import reference_dump
 from diracloud import cli
+from diracloud.assembly import dump_matrix
 from diracloud.cloud import SingularMoment
 
 
@@ -126,6 +128,23 @@ def test_weak_form_breakdown_is_a_numerical_error(capsys):
                        "--enrichment", "hydrogenic:1,0"])
     assert rc == 3
     assert "moment diagonal not positive at x=20.02" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "dump-matrices"])
+def test_nonfinite_weak_form_is_a_numerical_error(command, tmp_path, capsys):
+    # hydrogenic:1,1 at Z=62, n=600 overflows the shape derivatives without
+    # tripping a moment check: inf/NaN in M_010, M_100, M_110, M_101 and
+    # M_100_V.  The weak form stops there, before tau, the eigensolve or
+    # any output file
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main([command, "--Z", "62", "--kappa", "-1",
+                       "--n-intervals", "600", "--enrichment", "hydrogenic:1,1",
+                       "--output", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: weak-form block M_010 has non-finite entries" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_module_runs_as_main_without_a_second_copy():
@@ -407,3 +426,41 @@ def test_dump_matrices_writes_every_block(tmp_path):
         assert len(v) == 38 * 38
         assert np.array_equal(dumped, getattr(system, name))
     assert np.array_equal(tau, system.tau)
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_dump_matrices_files_match_per_entry_writer(tmp_path, n):
+    out = tmp_path / "mats"
+    assert cli.main(["dump-matrices", "--n-intervals", str(n), "--method", "cpg",
+                     "--output", str(out)]) == 0
+    _, wfm, system = cli.assemble_pencil(cli.RunConfig(n_intervals=n, method="cpg"))
+    blocks = {f.name: getattr(wfm, f.name) for f in dataclasses.fields(wfm)}
+    blocks.update(A=system.A, B=system.B,
+                  script_A=system.script_A, script_B=system.script_B)
+    # from n=100 on, script_A holds -0.0 entries (-c M_110 + c kappa M_101
+    # where both vanish), which the writer takes from its own template
+    sA = system.script_A
+    if n == 100:
+        assert np.any((sA == 0) & np.signbit(sA))
+    for name, mat in blocks.items():
+        reference_dump(tmp_path / "ref.txt", mat, name=name)
+        assert (out / f"{name}.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
+
+
+def test_dump_matrices_calls_dump_matrix_once_per_block(tmp_path, monkeypatch):
+    # the benchmark's assembly.dump_* metrics wrap cli.dump_matrix by name
+    # and read the path and the matrix from its positional arguments
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return dump_matrix(*args, **kwargs)
+    monkeypatch.setattr(cli, "dump_matrix", record)
+    out = tmp_path / "mats"
+    assert cli.main(["dump-matrices", "--n-intervals", "20", "--method", "cpg",
+                     "--output", str(out)]) == 0
+    assert len(calls) == 12
+    for (path, mat), kwargs in calls:
+        assert isinstance(mat, np.ndarray) and mat.ndim == 2
+        assert path == os.path.join(out, kwargs["name"] + ".txt")
+        assert os.path.getsize(path) > 0
