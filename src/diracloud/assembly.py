@@ -176,6 +176,19 @@ class AssembledSystem:
     tau: np.ndarray
 
 
+def _blocks(terms):
+    """The 2x2-block matrix whose block (i, j) is a X + Y for
+    terms[i][j] = (a, X, Y), each block written in place."""
+    nd = terms[0][0][1].shape[0]
+    out = np.empty((2 * nd, 2 * nd))
+    for i, row in enumerate(terms):
+        for j, (a, X, Y) in enumerate(row):
+            block = out[i * nd:(i + 1) * nd, j * nd:(j + 1) * nd]
+            np.multiply(a, X, out=block)
+            block += Y
+    return out
+
+
 def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
                     grid: Grid = None) -> AssembledSystem:
     """Build the 2x2-block generalized eigenproblem.  galerkin leaves the
@@ -187,17 +200,18 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
         raise ValueError(f"{method} needs the grid for the stability parameter")
     nd = wfm.M_000.shape[0]
     c, k, mc2 = sys.c, sys.kappa, sys.mc2
-    Z = np.zeros((nd, nd))
-    A = np.block([
-        [mc2 * wfm.M_000 + wfm.M_000_V, -c * wfm.M_010 + c * k * wfm.M_001],
-        [c * wfm.M_010 + c * k * wfm.M_001, -mc2 * wfm.M_000 + wfm.M_000_V],
-    ])
-    B = np.block([[wfm.M_000, Z], [Z, wfm.M_000]])
-    sA = np.block([
-        [c * wfm.M_110 + c * k * wfm.M_101, -mc2 * wfm.M_100 + wfm.M_100_V],
-        [mc2 * wfm.M_100 + wfm.M_100_V, -c * wfm.M_110 + c * k * wfm.M_101],
-    ])
-    sB = np.block([[Z, wfm.M_100], [wfm.M_100, Z]])
+    # block by block in place; (c k) M is formed once per pair of blocks
+    # that add it, each product rounded as in the written-out formula
+    ck = (c * k) * wfm.M_001
+    A = _blocks([[(mc2, wfm.M_000, wfm.M_000_V), (-c, wfm.M_010, ck)],
+                 [(c, wfm.M_010, ck), (-mc2, wfm.M_000, wfm.M_000_V)]])
+    np.multiply(c * k, wfm.M_101, out=ck)
+    sA = _blocks([[(c, wfm.M_110, ck), (-mc2, wfm.M_100, wfm.M_100_V)],
+                  [(mc2, wfm.M_100, wfm.M_100_V), (-c, wfm.M_110, ck)]])
+    B = np.zeros((2 * nd, 2 * nd))
+    B[:nd, :nd] = B[nd:, nd:] = wfm.M_000
+    sB = np.zeros((2 * nd, 2 * nd))
+    sB[:nd, nd:] = sB[nd:, :nd] = wfm.M_100
 
     if method == "galerkin":
         tau = np.zeros(nd)
@@ -208,8 +222,8 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
 
     if np.any(tau != 0.0):
         T = np.concatenate([tau, tau])[:, None]
-        A = A + T * sA
-        B = B + T * sB
+        A += T * sA
+        B += T * sB
     return AssembledSystem(A=A, B=B, script_A=sA, script_B=sB, tau=tau)
 
 

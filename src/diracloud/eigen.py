@@ -12,7 +12,14 @@ every reduction loses digits without it):
   ...), which makes both matrices banded.  Real inverse iteration
   started at the closed-form levels finds them; Sakurai-Sugiura / Beyn
   contour moments over slices of the window certify that nothing else
-  is inside.  Any doubt sends the solve to the dense path below;
+  is inside.  The region certified is exactly the union of the closed
+  discs that have the slices as diameters: a complex pair whose real
+  part lies in a slice lies outside every contour when it is farther
+  from that slice's centre than its half-width, in particular whenever
+  its imaginary part exceeds the half-width.  Each slice gets as many
+  contour nodes as the distance to its nearest outside level asks for;
+  that sets how sharply a disc is told from its outside, not the
+  region.  Any doubt sends the solve to the dense path below;
 - the same pencil without a window, or after such a doubt: an LU
   reduction to the standard problem (dBd)^-1 (dAd), solved by LAPACK
   dgeev (scipy.linalg.eigvals), every eigenvalue;
@@ -47,10 +54,11 @@ RCOND_FLOOR = 1e-6      # rcond of the equilibrated B below which the nonsymmetr
 INVIT_TOL = 1e-14       # relative change at which an inverse iteration has settled
 INVIT_MAXIT = 10        # inverse-iteration steps before the level counts as not found
 DISTINCT_TOL = 1e-8     # relative distance below which two found levels are one eigenvalue
-CONTOUR_NODES = 12      # trapezoid nodes on the upper half of each slice's circle
+CONTOUR_NODES_MAX = 12  # trapezoid nodes on the upper half of a slice's circle, at most
 PROBES = 4              # real random columns the contour moments are taken of
 PROBE_SEED = 0          # seed of those columns and of the inverse-iteration start
 SV_GAP = 1e3            # weakest kept over largest dropped moment singular value
+LEAKAGE = 0.1 / SV_GAP  # contour-filter weight left to the nearest level outside a slice
 
 
 class EmptySpectrum(RuntimeError):
@@ -110,9 +118,10 @@ def solve_generalized(A, B, return_vectors: bool = False,
     window cannot be certified.  A dict passed as `info` receives the
     path that ran under "path" (window, lu_dgeev, qz or eigh) and, when
     a window was given, its record under "window": lo (always 0) and
-    hi, the slice edges and per-slice counts of the certificate, and
-    under "fallback" why the window was given up (None when it was
-    not).  A NaN or inf in A or B raises ValueError on every path."""
+    hi, the slice edges, per-slice counts and per-slice contour nodes
+    (upper half) of the certificate, and under "fallback" why the window
+    was given up (None when it was not; the slice entries are None
+    then).  A NaN or inf in A or B raises ValueError on every path."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -124,7 +133,8 @@ def solve_generalized(A, B, return_vectors: bool = False,
     info = {} if info is None else info
     if window is not None:
         rec = info["window"] = {"lo": 0.0, "hi": window.hi, "slice_edges": None,
-                                "slice_counts": None, "fallback": None}
+                                "slice_counts": None, "slice_nodes": None,
+                                "fallback": None}
     db = np.diag(B)
     if symmetric_definite:
         if np.any(db <= 0.0):
@@ -174,7 +184,7 @@ def solve_generalized(A, B, return_vectors: bool = False,
 def _interleaved_bands(A, B, d):
     """dAd and dBd with the unknowns of the two block rows interleaved,
     (G1, F1, G2, F2, ...), in LAPACK band storage (entry (i, j) in row
-    k + i - j), and their common half-bandwidth k."""
+    k + i - j) as Fortran arrays, and their common half-bandwidth k."""
     n = len(d)
     perm = np.empty(n, dtype=int)
     perm[0::2] = np.arange(n // 2)
@@ -183,13 +193,14 @@ def _interleaved_bands(A, B, d):
     pos[perm] = np.arange(n)
     i, j = np.nonzero((A != 0.0) | (B != 0.0))
     k = int(np.abs(pos[i] - pos[j]).max(initial=0))
-    col = np.arange(n)[None, :]
-    row = col + np.arange(-k, k + 1)[:, None]
+    col = np.arange(n)[:, None]
+    row = col + np.arange(-k, k + 1)[None, :]
     inside = (row >= 0) & (row < n)
     pi = perm[np.where(inside, row, 0)]
     pj = np.broadcast_to(perm[col], pi.shape)
     scale = np.where(inside, d[pi] * d[pj], 0.0)
-    return A[pi, pj] * scale, B[pi, pj] * scale, k
+    # gathered one band column per row: the transposes are Fortran-ordered
+    return (A[pi, pj] * scale).T, (B[pi, pj] * scale).T, k
 
 
 def _band_matvec(Mb, k, X):
@@ -206,12 +217,17 @@ def _band_matvec(Mb, k, X):
     return Y.reshape(X.shape)
 
 
-def _factor_band(Ab, Bb, k, z):
-    """Banded LU (dgbtrf, or zgbtrf for a complex z) of z B - A: the
-    factors, the pivots and the LAPACK info (> 0: exactly singular)."""
-    ab = np.zeros((3 * k + 1, Ab.shape[1]), dtype=np.result_type(z, Ab), order="F")
-    np.multiply(Bb, z, out=ab[k:])  # the top k rows take the fill-in
-    ab[k:] -= Ab
+def _factor_band(Ab, Bb, k, z, ab):
+    """Banded LU (dgbtrf, or zgbtrf for a complex z) of z B - A in `ab`,
+    a (3k+1, n) Fortran array of z's type that the factors overwrite:
+    the factors, the pivots and the LAPACK info (> 0: exactly singular).
+    Rows k.. are filled from Ab and Bb; gbtrf clears the top k rows (the
+    fill-in) itself before it writes them, so a buffer can be reused."""
+    re = ab.real[k:]
+    np.multiply(Bb, z.real, out=re)
+    re -= Ab
+    if np.iscomplexobj(ab):
+        np.multiply(Bb, z.imag, out=ab.imag[k:])
     gbtrf, = sla.get_lapack_funcs(("gbtrf",), (ab,))
     return gbtrf(ab, k, k, overwrite_ab=True)
 
@@ -220,7 +236,7 @@ def _inverse_iteration(Ab, Bb, k, shift, x):
     """The eigenvalue nearest the real `shift`, from inverse iteration
     with that fixed shift, or None when the estimate does not settle
     within INVIT_MAXIT steps or A - shift B is exactly singular."""
-    lu, piv, info = _factor_band(Ab, Bb, k, shift)
+    lu, piv, info = _factor_band(Ab, Bb, k, shift, np.empty((3 * k + 1, Ab.shape[1]), order="F"))
     if info:
         return None
     gbtrs, = sla.get_lapack_funcs(("gbtrs",), (lu,))
@@ -251,23 +267,49 @@ def _slice_edges(found, hi):
     return np.array(edges)
 
 
-def _moment_singular_values(Ab, Bb, k, a, b, BV):
+def _contour_nodes(ratio):
+    """Trapezoid nodes on the upper half of a slice's circle of radius r,
+    for a nearest eigenvalue outside it at distance delta from the
+    centre, ratio = r / delta.  With N nodes there, 2N on the whole
+    circle, the filter weighs that eigenvalue by about ratio^(2N): this
+    is the fewest N >= 2 that brings the weight to LEAKAGE, at most
+    CONTOUR_NODES_MAX."""
+    return next((m for m in range(2, CONTOUR_NODES_MAX) if ratio ** (2 * m) <= LEAKAGE),
+                CONTOUR_NODES_MAX)
+
+
+def _slice_nodes(edges, found, hi):
+    """The contour nodes of each slice, from its radius over the distance
+    from its centre to the nearest found level outside it.  Above the
+    window that level is 2 hi - found[-1], level `levels + 1` by the
+    definition of hi."""
+    outside = np.append(found, 2.0 * hi - found[-1])
+    nodes = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        far = outside[(outside <= a) | (outside > b)]
+        delta = np.abs(far - 0.5 * (a + b)).min(initial=np.inf)
+        nodes.append(_contour_nodes(0.5 * (b - a) / delta))
+    return nodes
+
+
+def _moment_singular_values(Ab, Bb, k, a, b, nodes, BV, ab):
     """Singular values of the zeroth contour moment of (z B - A)^-1 B V
     (BV real, held as a complex Fortran array) on the circle over [a, b],
-    by the trapezoid rule; None when a node is exactly singular.  Only
-    the upper half is solved: the pencil is real, so the lower nodes
-    give the complex conjugates."""
+    by the trapezoid rule with `nodes` nodes on the upper half, each
+    factored in the buffer `ab` (see _factor_band); None when a node is
+    exactly singular.  Only the upper half is solved: the pencil is real,
+    so the lower nodes give the complex conjugates."""
     c, r = 0.5 * (a + b), 0.5 * (b - a)
     gbtrs, = sla.get_lapack_funcs(("gbtrs",), (BV,))
     S = np.zeros(BV.shape, dtype=complex)
-    for t in np.pi * (2 * np.arange(CONTOUR_NODES) + 1) / (2 * CONTOUR_NODES):
+    for t in np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes):
         w = r * complex(np.cos(t), np.sin(t))
-        lu, piv, info = _factor_band(Ab, Bb, k, c + w)
+        lu, piv, info = _factor_band(Ab, Bb, k, c + w, ab)
         if info:
             return None
         X, _ = gbtrs(lu, k, k, BV, piv)
         S += w * X
-    return np.linalg.svd(S.real / CONTOUR_NODES, compute_uv=False)
+    return np.linalg.svd(S.real / nodes, compute_uv=False)
 
 
 def _solve_window(A, B, d, win: BoundWindow, rec):
@@ -279,14 +321,16 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     2. The greedy matcher of classify_spectrum pairs the found values
        with the guesses.  Each pair must lie closer together than the
        guess lies to hi, so no value above the window could have won it.
-    3. The window is cut into slices (see _slice_edges).  On each, the
-       rank of the contour moment must equal the found values inside,
-       with a gap: every kept singular value at least SV_GAP times every
-       dropped one, over all slices.
+    3. The window is cut into slices (see _slice_edges), each with as
+       many contour nodes as its nearest outside level asks for (see
+       _slice_nodes).  On each, the rank of the contour moment must
+       equal the found values inside, with a gap: every kept singular
+       value at least SV_GAP times every dropped one, over all slices.
 
     rec (the window record of solve_generalized: lo, hi, slice_edges,
-    slice_counts, fallback) receives the slice edges and the certified
-    per-slice counts, or under "fallback" why the window was given up."""
+    slice_counts, slice_nodes, fallback) receives the slice edges, the
+    certified per-slice counts and the per-slice node counts, or under
+    "fallback" why the window was given up."""
 
     def doubt(reason):
         rec["fallback"] = reason
@@ -317,10 +361,12 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     edges = _slice_edges(found, win.hi)
     counts = [int(np.sum((found > a) & (found <= b)))
               for a, b in zip(edges[:-1], edges[1:])]
+    nodes = _slice_nodes(edges, found, win.hi)
     BV = _band_matvec(Bb, k, rng.standard_normal((n, PROBES))).astype(complex, order="F")
+    ab = np.empty((3 * k + 1, n), dtype=complex, order="F")
     svals = []
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]), start=1):
-        s = _moment_singular_values(Ab, Bb, k, a, b, BV)
+    for i, (a, b, m) in enumerate(zip(edges[:-1], edges[1:], nodes), start=1):
+        s = _moment_singular_values(Ab, Bb, k, a, b, m, BV, ab)
         if s is None:
             return doubt(f"a contour node of slice {i} is singular")
         svals.append(s)
@@ -333,6 +379,7 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
                          f"singular values are {sv}, the weakest kept {kept:.2e}")
     rec["slice_edges"] = edges.tolist()
     rec["slice_counts"] = counts
+    rec["slice_nodes"] = nodes
     return found.astype(complex)
 
 

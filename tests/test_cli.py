@@ -284,12 +284,14 @@ def test_json_twin_records_the_window(tmp_path, monkeypatch):
     rep = json.loads((tmp_path / "solve.json").read_text())["report"]
     assert rep["eigen_path"] == "window"
     win = rep["eigen_window"]
-    assert set(win) == {"lo", "hi", "slice_edges", "slice_counts", "fallback"}
+    assert set(win) == {"lo", "hi", "slice_edges", "slice_counts", "slice_nodes",
+                        "fallback"}
     assert win["fallback"] is None
     mc2 = cli.RunConfig().physical_system().mc2
     assert win["lo"] == pytest.approx(-mc2, rel=1e-12)
     assert win["slice_edges"][0] == win["lo"] and win["slice_edges"][-1] == win["hi"]
-    assert len(win["slice_counts"]) == len(win["slice_edges"]) - 1
+    assert len(win["slice_counts"]) == len(win["slice_nodes"]) == len(win["slice_edges"]) - 1
+    assert all(2 <= m <= 12 for m in win["slice_nodes"])
     # the counts describe what was computed: the window, 15 levels
     assert sum(win["slice_counts"]) == rep["n_eigenvalues"] == 15
     assert len(rep["positive_shifted"]) == 15

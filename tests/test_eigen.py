@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from diracloud import eigen
 from diracloud.assembly import assemble_system
-from diracloud.cli import solve_rows
+from diracloud.cli import RunConfig, run_solve, solve_rows
 from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
                              FLAG_INSTILLED, FLAG_TAIL, BoundWindow, bound_window,
                              check_spectrum_reality, classify_spectrum,
@@ -222,6 +222,7 @@ def test_dense_levels_are_kept_when_the_window_cannot_be_certified(solve_cached)
     assert res.eigen_path == "lu_dgeev"
     assert res.eigen_window["fallback"] is not None
     assert res.eigen_window["slice_counts"] is None
+    assert res.eigen_window["slice_nodes"] is None
     dense = solve_generalized(res.system.A, res.system.B)
     np.testing.assert_array_equal(res.report.raw, dense)
     ref = classify_spectrum(dense, res.config.physical_system())
@@ -271,6 +272,95 @@ def test_window_record_partitions_the_window(uuo_wfm_200, uuo_system, uuo_grid_2
     assert counts == rec["slice_counts"]
     assert max(counts) == 1 and sum(counts) == len(w) == 15
     np.testing.assert_array_equal(w.imag, 0.0)
+
+
+_VARIANTS = [dict(Z=Z, I_b=I_b) for Z in (117.0, 118.0, 119.0)
+             for I_b in (95.0, 100.0, 105.0)]
+
+
+@pytest.mark.parametrize("kwargs", _VARIANTS + [
+    dict(Z=118.0, n_intervals=200), dict(Z=118.0, n_intervals=2000),
+], ids=[f"Z{v['Z']:g}-Ib{v['I_b']:g}" for v in _VARIANTS] + ["n200", "n2000"])
+def test_slice_nodes_certify_with_fewer_than_the_cap(kwargs, solve_cached):
+    # the nine variants of Z and domain end at n=600, and the flagship at
+    # n=200 and n=2000: each takes the window with fewer contour nodes
+    # than the cap on every slice would use
+    cfg = RunConfig(kappa=-2, method="cpg", **kwargs)
+    flagship = cfg == RunConfig(Z=118.0, kappa=-2, method="cpg")
+    res = solve_cached(**cfg.as_dict()) if flagship else run_solve(cfg)
+    assert res.eigen_path == "window"
+    win = res.eigen_window
+    nodes = win["slice_nodes"]
+    assert len(nodes) == len(win["slice_counts"])
+    assert all(2 <= m <= eigen.CONTOUR_NODES_MAX for m in nodes)
+    assert sum(nodes) < eigen.CONTOUR_NODES_MAX * len(win["slice_counts"])
+    if flagship:
+        assert sum(nodes) <= 160
+
+
+def test_contour_nodes_grow_with_the_ratio_up_to_the_cap():
+    ratios = np.linspace(0.0, 1.5, 301)
+    nodes = [eigen._contour_nodes(q) for q in ratios]
+    assert np.all(np.diff(nodes) >= 0)
+    assert nodes[0] == 2 and max(nodes) == eigen.CONTOUR_NODES_MAX
+    assert eigen._contour_nodes(1.0) == eigen.CONTOUR_NODES_MAX
+    assert eigen._contour_nodes(0.5) == 7  # 0.5^14 = 6.1e-5, 0.5^12 = 2.4e-4
+    for q, m in zip(ratios, nodes):
+        if m < eigen.CONTOUR_NODES_MAX:
+            assert q ** (2 * m) <= eigen.LEAKAGE
+            assert m == 2 or q ** (2 * m - 2) > eigen.LEAKAGE
+
+
+def test_slice_nodes_follow_the_nearest_outside_level():
+    found = np.array([4.0, 6.0, 7.0])
+    hi = 7.2
+    edges = eigen._slice_edges(found, hi)
+    np.testing.assert_allclose(edges, [0.0, 1.0, 3.0, 5.0, 6.5, 7.2], rtol=0, atol=1e-15)
+    # radius over the distance from the centre to the nearest found level
+    # outside: 0.5/3.5, 1/2, 1/2, 0.75/1.25, and for the top slice 0.35/0.55,
+    # from 2 hi - 7 = 7.4 above it (6 below it would give 0.35/0.85, 6 nodes)
+    assert eigen._slice_nodes(edges, found, hi) == [3, 7, 7, 10, 11]
+
+
+def test_contour_nodes_factor_in_one_shared_buffer(uuo_wfm_200, uuo_system,
+                                                   uuo_grid_200):
+    out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    d = 1.0 / np.sqrt(np.diag(out.B))
+    Ab, Bb, k = eigen._interleaved_bands(out.A, out.B, d)
+    assert Ab.flags.f_contiguous and Bb.flags.f_contiguous
+    # a buffer full of NaN: the fill-in rows must be cleared by gbtrf
+    ab = np.full((3 * k + 1, Ab.shape[1]), complex(np.nan, np.nan), order="F")
+    # entries of the band array outside the matrix are never read
+    n = Ab.shape[1]
+    i = np.arange(n)[None, :] + np.arange(3 * k + 1)[:, None] - 2 * k
+    inside = (i >= 0) & (i < n)
+    g = bound_window(uuo_system, 15).guesses
+    for z in (complex(g[0], 50.0), complex(g[3], -2.0), complex(g[9], 1e-3)):
+        lu, piv, info = eigen._factor_band(Ab, Bb, k, z, ab)
+        assert info == 0 and np.shares_memory(lu, ab)
+        fresh = np.zeros(ab.shape, dtype=complex, order="F")
+        ref_lu, ref_piv, _ = eigen._factor_band(Ab, Bb, k, z, fresh)
+        np.testing.assert_array_equal(lu[inside], ref_lu[inside])
+        np.testing.assert_array_equal(piv, ref_piv)
+
+
+def test_slice_nodes_count_the_complex_lus_in_one_buffer(uuo_wfm_200, uuo_system,
+                                                          uuo_grid_200, monkeypatch):
+    out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    buffers = []
+    factor = eigen._factor_band
+
+    def spy(Ab, Bb, k, z, ab):
+        if np.iscomplexobj(ab):
+            buffers.append(ab)
+        return factor(Ab, Bb, k, z, ab)
+
+    monkeypatch.setattr(eigen, "_factor_band", spy)
+    info = {}
+    solve_generalized(out.A, out.B, window=bound_window(uuo_system, 15), info=info)
+    assert info["path"] == "window"
+    assert len(buffers) == sum(info["window"]["slice_nodes"])
+    assert all(b is buffers[0] for b in buffers)
 
 
 def test_window_with_a_nonpositive_mass_diagonal_takes_qz():
