@@ -193,7 +193,15 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
                     grid: Grid = None) -> AssembledSystem:
     """Build the 2x2-block generalized eigenproblem.  galerkin leaves the
     blocks alone (tau = 0); the cpg variants add the residual blocks with
-    row j scaled by tau_j (same tau for both block-rows of a node)."""
+    row j scaled by tau_j (same tau for both block-rows of a node).
+
+    galerkin's A is symmetric only up to quadrature error: the
+    off-diagonal blocks of A - A^T are -+c (M_100 + M_100^T), which
+    vanishes for exact integrals of the retained shapes.  The Gauss rule
+    leaves up to 5.2e-3 of it (max |M_100| is 0.42) on diagonal entries
+    near x = 95 for Z=118, n=600 at quadrature_factor 10, 1.8e-4 at 20
+    and 4.1e-5 at 40.  B is exactly symmetric.  The symmetric eigen
+    paths read the lower triangle in block order."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method != "galerkin" and grid is None:

@@ -89,7 +89,7 @@ class RunResult:
     grid: object
     system: object
     report: SpectrumReport    # its raw is what the eigen path computed: the window or all
-    eigen_path: str           # window, lu_dgeev, qz or eigh
+    eigen_path: str           # sbgvx, window, lu_dgeev, qz or eigh
     eigen_window: dict = None  # the window record (shifted), when one was asked for
 
 
@@ -108,12 +108,14 @@ def run_solve(cfg: RunConfig) -> RunResult:
     """Pencil -> eigensolve -> classification."""
     sys = cfg.physical_system()
     grid, _, system = assemble_pencil(cfg)
-    # the unperturbed pencil is symmetric with B SPD: take the Cholesky
-    # route there.  The row-scaled (nonsymmetric) variants solve only the
-    # bound window when levels are matched, everything by LU + dgeev
-    # otherwise or when the window cannot be certified.
+    # the unperturbed pencil is symmetric with B SPD: dsbgvx on its band
+    # gives the bound window, the dense Cholesky route everything.  The
+    # row-scaled (nonsymmetric) variants solve the window on the band
+    # too, and everything by LU + dgeev.  Either solves the window when
+    # levels are matched, everything otherwise or when the window is
+    # given up.
     symmetric = not np.any(system.tau != 0.0)
-    window = bound_window(sys, cfg.levels) if cfg.levels > 0 and not symmetric else None
+    window = bound_window(sys, cfg.levels) if cfg.levels > 0 else None
     info = {}
     eigs = solve_generalized(system.A, system.B, symmetric_definite=symmetric,
                              window=window, info=info)
@@ -191,7 +193,8 @@ def write_solve_csv(path, cfg, report):
 def report_as_dict(res: RunResult):
     """The JSON twin's report.  n_eigenvalues, n_complex and
     positive_shifted describe what the eigen path computed: the bound
-    window on the window path, every eigenvalue on the others."""
+    window on the window and sbgvx paths, every eigenvalue on the
+    others."""
     report = res.report
     return {
         "n_eigenvalues": len(report.raw),

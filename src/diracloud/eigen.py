@@ -1,10 +1,19 @@
 """Generalized eigensolve and spectrum classification.
 
-The solve takes one of four paths.  All but QZ work on the pencil
+The solve takes one of five paths.  All but QZ work on the pencil
 scaled by d = diag(B)^{-1/2} on both sides, which leaves the spectrum
 alone (exponential grids give B nodal masses spanning many decades, and
-every reduction loses digits without it):
-- galerkin's symmetric pencil, whose B is positive definite: the
+every reduction loses digits without it).  Both symmetric paths read
+the lower triangle of A and B in block order, as eigh does: galerkin's
+A is symmetric only up to quadrature error (see assemble_system):
+- galerkin's symmetric pencil, whose B is positive definite, when a
+  bound window is given: only the eigenvalues inside it, from LAPACK
+  dsbgvx on the banded pencil with its unknowns interleaved (G1, F1,
+  G2, F2, ...).  Crawford's banded reduction and Sturm-count bisection
+  return every eigenvalue in (0, hi], so the region covered is all of
+  the window and needs no certificate; a failed reduction or a guess
+  left unmatched sends the solve to the next path;
+- the same pencil without a window, or after such a failure: the
   Cholesky reduction (scipy.linalg.eigh), every eigenvalue;
 - the tau-scaled, nonsymmetric pencil of cpg and cpg_fem_tau, when a
   bound window is given: only the eigenvalues inside it, from banded
@@ -33,6 +42,8 @@ spuriosity patterns separately: values instilled between genuine
 levels, and a positive-kappa ground value coinciding with the
 negative-kappa ground level.
 """
+import ctypes
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,7 +65,7 @@ RCOND_FLOOR = 1e-6      # rcond of the equilibrated B below which the nonsymmetr
 INVIT_TOL = 1e-14       # relative change at which an inverse iteration has settled
 INVIT_MAXIT = 10        # inverse-iteration steps before the level counts as not found
 DISTINCT_TOL = 1e-8     # relative distance below which two found levels are one eigenvalue
-CONTOUR_NODES_MAX = 12  # trapezoid nodes on the upper half of a slice's circle, at most
+CONTOUR_NODES_MAX = 24  # trapezoid nodes on the upper half of a slice's circle, at most
 PROBES = 4              # real random columns the contour moments are taken of
 PROBE_SEED = 0          # seed of those columns and of the inverse-iteration start
 SV_GAP = 1e3            # weakest kept over largest dropped moment singular value
@@ -103,7 +114,8 @@ def solve_generalized(A, B, return_vectors: bool = False,
     cond(B) on the flagship grid from about 1e9 to about 1e2.
 
     symmetric_definite=True takes the Cholesky-reduction path (A
-    symmetric, B SPD), which returns an exactly real spectrum.  The
+    symmetric, B SPD; both read from their lower triangles), which
+    returns an exactly real spectrum.  The
     default path LU-factors dBd and solves the standard problem
     C = (dBd)^-1 (dAd) with dgeev; its vectors are mapped back by d.
     Its backward error in the pencil grows like eps / rcond(dBd), so it
@@ -111,25 +123,28 @@ def solve_generalized(A, B, return_vectors: bool = False,
     entry of B is not positive and finite, or when the rcond estimate
     of dBd is below RCOND_FLOOR.
 
-    window (a BoundWindow; eigenvalues only, nonsymmetric path, a 2x2
-    block pencil) returns the eigenvalues in (0, window.hi], above the
-    -mc^2 threshold, found and certified on the banded pencil (see
-    _solve_window), and everything the default path returns when the
-    window cannot be certified.  A dict passed as `info` receives the
-    path that ran under "path" (window, lu_dgeev, qz or eigh) and, when
-    a window was given, its record under "window": lo (always 0) and
-    hi, the slice edges, per-slice counts and per-slice contour nodes
-    (upper half) of the certificate, and under "fallback" why the window
-    was given up (None when it was not; the slice entries are None
-    then).  A NaN or inf in A or B raises ValueError on every path."""
+    window (a BoundWindow; eigenvalues only, a 2x2 block pencil) returns
+    the eigenvalues in (0, window.hi], above the -mc^2 threshold: on
+    the symmetric path all of them from dsbgvx on the banded pencil
+    (see _solve_window_sbgvx), on the nonsymmetric path found and
+    certified on the banded pencil (see _solve_window); and everything
+    the path's dense solve returns when the window is given up.  A dict
+    passed as `info` receives the path that ran under "path" (sbgvx,
+    window, lu_dgeev, qz or eigh) and, when a window was given, its
+    record under "window": lo (always 0) and hi, the slice edges,
+    per-slice counts and per-slice contour nodes (upper half) of the
+    certificate (dsbgvx: the one slice [0, hi] and no nodes), and under
+    "fallback" why the window was given up (None when it was not; the
+    slice entries are None then).  A NaN or inf in A or B raises
+    ValueError on every path."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"pencil shapes mismatch: {A.shape} vs {B.shape}")
-    if window is not None and (return_vectors or symmetric_definite
-                               or A.shape[0] % 2 or not window.guesses):
-        raise ValueError("window= returns eigenvalues of a nonsymmetric "
-                         "2x2 block pencil only, from at least one guess")
+    if window is not None and (return_vectors or A.shape[0] % 2
+                               or not window.guesses):
+        raise ValueError("window= returns eigenvalues of a 2x2 block pencil "
+                         "only, from at least one guess")
     info = {} if info is None else info
     if window is not None:
         rec = info["window"] = {"lo": 0.0, "hi": window.hi, "slice_edges": None,
@@ -140,6 +155,11 @@ def solve_generalized(A, B, return_vectors: bool = False,
         if np.any(db <= 0.0):
             raise ValueError("symmetric_definite needs positive diagonal in B")
         d = 1.0 / np.sqrt(db)
+        if window is not None:
+            w = _solve_window_sbgvx(A, B, d, window, rec)
+            if w is not None:
+                info["path"] = "sbgvx"
+                return w
         info["path"] = "eigh"
         out = sla.eigh(_equilibrate(A, d), _equilibrate(B, d),
                        eigvals_only=not return_vectors,
@@ -181,26 +201,138 @@ def solve_generalized(A, B, return_vectors: bool = False,
 # ------------------------------------------------------ the bound window
 
 
-def _interleaved_bands(A, B, d):
-    """dAd and dBd with the unknowns of the two block rows interleaved,
-    (G1, F1, G2, F2, ...), in LAPACK band storage (entry (i, j) in row
-    k + i - j) as Fortran arrays, and their common half-bandwidth k."""
-    n = len(d)
+def _interleaving(A, B):
+    """The block-order index of each unknown with the two block rows
+    interleaved, (G1, F1, G2, F2, ...), and the common half-bandwidth k
+    of A and B in that order."""
+    n = A.shape[0]
     perm = np.empty(n, dtype=int)
     perm[0::2] = np.arange(n // 2)
     perm[1::2] = np.arange(n // 2, n)
     pos = np.empty(n, dtype=int)
     pos[perm] = np.arange(n)
     i, j = np.nonzero((A != 0.0) | (B != 0.0))
-    k = int(np.abs(pos[i] - pos[j]).max(initial=0))
+    return perm, int(np.abs(pos[i] - pos[j]).max(initial=0))
+
+
+def _band_indices(perm, lo, hi):
+    """Block-order row and column indices of the interleaved entries
+    (j + o, j), o = lo..hi, one band column j per row of the (n, hi - lo
+    + 1) results, and the mask of those inside the matrix (the others
+    point into row 0).  Their transposes are LAPACK band storage."""
+    n = len(perm)
     col = np.arange(n)[:, None]
-    row = col + np.arange(-k, k + 1)[None, :]
+    row = col + np.arange(lo, hi + 1)[None, :]
     inside = (row >= 0) & (row < n)
     pi = perm[np.where(inside, row, 0)]
-    pj = np.broadcast_to(perm[col], pi.shape)
+    return pi, np.broadcast_to(perm[col], pi.shape), inside
+
+
+def _interleaved_bands(A, B, d):
+    """dAd and dBd with the unknowns of the two block rows interleaved,
+    (G1, F1, G2, F2, ...), in LAPACK band storage (entry (i, j) in row
+    k + i - j) as Fortran arrays, and their common half-bandwidth k."""
+    perm, k = _interleaving(A, B)
+    pi, pj, inside = _band_indices(perm, -k, k)
     scale = np.where(inside, d[pi] * d[pj], 0.0)
     # gathered one band column per row: the transposes are Fortran-ordered
     return (A[pi, pj] * scale).T, (B[pi, pj] * scale).T, k
+
+
+def _lower_bands(A, B, d):
+    """The lower bands (k + 1 rows, entry (i, j) in row i - j) of dAd and
+    dBd, interleaved as in _interleaved_bands, as Fortran arrays, and k.
+    Each entry is read from the block-order lower triangle, the one eigh
+    reads, and scaled as _equilibrate scales it."""
+    perm, k = _interleaving(A, B)
+    pi, pj, inside = _band_indices(perm, 0, k)
+    p, q = np.maximum(pi, pj), np.minimum(pi, pj)
+    return (np.where(inside, A[p, q] * d[p] * d[q], 0.0).T,
+            np.where(inside, B[p, q] * d[p] * d[q], 0.0).T, k)
+
+
+@functools.cache
+def _dsbgvx():
+    """LAPACK dsbgvx, bound through ctypes from scipy's cython_lapack."""
+    from scipy.linalg import cython_lapack
+    capsule = cython_lapack.__pyx_capi__["dsbgvx"]
+    api = ctypes.pythonapi
+    api.PyCapsule_GetName.restype = ctypes.c_char_p
+    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
+    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    ptr = api.PyCapsule_GetPointer(capsule, api.PyCapsule_GetName(capsule))
+    s, i, f = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    return ctypes.CFUNCTYPE(None, s, s, s, i, i, i, f, i, f, i, f, i, f, f, i, i,
+                            f, i, f, f, i, f, i, i, i)(ptr)
+
+
+def _sbgvx_eigenvalues(Ab, Bb, k, vl, vu):
+    """The eigenvalues in (vl, vu] of the symmetric-definite pencil whose
+    lower bands (half-bandwidth k, Fortran arrays, both overwritten) are
+    Ab and Bb, ascending and to full accuracy, and LAPACK's info (> n:
+    Bb is not positive definite)."""
+    n = Ab.shape[1]
+    if Ab.shape != (k + 1, n) or Bb.shape != Ab.shape or not (
+            Ab.flags.f_contiguous and Bb.flags.f_contiguous):
+        raise ValueError("dsbgvx needs two Fortran-ordered (k + 1, n) bands")
+    w, work, dummy = np.empty(n), np.empty(7 * n), np.empty(1)
+    iwork, ifail = np.empty(5 * n, dtype=np.intc), np.empty(n, dtype=np.intc)
+    m, info = ctypes.c_int(), ctypes.c_int()
+
+    def ptr(a):
+        return a.ctypes.data_as(ctypes.POINTER(np.ctypeslib.as_ctypes_type(a.dtype)))
+
+    def ref(v, t=ctypes.c_int):
+        return ctypes.byref(t(v))
+
+    _dsbgvx()(b"N", b"V", b"L", ref(n), ref(k), ref(k), ptr(Ab), ref(k + 1),
+              ptr(Bb), ref(k + 1), ptr(dummy), ref(1), ref(vl, ctypes.c_double),
+              ref(vu, ctypes.c_double), ref(0), ref(0),
+              ref(2.0 * np.finfo(float).tiny, ctypes.c_double), ctypes.byref(m),
+              ptr(w), ptr(dummy), ref(1), ptr(work), ptr(iwork), ptr(ifail),
+              ctypes.byref(info))
+    return w[:m.value], info.value
+
+
+def _match_doubt(found, win: BoundWindow):
+    """Step 2 of both windows: the greedy matcher of classify_spectrum
+    pairs the ascending `found` with the guesses, and each pair must lie
+    closer together than the guess lies to hi, so no value above the
+    window could have won it.  Why not, or None when it holds."""
+    picked = _match_levels(found, win.guesses)
+    if len(picked) < len(win.guesses) or any(
+            abs(found[j] - g) >= win.hi - g for j, g in zip(picked, win.guesses)):
+        return ("a matched level lies farther from its guess than the window "
+                "edge, or a guess has no match")
+    return None
+
+
+def _solve_window_sbgvx(A, B, d, win: BoundWindow, rec):
+    """The eigenvalues in (0, win.hi] of the symmetric-definite pencil,
+    or None when the window is given up.
+
+    dsbgvx reduces the banded d(A, B)d (see _lower_bands) to a
+    tridiagonal matrix by Crawford's algorithm and bisects it by Sturm
+    counts, so it returns every eigenvalue in the window.  They must
+    pass step 2 of _solve_window (see _match_doubt).  rec (the window
+    record of solve_generalized) receives the one slice [0, hi] and its
+    count, or under "fallback" why the window was given up."""
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    Ab, Bb, k = _lower_bands(A, B, d)
+    found, lapack_info = _sbgvx_eigenvalues(Ab, Bb, k, 0.0, win.hi)
+    if lapack_info:
+        rec["fallback"] = (f"dsbgvx returned info {lapack_info}: the equilibrated B "
+                           "is not positive definite" if lapack_info > len(d)
+                           else f"dsbgvx returned info {lapack_info}")
+        return None
+    rec["fallback"] = _match_doubt(found, win)
+    if rec["fallback"] is not None:
+        return None
+    rec["slice_edges"] = [0.0, win.hi]
+    rec["slice_counts"] = [len(found)]
+    return found.astype(complex)
 
 
 def _band_matvec(Mb, k, X):
@@ -320,7 +452,8 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
        finds one eigenvalue per guess.
     2. The greedy matcher of classify_spectrum pairs the found values
        with the guesses.  Each pair must lie closer together than the
-       guess lies to hi, so no value above the window could have won it.
+       guess lies to hi, so no value above the window could have won it
+       (see _match_doubt).
     3. The window is cut into slices (see _slice_edges), each with as
        many contour nodes as its nearest outside level asks for (see
        _slice_nodes).  On each, the rank of the contour moment must
@@ -352,11 +485,9 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     found = np.sort(found)
     if np.any(np.diff(found) <= DISTINCT_TOL * np.abs(found[1:])):
         return doubt("two guesses found the same eigenvalue")
-    picked = _match_levels(found, win.guesses)
-    if len(picked) < len(win.guesses) or any(
-            abs(found[j] - g) >= win.hi - g for j, g in zip(picked, win.guesses)):
-        return doubt("a matched level lies farther from its guess than the "
-                     "window edge, or a guess has no match")
+    reason = _match_doubt(found, win)
+    if reason is not None:
+        return doubt(reason)
 
     edges = _slice_edges(found, win.hi)
     counts = [int(np.sum((found > a) & (found <= b)))

@@ -120,6 +120,25 @@ def test_solver_breakdown_is_a_numerical_error(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_non_positive_definite_galerkin_mass_is_a_numerical_error(monkeypatch, capsys,
+                                                                 tmp_path):
+    # a mass matrix with a positive diagonal but no Cholesky factor: the
+    # dsbgvx window gives up, and the dense eigh path stops the run
+    assemble = cli.assemble_system
+
+    def indefinite(*args, **kwargs):
+        out = assemble(*args, **kwargs)
+        out.B[0, 1] = out.B[1, 0] = 2.0 * np.sqrt(out.B[0, 0] * out.B[1, 1])
+        return out
+
+    monkeypatch.setattr(cli, "assemble_system", indefinite)
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["solve"] + HYDROGEN_ARGS)
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_weak_form_breakdown_is_a_numerical_error(capsys):
     # hydrogenic enrichment at Z=118 overflows the moment diagonal of the
     # batched shape pass mid-domain; the run stops there with exit 3
@@ -254,7 +273,14 @@ def test_solve_writes_csv_and_json(tmp_path, monkeypatch):
     assert set(rep) == {"n_eigenvalues", "n_complex", "positive_shifted",
                         "flags", "matches", "eigen_path", "eigen_window"}
     assert rep["n_complex"] == 0
-    assert rep["eigen_path"] == "eigh" and rep["eigen_window"] is None
+    assert rep["eigen_path"] == "sbgvx"
+    # dsbgvx covers the whole window in one slice, without contour nodes
+    win = rep["eigen_window"]
+    assert win["fallback"] is None and win["slice_nodes"] is None
+    assert win["lo"] == pytest.approx(-cli.RunConfig(Z=1.0).physical_system().mc2,
+                                      rel=1e-12)
+    assert win["slice_edges"] == [win["lo"], win["hi"]]
+    assert win["slice_counts"] == [rep["n_eigenvalues"]] == [3]
     assert rep["matches"][0]["level"] == 1
 
     # the 13-digit CSV text round-trips against the JSON doubles
@@ -267,7 +293,7 @@ CPG_WINDOW_ARGS = ["--Z", "118", "--kappa", "-2", "--n-intervals", "200",
 
 
 def test_solve_output_is_deterministic(tmp_path, monkeypatch):
-    # a galerkin (eigh) run and a cpg run on the bound-window path
+    # a galerkin run on the dsbgvx window and a cpg run on the certified one
     for name, argv in (("galerkin", HYDROGEN_ARGS), ("cpg", CPG_WINDOW_ARGS)):
         a, b = tmp_path / name / "a", tmp_path / name / "b"
         for d in (a, b):

@@ -238,14 +238,20 @@ def test_zero_levels_solve_every_eigenvalue(solve_cached):
     assert solve_rows(res.report) == []
 
 
-def test_window_takes_eigenvalues_of_the_nonsymmetric_path_only(
+def test_window_takes_eigenvalues_of_a_block_pencil_only(
         uuo_wfm_200, uuo_system, uuo_grid_200):
     out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
     win = bound_window(uuo_system, 15)
     with pytest.raises(ValueError, match="window"):
         solve_generalized(out.A, out.B, window=win, return_vectors=True)
+    # both paths take a window: the symmetric one through dsbgvx
+    sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
+    info = {}
+    solve_generalized(sym.A, sym.B, window=win, symmetric_definite=True, info=info)
+    assert info["path"] == "sbgvx" and info["window"]["fallback"] is None
     with pytest.raises(ValueError, match="window"):
-        solve_generalized(out.A, out.B, window=win, symmetric_definite=True)
+        solve_generalized(sym.A, sym.B, window=win, symmetric_definite=True,
+                          return_vectors=True)
     with pytest.raises(ValueError, match="window"):
         solve_generalized(out.A[1:, 1:], out.B[1:, 1:], window=win)
     with pytest.raises(ValueError, match="window"):
@@ -294,8 +300,124 @@ def test_slice_nodes_certify_with_fewer_than_the_cap(kwargs, solve_cached):
     assert len(nodes) == len(win["slice_counts"])
     assert all(2 <= m <= eigen.CONTOUR_NODES_MAX for m in nodes)
     assert sum(nodes) < eigen.CONTOUR_NODES_MAX * len(win["slice_counts"])
+    # no slice of these runs reaches past 12 nodes
+    assert max(nodes) <= 12
     if flagship:
         assert sum(nodes) <= 160
+
+
+def test_z92_kappa_minus1_takes_the_window_with_a_slice_past_12_nodes():
+    # level 2's slice lies close to level 3 (r/delta = 0.75): it needs 17
+    # nodes, where 12 left level 3 a filter weight of about 1e-3 and the
+    # certificate failed on a spectrum with exactly the 15 levels inside
+    res = run_solve(RunConfig(Z=92.0, kappa=-1, method="cpg"))
+    assert res.eigen_path == "window"
+    win = res.eigen_window
+    assert win["fallback"] is None
+    assert win["slice_nodes"][4] == 17 and max(win["slice_nodes"]) == 17
+    dense = solve_generalized(res.system.A, res.system.B)
+    ref = classify_spectrum(dense, res.config.physical_system())
+    rows, ref_rows = solve_rows(res.report), solve_rows(ref)
+    assert [(r[0], r[4]) for r in rows] == [(r[0], r[4]) for r in ref_rows]
+    for r, q in zip(rows, ref_rows):
+        assert r[1] == pytest.approx(q[1], rel=1e-10)
+
+
+@pytest.mark.parametrize("kappa", [-2, 2])
+@pytest.mark.parametrize("kwargs", _VARIANTS,
+                         ids=[f"Z{v['Z']:g}-Ib{v['I_b']:g}" for v in _VARIANTS])
+def test_galerkin_window_matches_the_dense_spectrum(kwargs, kappa, solve_cached):
+    # the nine variants at n=600: dsbgvx returns exactly the dense
+    # spectrum's window, its one instilled state included, and
+    # classification gives the dense path's rows and flags
+    cfg = RunConfig(kappa=kappa, method="galerkin", **kwargs)
+    flagship = cfg == RunConfig(Z=118.0, kappa=-2, method="galerkin")
+    res = solve_cached(**cfg.as_dict()) if flagship else run_solve(cfg)
+    assert res.eigen_path == "sbgvx"
+    win = res.eigen_window
+    assert win["fallback"] is None and win["slice_nodes"] is None
+    assert win["slice_edges"] == [win["lo"], win["hi"]]
+    assert win["slice_counts"] == [len(res.report.raw)]
+    sys = cfg.physical_system()
+    dense = solve_generalized(res.system.A, res.system.B, symmetric_definite=True).real
+    inside = np.sort(dense[(dense > 0.0) & (dense <= bound_window(sys, 15).hi)])
+    np.testing.assert_allclose(res.report.raw.real, inside, rtol=1e-10, atol=0)
+    ref = classify_spectrum(dense, sys)
+    assert res.report.flags == ref.flags[:len(res.report.flags)]
+    assert res.report.flags.count(FLAG_INSTILLED) == 1
+    rows, ref_rows = solve_rows(res.report), solve_rows(ref)
+    assert [(r[0], r[4]) for r in rows] == [(r[0], r[4]) for r in ref_rows]
+    for r, q in zip(rows, ref_rows):
+        assert r[1] == pytest.approx(q[1], rel=1e-10)
+
+
+def test_coarse_galerkin_window_falls_back_to_eigh(solve_cached):
+    # at n=60 the levels are off by O(1): a guess is matched beyond the
+    # window edge, and the run returns the dense spectrum and its rows
+    res = solve_cached(Z=118.0, kappa=-2, method="galerkin", n_intervals=60)
+    assert res.eigen_path == "eigh"
+    win = res.eigen_window
+    assert "window edge" in win["fallback"]
+    assert win["slice_edges"] is win["slice_counts"] is win["slice_nodes"] is None
+    dense = solve_generalized(res.system.A, res.system.B, symmetric_definite=True)
+    np.testing.assert_array_equal(res.report.raw, dense)
+    ref = classify_spectrum(dense, res.config.physical_system())
+    assert solve_rows(res.report) == solve_rows(ref)
+    assert res.report.flags == ref.flags
+
+
+def test_sbgvx_reads_the_block_order_lower_triangle(uuo_wfm_200, uuo_system):
+    # galerkin's A is symmetric only up to quadrature error; both
+    # symmetric paths read the lower triangle in block order, so garbage
+    # in the strict upper one moves neither.  In the interleaved order
+    # the pair (G_a, F_b), a > b, lies below the diagonal but above it
+    # in block order.
+    sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
+    win = bound_window(uuo_system, 15)
+    upper = np.triu(sym.A != 0.0, 1)
+    garbage = sym.A + upper * np.random.default_rng(31).normal(size=sym.A.shape)
+    got = {}
+    for name, A in (("clean", sym.A), ("garbage", garbage)):
+        info = {}
+        got[name] = solve_generalized(A, sym.B, symmetric_definite=True,
+                                      window=win, info=info)
+        assert info["path"] == "sbgvx"
+    np.testing.assert_array_equal(got["garbage"], got["clean"])
+    dense = solve_generalized(garbage, sym.B, symmetric_definite=True).real
+    inside = np.sort(dense[(dense > 0.0) & (dense <= win.hi)])
+    np.testing.assert_allclose(got["garbage"].real, inside, rtol=1e-12, atol=0)
+
+
+def test_sbgvx_bands_hold_the_lower_triangle(uuo_wfm_200, uuo_system):
+    sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
+    n = sym.A.shape[0]
+    d = 1.0 / np.sqrt(np.diag(sym.B))
+    Ab, Bb, k = eigen._lower_bands(sym.A, sym.B, d)
+    assert k == 9 and Ab.shape == Bb.shape == (k + 1, n)
+    assert Ab.flags.f_contiguous and Bb.flags.f_contiguous
+    perm = np.concatenate([np.arange(n // 2)[:, None],
+                           np.arange(n // 2, n)[:, None]], axis=1).ravel()
+    for M, Mb in ((sym.A, Ab), (sym.B, Bb)):
+        low = np.tril(eigen._equilibrate(M, d))
+        dense = (low + np.tril(low, -1).T)[np.ix_(perm, perm)]
+        i, j = np.nonzero(np.tril(dense))
+        np.testing.assert_array_equal(Mb[i - j, j], dense[i, j])
+        assert np.count_nonzero(Mb) == len(i)
+
+
+def test_non_positive_definite_mass_falls_back_to_eigh_and_raises(uuo_wfm_200,
+                                                                   uuo_system):
+    # a positive diagonal, but no Cholesky factor: dsbgvx reports it, and
+    # the dense path raises as it always did
+    sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
+    B = sym.B.copy()
+    B[0, 1] = B[1, 0] = 2.0 * np.sqrt(B[0, 0] * B[1, 1])
+    info = {}
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_generalized(sym.A, B, symmetric_definite=True,
+                          window=bound_window(uuo_system, 15), info=info)
+    assert info["path"] == "eigh"
+    assert "not positive definite" in info["window"]["fallback"]
 
 
 def test_contour_nodes_grow_with_the_ratio_up_to_the_cap():
