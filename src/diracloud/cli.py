@@ -108,12 +108,11 @@ def run_solve(cfg: RunConfig) -> RunResult:
     """Pencil -> eigensolve -> classification."""
     sys = cfg.physical_system()
     grid, _, system = assemble_pencil(cfg)
-    # the unperturbed pencil is symmetric with B SPD: dsbgvx on its band
-    # gives the bound window, the dense Cholesky route everything.  The
-    # row-scaled (nonsymmetric) variants solve the window on the band
-    # too, and everything by LU + dgeev.  Either solves the window when
-    # levels are matched, everything otherwise or when the window is
-    # given up.
+    # the unperturbed pencil is symmetric with B SPD (dsbgvx on the band,
+    # or eigh for everything); the row-scaled variants are not (the
+    # certified window, or LU + dgeev for everything).  Either solves
+    # only the bound window when levels are matched, everything
+    # otherwise or when the window is given up.
     symmetric = not np.any(system.tau != 0.0)
     window = bound_window(sys, cfg.levels) if cfg.levels > 0 else None
     info = {}

@@ -11,8 +11,9 @@ A is symmetric only up to quadrature error (see assemble_system):
   dsbgvx on the banded pencil with its unknowns interleaved (G1, F1,
   G2, F2, ...).  Crawford's banded reduction and Sturm-count bisection
   return every eigenvalue in (0, hi], so the region covered is all of
-  the window and needs no certificate; a failed reduction or a guess
-  left unmatched sends the solve to the next path;
+  the window and needs no certificate; a failed reduction, or a guess
+  whose match lies farther from it than the window edge, sends the
+  solve to the next path;
 - the same pencil without a window, or after such a failure: the
   Cholesky reduction (scipy.linalg.eigh), every eigenvalue;
 - the tau-scaled, nonsymmetric pencil of cpg and cpg_fem_tau, when a
