@@ -13,9 +13,8 @@ from .cloud import (CloudBasis, ShapeEval, ShapeStack, SingularMoment,
                     build_cloud_basis, evaluate_coupled, evaluate_shapes)
 from .eigen import (SpectrumReport, classify_spectrum, convergence_rate,
                     solve_generalized)
-from .enrichment import (EnrichmentBasis, WeightFunction, hydrogenic_basis,
-                         laguerre, quartic_spline, quartic_spline_deriv,
-                         sto_default_basis)
+from .enrichment import (EnrichmentBasis, WeightFunction, quartic_spline,
+                         quartic_spline_deriv, sto_default_basis)
 from .grid import Grid, GridConfig, generate_grid
 from .physics import (C_LIGHT, PhysicalSystem, SupercriticalCharge,
                       exact_eigenvalue, potential)

@@ -65,7 +65,7 @@ class RunConfig:
         # cross-field checks delegate to the component configs
         self.grid_config()
         sys = self.physical_system()
-        basis_from_name(self.enrichment, self.Z)
+        basis_from_name(self.enrichment)
         if self.levels > 0 or self.kappa > 0:
             # classification needs the closed-form levels: a supercritical
             # Z/kappa pair fails here
@@ -97,7 +97,7 @@ def assemble_pencil(cfg: RunConfig):
     """Grid -> clouds -> weak form -> system; returns (grid, wfm, system)."""
     grid = generate_grid(cfg.grid_config())
     sys = cfg.physical_system()
-    cb = build_cloud_basis(grid, basis=basis_from_name(cfg.enrichment, cfg.Z))
+    cb = build_cloud_basis(grid, basis=basis_from_name(cfg.enrichment))
     split = sys.nucleus_radius if sys.nucleus == "extended_uniform" else None
     quad = build_quadrature(grid, cfg.quadrature_factor, split_at=split)
     wfm = assemble_weak_form(cb, sys, quad)
@@ -262,6 +262,8 @@ RATE_LEVELS = 5  # levels whose convergence rate the study fits
 def cmd_convergence(cfg: RunConfig, n_values) -> int:
     if len(n_values) < 3:
         raise ValueError("convergence study needs at least 3 node counts")
+    if len(set(n_values)) < 2:
+        raise ValueError("convergence study needs at least 2 distinct node counts")
     # every node count is validated before the first solve runs
     subs = [dataclasses.replace(cfg, n_intervals=int(n),
                                 levels=max(cfg.levels, RATE_LEVELS))

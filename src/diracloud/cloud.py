@@ -76,15 +76,13 @@ class ShapeStack:
     cond: np.ndarray       # (npts,) equilibrated moment condition number
 
 
-def build_cloud_basis(grid: Grid, basis: EnrichmentBasis = None,
-                      cond_cap: float = 1e12) -> CloudBasis:
+def build_cloud_basis(grid: Grid, basis: EnrichmentBasis = None) -> CloudBasis:
     n = grid.n_intervals
     fem = tuple(sorted({0, 1, n - 1, n}))
     return CloudBasis(grid=grid,
                       basis=basis if basis is not None else sto_default_basis(),
                       weight=QUARTIC_WEIGHT,
-                      fem_nodes=fem,
-                      cond_cap=cond_cap)
+                      fem_nodes=fem)
 
 
 def _hat(x, k, nodes):

@@ -3,13 +3,10 @@
 The weight is a quartic spline, C^1 with support [0, 1).  Enrichment
 bases are small ordered families P = [p_1, ..., p_m] with p_1 = 1 and
 analytic first derivatives; the default pairs the constant with a
-Slater-type orbital x(1 - x/2)exp(-x/2).  Hydrogen-like radial
-functions built from associated Laguerre polynomials are available as
-an alternative.  Gaussians are deliberately not offered: the moment
-matrix conditioning degrades too fast with them.
+Slater-type orbital x(1 - x/2)exp(-x/2).  Gaussians are deliberately
+not offered: the moment matrix conditioning degrades too fast with them.
 """
 from dataclasses import dataclass
-from math import comb, factorial
 
 import numpy as np
 
@@ -91,61 +88,10 @@ def shepard_basis() -> EnrichmentBasis:
     return EnrichmentBasis(name="shepard", members=(_one,), derivs=(_zero,))
 
 
-def _laguerre_coeffs(nr: int, ell: int) -> np.ndarray:
-    """Coefficients (ascending powers) of L^{2l+1}_{nr+l}(x) =
-    sum_k (-1)^k/k! C(nr+3l+1, nr+l-k) x^k."""
-    if nr < 1 or ell < 0:
-        raise ValueError(f"invalid quantum numbers nr={nr}, ell={ell}")
-    deg = nr + ell
-    return np.array([(-1.0) ** k / factorial(k) * comb(nr + 3 * ell + 1, deg - k)
-                     for k in range(deg + 1)])
-
-
-def laguerre(nr: int, ell: int, x):
-    """Associated Laguerre polynomial in the convention used by the
-    hydrogen-like radial functions (degree nr+ell, upper index 2ell+1)."""
-    c = _laguerre_coeffs(nr, ell)
-    x = np.asarray(x, dtype=float)
-    return sum(ck * x**k for k, ck in enumerate(c))
-
-
-def hydrogenic_basis(Z: float, nr: int, ell: int) -> EnrichmentBasis:
-    """[1, R(x)] with R the (unnormalized) radial Coulomb-Schrodinger
-    solution (2Zx/nr)^l L^{2l+1}_{nr+l}(2Zx/nr) exp(-Zx/nr)."""
-    c = _laguerre_coeffs(nr, ell)
-    dc = np.array([k * ck for k, ck in enumerate(c)][1:] or [0.0])
-    a = 2.0 * Z / nr  # y = a x
-
-    def Lp(y):
-        return sum(ck * y**k for k, ck in enumerate(dc))
-
-    def R(s):
-        y = a * np.asarray(s, dtype=float)
-        return y**ell * laguerre(nr, ell, y) * np.exp(-0.5 * y)
-
-    def dR(s):
-        y = a * np.asarray(s, dtype=float)
-        L = laguerre(nr, ell, y)
-        core = y**ell * (Lp(y) - 0.5 * L)
-        if ell > 0:
-            core = core + ell * y ** (ell - 1) * L
-        return a * core * np.exp(-0.5 * y)
-
-    name = f"hydrogenic:{nr},{ell}"
-    return EnrichmentBasis(name=name, members=(_one, R), derivs=(_zero, dR))
-
-
-def basis_from_name(name: str, Z: float = 1.0) -> EnrichmentBasis:
-    """Resolve a CLI-style enrichment name: "sto", "shepard" or
-    "hydrogenic:nr,ell"."""
+def basis_from_name(name: str) -> EnrichmentBasis:
+    """Resolve a CLI-style enrichment name: "sto" or "shepard"."""
     if name == "sto":
         return sto_default_basis()
     if name == "shepard":
         return shepard_basis()
-    if name.startswith("hydrogenic:"):
-        try:
-            nr_s, ell_s = name.split(":", 1)[1].split(",")
-            return hydrogenic_basis(Z, int(nr_s), int(ell_s))
-        except ValueError as e:
-            raise ValueError(f"bad hydrogenic spec {name!r}: expected hydrogenic:nr,ell") from e
     raise ValueError(f"unknown enrichment {name!r}")

@@ -23,12 +23,11 @@ class GridConfig:
             raise ValueError(f"n_intervals must be >= 2, got {self.n_intervals}")
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.I_a >= self.I_b:
-            raise ValueError(f"need I_a < I_b, got [{self.I_a}, {self.I_b}]")
-        if self.I_a < 0.0:
-            raise ValueError(f"I_a must be >= 0, got {self.I_a}")
-        if self.nu <= 1.0:
-            raise ValueError(f"nu must exceed 1 so clouds overlap, got {self.nu}")
+        # NaN fails every comparison, so these reject NaN as well as inf
+        if not 0.0 <= self.I_a < self.I_b < np.inf:
+            raise ValueError(f"need finite 0 <= I_a < I_b, got [{self.I_a}, {self.I_b}]")
+        if not 1.0 < self.nu < np.inf:
+            raise ValueError(f"nu must be finite and exceed 1 so clouds overlap, got {self.nu}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,10 +30,15 @@ class PhysicalSystem:
     def __post_init__(self):
         if self.kappa == 0:
             raise ValueError("kappa must be a nonzero integer")
-        if self.Z < 0:
-            raise ValueError(f"Z must be >= 0, got {self.Z}")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        # NaN fails every comparison, so these reject NaN as well as inf
+        if not 0.0 <= self.Z < np.inf:
+            raise ValueError(f"Z must be finite and >= 0, got {self.Z}")
+        if not 0.0 <= self.A < np.inf:
+            raise ValueError(f"A must be finite and >= 0, got {self.A}")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError(f"c must be finite and > 0, got {self.c}")
+        if not 0.0 < self.m < np.inf:
+            raise ValueError(f"m must be finite and > 0, got {self.m}")
         if self.nucleus not in NUCLEI:
             raise ValueError(f"unknown nucleus model {self.nucleus!r}")
         if self.nucleus == "extended_uniform" and self.A <= 0:

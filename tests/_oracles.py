@@ -9,12 +9,16 @@ dimensions where every step is numerically boring.
 The shape and weak-form oracles are the original one-point-at-a-time
 implementations (an m x m eigh per point, an np.ix_ scatter per point)
 that the batched kernel in diracloud.cloud replaced.
+
+exp_basis is a test-only enrichment that drives the kernel into its
+ill-conditioned and overflowing regimes on purpose.
 """
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from diracloud.assembly import WeakFormMatrices
 from diracloud.cloud import CloudBasis, ShapeEval, SingularMoment
+from diracloud.enrichment import EnrichmentBasis
 from diracloud.physics import potential
 
 
@@ -52,6 +56,20 @@ def max_pairing_distance(a, b):
 
 
 # ------------------------------------------------ per-point shape oracle
+
+def exp_basis(a):
+    """[1, exp(-a s)].  On the n=200 uuo grid a=20 drives the worst moment
+    condition to ~5e10 next to the origin, and a=118 overflows the moment
+    diagonal mid-domain, where a cloud radius exceeds ~709/a."""
+    def p(s):
+        return np.exp(-a * s)
+
+    def dp(s):
+        return -a * np.exp(-a * s)
+
+    return EnrichmentBasis(name=f"exp:{a:g}", members=(lambda s: 1.0, p),
+                           derivs=(lambda s: 0.0, dp))
+
 
 def _hat(x, k, nodes):
     """Value and slope of the linear hat at node k (slope from the right

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _oracles import reference_dump
-from diracloud import cli
+from _oracles import exp_basis, reference_dump
+from diracloud import assembly, cli
 from diracloud.assembly import dump_matrix
 from diracloud.cloud import SingularMoment
 
@@ -69,9 +69,9 @@ def test_invalid_grid_is_a_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["bogus", "hydrogenic:0,0"])
+@pytest.mark.parametrize("name", ["bogus", "hydrogenic:0,0", "hydrogenic:1,0"])
 def test_invalid_enrichment_is_rejected_by_the_config(name):
-    with pytest.raises(ValueError, match="enrichment|hydrogenic"):
+    with pytest.raises(ValueError, match="unknown enrichment"):
         cli.RunConfig(enrichment=name)
 
 
@@ -82,12 +82,27 @@ def test_invalid_enrichment_is_rejected_by_the_config(name):
     ["solve", "--enrichment", "bogus"],
     ["solve", "--levels", "-1"],
     ["solve", "--quadrature-factor", "3"],
+    ["solve", "--enrichment", "hydrogenic:1,0"],
+    ["convergence", "--n-values", "300,300,300"],
+    ["solve", "--m", "0"],
+    ["solve", "--m", "-1"],
+    ["solve", "--m", "nan"],
+    ["solve", "--c", "nan"],
+    ["solve", "--Z", "nan"],
+    ["solve", "--Z", "inf", "--levels", "0"],
+    ["solve", "--A", "nan", "--nucleus", "extended_uniform"],
+    ["solve", "--nu", "nan"],
+    ["solve", "--Ib", "nan"],
+    ["solve", "--Ia", "nan"],
 ], ids=["sweep-n", "sweep-method", "convergence", "enrichment", "levels",
-        "quadrature-factor"])
+        "quadrature-factor", "hydrogenic", "convergence-one-count", "m-zero",
+        "m-negative", "m-nan", "c-nan", "Z-nan", "Z-inf", "A-nan", "nu-nan", "Ib-nan",
+        "Ia-nan"])
 def test_bad_values_exit_before_any_assembly(argv, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "assemble_pencil", lambda cfg: calls.append(cfg))
-    rc = cli.main(argv + ["--Z", "118", "--kappa", "-2"])
+    # the flags of argv come last, so they override these
+    rc = cli.main(argv[:1] + ["--Z", "118", "--kappa", "-2"] + argv[1:])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert calls == []
@@ -139,30 +154,33 @@ def test_non_positive_definite_galerkin_mass_is_a_numerical_error(monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
-def test_weak_form_breakdown_is_a_numerical_error(capsys):
-    # hydrogenic enrichment at Z=118 overflows the moment diagonal of the
-    # batched shape pass mid-domain; the run stops there with exit 3
+def test_weak_form_breakdown_is_a_numerical_error(monkeypatch, capsys):
+    # exp(-118 s) overflows the moment diagonal of the batched shape pass
+    # mid-domain on the n=200 grid; the run stops there with exit 3
+    monkeypatch.setattr(cli, "basis_from_name", lambda name: exp_basis(118.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli.main(["solve", "--Z", "118", "--n-intervals", "200",
-                       "--enrichment", "hydrogenic:1,0"])
+        rc = cli.main(["solve", "--Z", "118", "--n-intervals", "200"])
     assert rc == 3
-    assert "moment diagonal not positive at x=20.02" in capsys.readouterr().err
+    assert "moment diagonal not positive at x=21.556" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "dump-matrices"])
-def test_nonfinite_weak_form_is_a_numerical_error(command, tmp_path, capsys):
-    # hydrogenic:1,1 at Z=62, n=600 overflows the shape derivatives without
-    # tripping a moment check: inf/NaN in M_010, M_100, M_110, M_101 and
-    # M_100_V.  The weak form stops there, before tau, the eigensolve or
-    # any output file
-    out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli.main([command, "--Z", "62", "--kappa", "-1",
-                       "--n-intervals", "600", "--enrichment", "hydrogenic:1,1",
-                       "--output", str(out)])
+def test_nonfinite_weak_form_is_a_numerical_error(command, monkeypatch, tmp_path, capsys):
+    # a NaN potential at one quadrature point passes every moment check
+    # and poisons only the _V blocks.  The weak form stops there, before
+    # tau, the eigensolve or any output file
+    potential = assembly.potential
+
+    def nan_at_one_point(sys, x):
+        v = potential(sys, x)
+        v[0] = np.nan  # n=40 has 400 quadrature points: one chunk, one call
+        return v
+
+    monkeypatch.setattr(assembly, "potential", nan_at_one_point)
+    rc = cli.main([command] + HYDROGEN_ARGS + ["--output", str(tmp_path / "out")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "numerical failure: weak-form block M_010 has non-finite entries" in err
+    assert "numerical failure: weak-form block M_000_V has non-finite entries" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,7 +121,7 @@ def test_uncovered_point_raises():
 
 
 def test_condition_cap_enforced(uuo_grid_200):
-    cb = build_cloud_basis(uuo_grid_200, cond_cap=1.0)
+    cb = dataclasses.replace(build_cloud_basis(uuo_grid_200), cond_cap=1.0)
     with pytest.raises(SingularMoment, match="cond estimate"):
         evaluate_coupled(cb, 0.5)
 

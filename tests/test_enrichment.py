@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracloud.enrichment import (QUARTIC_WEIGHT, basis_from_name, hydrogenic_basis,
-                                  laguerre, quartic_spline, quartic_spline_deriv,
-                                  shepard_basis, sto_default_basis)
+from diracloud.enrichment import (QUARTIC_WEIGHT, basis_from_name, quartic_spline,
+                                  quartic_spline_deriv, shepard_basis, sto_default_basis)
 
 
 def test_quartic_spline_values():
@@ -68,31 +67,8 @@ def test_sto_derivative_matches_finite_difference():
     assert b.eval_deriv(s)[1] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
-def test_laguerre_reference_points():
-    assert laguerre(1, 0, 0.0) == pytest.approx(2.0)
-    assert laguerre(1, 0, 1.0) == pytest.approx(1.0)
-
-
-def test_laguerre_rejects_bad_quantum_numbers():
-    with pytest.raises(ValueError):
-        laguerre(0, 0, 1.0)
-    with pytest.raises(ValueError):
-        laguerre(1, -1, 1.0)
-
-
-@pytest.mark.parametrize("Z,nr,ell", [(1.0, 1, 0), (1.0, 2, 1), (18.0, 3, 2)])
-def test_hydrogenic_derivative_matches_finite_difference(Z, nr, ell):
-    b = hydrogenic_basis(Z, nr, ell)
-    assert b.m == 2
-    s = np.linspace(0.1, 8.0 / Z, 25)
-    d = 1e-7 / Z
-    fd = (b.eval(s + d)[1] - b.eval(s - d)[1]) / (2 * d)
-    scale = np.abs(b.eval(s)[1]).max()
-    assert np.max(np.abs(b.eval_deriv(s)[1] - fd)) < 1e-5 * max(scale, 1.0)
-
-
 def test_first_member_is_always_one():
-    for b in (sto_default_basis(), shepard_basis(), hydrogenic_basis(2.0, 2, 0)):
+    for b in (sto_default_basis(), shepard_basis()):
         s = np.linspace(0.0, 5.0, 11)
         assert np.all(b.eval(s)[0] == 1.0)
         assert np.all(b.eval_deriv(s)[0] == 0.0)
@@ -101,9 +77,5 @@ def test_first_member_is_always_one():
 def test_basis_from_name():
     assert basis_from_name("sto").name == "sto"
     assert basis_from_name("shepard").m == 1
-    hb = basis_from_name("hydrogenic:2,1", Z=4.0)
-    assert hb.name == "hydrogenic:2,1"
     with pytest.raises(ValueError):
         basis_from_name("gto")
-    with pytest.raises(ValueError):
-        basis_from_name("hydrogenic:2")

@@ -1,26 +1,24 @@
 """The batched shape kernel and the chunked weak form against the
 per-point implementations they replaced (tests/_oracles.py)."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from _oracles import reference_shapes, reference_weak_form
+from _oracles import exp_basis, reference_shapes, reference_weak_form
 from diracloud.assembly import assemble_weak_form, build_quadrature
 from diracloud.cloud import (SingularMoment, build_cloud_basis, evaluate_coupled,
                              evaluate_shapes)
-from diracloud.enrichment import basis_from_name, shepard_basis
+from diracloud.enrichment import shepard_basis, sto_default_basis
 from diracloud.grid import Grid, GridConfig
 
 EPS = np.finfo(float).eps
 
-# hydrogenic:1,0 at Z=118 overflows its moment diagonal mid-domain on the
-# n=200 grid (both implementations refuse it), so it is compared at Z=10,
-# where its moment condition still reaches ~5e10 next to the origin
-BASES = [("sto", 118.0), ("shepard", 118.0), ("hydrogenic:1,0", 10.0)]
+# every basis is compared on the Z=118 (uuo) grid and system, which the ids
+# name; exp(-20 s) reaches a moment condition of ~5e10 next to the origin
+BASES = {"sto": sto_default_basis(), "shepard": shepard_basis(), "exp20": exp_basis(20.0)}
+IDS = [f"{name}-118.0" for name in BASES]
 BLOCKS = ("M_000", "M_010", "M_001", "M_100", "M_110", "M_101", "M_000_V", "M_100_V")
-
-
-def cloud_for(grid, name, Z):
-    return build_cloud_basis(grid, basis=basis_from_name(name, Z))
 
 
 def raised(fn, *args):
@@ -30,9 +28,9 @@ def raised(fn, *args):
 
 
 # the ids name the shape mode compared, the coupled one
-@pytest.mark.parametrize("name,Z", BASES, ids=[f"{n}-{z}-coupled" for n, z in BASES])
-def test_batched_shapes_match_per_point_oracle(uuo_grid_200, uuo_quad_200, name, Z):
-    cb = cloud_for(uuo_grid_200, name, Z)
+@pytest.mark.parametrize("basis", BASES.values(), ids=[f"{i}-coupled" for i in IDS])
+def test_batched_shapes_match_per_point_oracle(uuo_grid_200, uuo_quad_200, basis):
+    cb = build_cloud_basis(uuo_grid_200, basis=basis)
     st = evaluate_shapes(cb, uuo_quad_200.points)
     for p, x in enumerate(uuo_quad_200.points):
         ev = reference_shapes(cb, x, coupled=True)
@@ -47,10 +45,10 @@ def test_batched_shapes_match_per_point_oracle(uuo_grid_200, uuo_quad_200, name,
         assert abs(st.cond[p] - ev.cond) <= 1e-12 * ev.cond, x
 
 
-@pytest.mark.parametrize("name,Z", BASES)
+@pytest.mark.parametrize("basis", BASES.values(), ids=IDS)
 def test_chunked_weak_form_matches_per_point_scatter(uuo_grid_200, uuo_quad_200,
-                                                      uuo_system, name, Z):
-    cb = cloud_for(uuo_grid_200, name, Z)
+                                                      uuo_system, basis):
+    cb = build_cloud_basis(uuo_grid_200, basis=basis)
     got = assemble_weak_form(cb, uuo_system, uuo_quad_200)
     ref = reference_weak_form(cb, uuo_system, uuo_quad_200)
     for block in BLOCKS:
@@ -94,7 +92,7 @@ def test_weak_form_refuses_an_uncovered_point(uuo_system):
 
 
 def test_weak_form_enforces_the_condition_cap(uuo_grid_200, uuo_quad_200, uuo_system):
-    cb = build_cloud_basis(uuo_grid_200, cond_cap=1.0)
+    cb = dataclasses.replace(build_cloud_basis(uuo_grid_200), cond_cap=1.0)
     err = raised(assemble_weak_form, cb, uuo_system, uuo_quad_200)
     assert err[0] is SingularMoment
     assert err == raised(reference_weak_form, cb, uuo_system, uuo_quad_200)
@@ -103,11 +101,12 @@ def test_weak_form_enforces_the_condition_cap(uuo_grid_200, uuo_quad_200, uuo_sy
 
 def test_weak_form_refuses_a_non_positive_moment_diagonal(uuo_grid_200, uuo_quad_200,
                                                           uuo_system):
-    cb = cloud_for(uuo_grid_200, "hydrogenic:1,0", 118.0)
+    cb = build_cloud_basis(uuo_grid_200, basis=exp_basis(118.0))
     with np.errstate(over="ignore", invalid="ignore"):
         err = raised(assemble_weak_form, cb, uuo_system, uuo_quad_200)
         assert err == raised(reference_weak_form, cb, uuo_system, uuo_quad_200)
-    assert err[0] is SingularMoment and "moment diagonal not positive" in err[1]
+    assert err[0] is SingularMoment
+    assert "moment diagonal not positive at x=21.556" in err[1]
 
 
 def test_first_offending_point_decides_the_error():
