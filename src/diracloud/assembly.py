@@ -154,16 +154,10 @@ def stability_tau(wfm, coords) -> np.ndarray:
     return tau
 
 
-def stability_tau_fem(grid: Grid, j):
-    """Closed-form FEM stability parameter for row j (1-based, a scalar
-    or an array of rows):
-    (3/17) h_{j+1} (h_{j+1} - h_j) / (h_{j+1} + h_j)."""
-    h = grid.spacings
-    j = np.asarray(j)
-    bad = (j < 1) | (j > len(h) - 1)
-    if np.any(bad):
-        raise ValueError(f"row index {j[bad].flat[0]} outside 1..{len(h) - 1}")
-    hj, hj1 = h[j - 1], h[j]
+def stability_tau_fem(grid: Grid) -> np.ndarray:
+    """Closed-form FEM stability parameter of every retained row j =
+    1..n-1: (3/17) h_{j+1} (h_{j+1} - h_j) / (h_{j+1} + h_j)."""
+    hj, hj1 = grid.spacings[:-1], grid.spacings[1:]
     return (3.0 / 17.0) * hj1 * (hj1 - hj) / (hj1 + hj)
 
 
@@ -226,7 +220,7 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
     elif method == "cpg":
         tau = stability_tau(wfm, grid.nodes[1:-1])
     else:  # cpg_fem_tau
-        tau = stability_tau_fem(grid, np.arange(1, nd + 1))
+        tau = stability_tau_fem(grid)
 
     if np.any(tau != 0.0):
         T = np.concatenate([tau, tau])[:, None]

@@ -144,10 +144,15 @@ def _fmt(v):
 
 
 def _resolve_output(cfg_path, default_name):
+    """cfg_path or default_name, moved into $DIRACLOUD_OUTDIR when that is
+    set; OSError unless the directory holding it exists and is writable."""
     path = cfg_path if cfg_path else default_name
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir:
         path = os.path.join(outdir, os.path.basename(path))
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise OSError(f"output directory {parent!r} is missing or not writable")
     return path
 
 
@@ -217,9 +222,9 @@ def write_solve_json(path, cfg, res: RunResult):
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    res = run_solve(cfg)
     base = _resolve_output(cfg.output_path, "solve.csv")
     root = base[:-4] if base.endswith(".csv") else base
+    res = run_solve(cfg)
     write_solve_csv(root + ".csv", cfg, res.report)
     write_solve_json(root + ".json", cfg, res)
     for m in res.report.matches:
@@ -238,14 +243,16 @@ SWEEPABLE = ("nu", "eps", "n_intervals", "quadrature_factor", "method")
 def cmd_sweep(cfg: RunConfig, vary: str, values) -> int:
     if vary not in SWEEPABLE:
         raise ValueError(f"cannot sweep {vary!r}; choose from {SWEEPABLE}")
-    # every value is validated before the first solve runs
+    if not values:
+        raise ValueError("sweep needs at least one value")
+    # every value and the output are validated before the first solve runs
     subs = [dataclasses.replace(cfg, **{vary: val}) for val in values]
+    path = _resolve_output(cfg.output_path, "sweep.csv")
     rows = []
     for val, sub in zip(values, subs):
         res = run_solve(sub)
         rows.extend((val, m.level, m.computed, m.exact, m.rel_error)
                     for m in res.report.matches)
-    path = _resolve_output(cfg.output_path, "sweep.csv")
     _write_csv(path, cfg, ("param_value,level,computed,exact,rel_error", rows))
     print(f"wrote {path}")
     return 0
@@ -264,10 +271,11 @@ def cmd_convergence(cfg: RunConfig, n_values) -> int:
         raise ValueError("convergence study needs at least 3 node counts")
     if len(set(n_values)) < 2:
         raise ValueError("convergence study needs at least 2 distinct node counts")
-    # every node count is validated before the first solve runs
+    # every node count and the output are validated before the first solve runs
     subs = [dataclasses.replace(cfg, n_intervals=int(n),
                                 levels=max(cfg.levels, RATE_LEVELS))
             for n in n_values]
+    path = _resolve_output(cfg.output_path, "convergence.csv")
     samples = {lv: [] for lv in range(1, RATE_LEVELS + 1)}
     rows = []
     for sub in subs:
@@ -279,7 +287,6 @@ def cmd_convergence(cfg: RunConfig, n_values) -> int:
             if m.level <= RATE_LEVELS:
                 samples[m.level].append((h, m.rel_error))
     rates = rates_from_errors(samples)
-    path = _resolve_output(cfg.output_path, "convergence.csv")
     _write_csv(path, cfg, ("n,level,h,computed,exact,rel_error", rows),
                ("level,rate", sorted(rates.items())))
     for lv, rate in sorted(rates.items()):
@@ -289,8 +296,10 @@ def cmd_convergence(cfg: RunConfig, n_values) -> int:
 
 
 def cmd_dump_matrices(cfg: RunConfig) -> int:
-    _, wfm, system = assemble_pencil(cfg)
     outdir = _resolve_output(cfg.output_path, "matrices")
+    if os.path.lexists(os.path.normpath(outdir)) and not os.path.isdir(outdir):
+        raise FileExistsError(f"output {outdir!r} exists and is not a directory")
+    _, wfm, system = assemble_pencil(cfg)
     os.makedirs(outdir, exist_ok=True)
     blocks = {f.name: getattr(wfm, f.name) for f in dataclasses.fields(wfm)}
     blocks.update(A=system.A, B=system.B,
@@ -371,30 +380,25 @@ def main(argv=None) -> int:
 
     try:
         cfg = build_config(args)
-        if args.command == "sweep":
-            values = [_coerce(args.vary, s.strip())
-                      for s in args.values.split(",") if s.strip()]
-        if args.command == "convergence":
-            n_values = [int(s) for s in args.n_values.split(",") if s.strip()]
-    except (ValueError, OSError) as e:
-        print(f"config error: {e}", file=_sys.stderr)
-        return CONFIG_ERROR
-
-    try:
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "sweep":
+            values = [_coerce(args.vary, s.strip())
+                      for s in args.values.split(",") if s.strip()]
             return cmd_sweep(cfg, args.vary, values)
         if args.command == "convergence":
+            n_values = [int(s) for s in args.n_values.split(",") if s.strip()]
             return cmd_convergence(cfg, n_values)
         return cmd_dump_matrices(cfg)
+    # LinAlgError is a ValueError: the numerical handler comes first
     except (SingularMoment, DegenerateTau, EmptySpectrum,
             np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=_sys.stderr)
         return NUMERICAL_ERROR
-    except ValueError as e:
-        # the per-value configs of sweep and convergence, and a grid that
-        # degenerates when built: config problems, not solver breakdowns
+    except (ValueError, OSError) as e:
+        # the config and its files, the per-value configs of sweep and
+        # convergence, an unwritable output, and a grid that degenerates
+        # when built: config problems, not solver breakdowns
         print(f"config error: {e}", file=_sys.stderr)
         return CONFIG_ERROR
 

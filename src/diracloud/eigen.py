@@ -121,8 +121,8 @@ def solve_generalized(A, B, return_vectors: bool = False,
     C = (dBd)^-1 (dAd) with dgeev; its vectors are mapped back by d.
     Its backward error in the pencil grows like eps / rcond(dBd), so it
     falls back to a QZ iteration on the unscaled (A, B) when a diagonal
-    entry of B is not positive and finite, or when the rcond estimate
-    of dBd is below RCOND_FLOOR.
+    entry of B is not positive, or when the rcond estimate of dBd is
+    below RCOND_FLOOR.
 
     window (a BoundWindow; eigenvalues only, a 2x2 block pencil) returns
     the eigenvalues in (0, window.hi], above the -mc^2 threshold: on
@@ -137,11 +137,14 @@ def solve_generalized(A, B, return_vectors: bool = False,
     certificate (dsbgvx: the one slice [0, hi] and no nodes), and under
     "fallback" why the window was given up (None when it was not; the
     slice entries are None then).  A NaN or inf in A or B raises
-    ValueError on every path."""
+    ValueError, checked once before a path is picked: `info` receives
+    nothing, and no path (the raw dsbgvx call included) sees one."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"pencil shapes mismatch: {A.shape} vs {B.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
     if window is not None and (return_vectors or A.shape[0] % 2
                                or not window.guesses):
         raise ValueError("window= returns eigenvalues of a 2x2 block pencil "
@@ -168,9 +171,9 @@ def solve_generalized(A, B, return_vectors: bool = False,
         if return_vectors:
             return out[0].astype(complex), d[:, None] * out[1]
         return out.astype(complex)
-    if not np.all((db > 0.0) & np.isfinite(db)):
+    if not np.all(db > 0.0):
         if window is not None:
-            rec["fallback"] = "a diagonal entry of B is not positive and finite"
+            rec["fallback"] = "a diagonal entry of B is not positive"
         info["path"] = "qz"
         return sla.eig(A, B, right=return_vectors)
     d = 1.0 / np.sqrt(db)
@@ -319,8 +322,6 @@ def _solve_window_sbgvx(A, B, d, win: BoundWindow, rec):
     pass step 2 of _solve_window (see _match_doubt).  rec (the window
     record of solve_generalized) receives the one slice [0, hi] and its
     count, or under "fallback" why the window was given up."""
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("array must not contain infs or NaNs")
     Ab, Bb, k = _lower_bands(A, B, d)
     found, lapack_info = _sbgvx_eigenvalues(Ab, Bb, k, 0.0, win.hi)
     if lapack_info:
@@ -470,8 +471,6 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
         rec["fallback"] = reason
         return None
 
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("array must not contain infs or NaNs")
     Ab, Bb, k = _interleaved_bands(A, B, d)
     n = len(d)
     rng = np.random.default_rng(PROBE_SEED)

@@ -118,7 +118,7 @@ def test_tau_consistency_oracle():
                               M_100=np.tile(eta, (3, 1)))
         coords = np.array([0.0, hj, hj + hj1])
         tau = stability_tau(wfm, coords)[1]
-        ref = stability_tau_fem(SimpleNamespace(spacings=np.array([hj, hj1])), 1)
+        ref = stability_tau_fem(SimpleNamespace(spacings=np.array([hj, hj1])))[0]
         assert tau == pytest.approx(abs(ref), rel=1e-12)
 
     h = 1.3
@@ -127,7 +127,7 @@ def test_tau_consistency_oracle():
                           M_100=np.tile(eta, (3, 1)))
     assert stability_tau(wfm, np.array([0.0, h, 2 * h]))[1] == \
         pytest.approx(0.0, abs=1e-15)
-    assert stability_tau_fem(SimpleNamespace(spacings=np.array([h, h])), 1) == 0.0
+    assert stability_tau_fem(SimpleNamespace(spacings=np.array([h, h])))[0] == 0.0
 
 
 # ------------------------------------------------ 5: shape-function invariants

@@ -186,7 +186,7 @@ def test_tau_matches_two_interval_reference(hj, hj1):
     wfm, coords = synthetic_row_problem(hj, hj1)
     tau = stability_tau(wfm, coords)
     fake = SimpleNamespace(spacings=np.array([hj, hj1]))
-    assert tau[1] == pytest.approx(abs(stability_tau_fem(fake, 1)), rel=1e-12)
+    assert tau[1] == pytest.approx(abs(stability_tau_fem(fake)[0]), rel=1e-12)
 
 
 def test_tau_vanishes_on_uniform_spacing():
@@ -201,23 +201,11 @@ def test_tau_degenerate_row_raises():
         stability_tau(wfm, coords)
 
 
-def test_tau_fem_closed_form(uuo_grid_200):
+def test_tau_fem_closed_form():
     fake = SimpleNamespace(spacings=np.array([1.0, 2.0]))
-    assert stability_tau_fem(fake, 1) == pytest.approx(3.0 / 17.0 * 2.0 / 3.0)
+    assert stability_tau_fem(fake)[0] == pytest.approx(3.0 / 17.0 * 2.0 / 3.0)
     uniform = SimpleNamespace(spacings=np.array([2.0, 2.0]))
-    assert stability_tau_fem(uniform, 1) == 0.0
-    with pytest.raises(ValueError):
-        stability_tau_fem(fake, 0)
-    with pytest.raises(ValueError):
-        stability_tau_fem(fake, 2)
-    # an array of rows is the per-row scalar calls, bit for bit
-    n = uuo_grid_200.n_intervals
-    rows = np.arange(1, n)
-    tau = stability_tau_fem(uuo_grid_200, rows)
-    assert np.array_equal(tau, [stability_tau_fem(uuo_grid_200, j) for j in rows])
-    for rows, bad in (([0, 1], 0), ([1, n], n)):
-        with pytest.raises(ValueError, match=f"row index {bad} outside"):
-            stability_tau_fem(uuo_grid_200, np.array(rows))
+    assert stability_tau_fem(uniform)[0] == 0.0
 
 
 def test_production_tau_is_finite_and_small(uuo_wfm_200, uuo_grid_200):

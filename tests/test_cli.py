@@ -94,10 +94,11 @@ def test_invalid_enrichment_is_rejected_by_the_config(name):
     ["solve", "--nu", "nan"],
     ["solve", "--Ib", "nan"],
     ["solve", "--Ia", "nan"],
+    ["sweep", "--vary", "nu", "--values", ","],
 ], ids=["sweep-n", "sweep-method", "convergence", "enrichment", "levels",
         "quadrature-factor", "hydrogenic", "convergence-one-count", "m-zero",
         "m-negative", "m-nan", "c-nan", "Z-nan", "Z-inf", "A-nan", "nu-nan", "Ib-nan",
-        "Ia-nan"])
+        "Ia-nan", "sweep-empty"])
 def test_bad_values_exit_before_any_assembly(argv, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "assemble_pencil", lambda cfg: calls.append(cfg))
@@ -106,6 +107,29 @@ def test_bad_values_exit_before_any_assembly(argv, monkeypatch, capsys):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["sweep", "--vary", "nu", "--values", "1.5,2.2"],
+    ["convergence", "--n-values", "30,40,50"],
+    ["dump-matrices"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_before_any_assembly(argv, monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "assemble_pencil", lambda cfg: calls.append(cfg))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    # a missing directory, a file where a directory should be, and for
+    # dump-matrices a file where its own directory should be
+    outputs = [tmp_path / "missing" / "out.csv", taken / "out.csv"]
+    if argv[0] == "dump-matrices":
+        outputs += [taken, f"{taken}/"]
+    for out in outputs:
+        assert cli.main(argv + ["--n-intervals", "40", "--output", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_supercritical_charge_is_a_config_error(monkeypatch, capsys):

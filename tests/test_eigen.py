@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from diracloud import eigen
-from diracloud.assembly import assemble_system
+from diracloud.assembly import METHODS, assemble_system
 from diracloud.cli import RunConfig, run_solve, solve_rows
 from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
                              FLAG_INSTILLED, FLAG_TAIL, BoundWindow, bound_window,
@@ -155,11 +156,16 @@ def test_singular_mass_falls_back_to_qz():
 def test_nonfinite_pencil_entries_are_rejected(where, value, entry):
     A, B = _graded_pencil(np.random.default_rng(19), 4)
     (A if where == "A" else B)[entry] = value
-    # a non-finite diagonal of B goes to QZ's own check, not into a scale;
-    # the window path checks every other entry before banding the pencil
-    for window in (None, BoundWindow(hi=1e9, guesses=(1.0,))):
-        with pytest.raises(ValueError), np.errstate(divide="raise", invalid="raise"):
-            solve_generalized(A, B, window=window)
+    # one check before any path is picked: no scale is formed, nothing
+    # is banded and no path is recorded
+    for symmetric in (False, True):
+        for window in (None, BoundWindow(hi=1e9, guesses=(1.0,))):
+            info = {}
+            with pytest.raises(ValueError, match="infs or NaNs"), \
+                    np.errstate(divide="raise", invalid="raise"):
+                solve_generalized(A, B, symmetric_definite=symmetric,
+                                  window=window, info=info)
+            assert "path" not in info
 
 
 # ---------------------------------------------------------- the bound window
@@ -304,6 +310,42 @@ def test_slice_nodes_certify_with_fewer_than_the_cap(kwargs, solve_cached):
     assert max(nodes) <= 12
     if flagship:
         assert sum(nodes) <= 160
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(Z=st.integers(1, 118), kappa=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       nu=st.floats(1.5, 3.0), eps=st.floats(1e-6, 1e-3),
+       n=st.integers(60, 120), method=st.sampled_from(METHODS),
+       levels=st.integers(1, 6))
+def test_window_paths_keep_the_dense_levels_or_say_why_not(
+        Z, kappa, nu, eps, n, method, levels):
+    # coarse random grids: a kept window (window or sbgvx) holds the
+    # dense solve's levels and flags, and a window given up says why.
+    # Only the dense spectrum of a window given up may warn of complex
+    # pairs (that of Z=5, kappa=3, nu=2.04, eps=5.9e-4, n=60 cpg does)
+    cfg = RunConfig(Z=float(Z), kappa=kappa, nu=nu, eps=eps, n_intervals=n,
+                    method=method, levels=levels)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_solve(cfg)
+    win = res.eigen_window
+    if res.eigen_path not in ("window", "sbgvx"):
+        assert isinstance(win["fallback"], str) and win["fallback"]
+        return
+    assert win["fallback"] is None and not caught
+    sys = cfg.physical_system()
+    dense = solve_generalized(res.system.A, res.system.B,
+                              symmetric_definite=res.eigen_path == "sbgvx")
+    ref = classify_spectrum(dense, sys, levels=levels)
+    got = res.report
+    assert len(got.matches) == len(ref.matches)
+    # on the scale of the unshifted value: E - mc^2 cancels the leading
+    # digits for light nuclei
+    for m, r in zip(got.matches, ref.matches):
+        assert abs(m.computed - r.computed) <= 1e-12 * sys.mc2
+    inside = eigen._is_real(dense) & (dense.real > 0.0) & (dense.real <= win["hi"] + sys.mc2)
+    assert len(got.flags) == int(inside.sum())
+    assert got.flags == ref.flags[:len(got.flags)]
 
 
 def test_z92_kappa_minus1_takes_the_window_with_a_slice_past_12_nodes():
@@ -494,7 +536,7 @@ def test_window_with_a_nonpositive_mass_diagonal_takes_qz():
         w = solve_generalized(A, B, window=win, info=info)
     np.testing.assert_array_equal(w, sla.eig(A, B)[0])
     assert info["path"] == "qz"
-    assert "diagonal" in info["window"]["fallback"]
+    assert info["window"]["fallback"] == "a diagonal entry of B is not positive"
 
 
 def test_interleaved_bands_hold_the_whole_pencil(uuo_wfm_200, uuo_system, uuo_grid_200):
