@@ -28,8 +28,6 @@ from .enrichment import basis_from_name
 from .grid import GridConfig, generate_grid
 from .physics import C_LIGHT, NUCLEI, PhysicalSystem, exact_eigenvalue
 
-OUTDIR_ENV = "DIRACLOUD_OUTDIR"
-
 CONFIG_ERROR, NUMERICAL_ERROR = 2, 3
 
 
@@ -143,16 +141,18 @@ def _fmt(v):
     return "" if v is None else str(v)
 
 
-def _resolve_output(cfg_path, default_name):
-    """cfg_path or default_name, moved into $DIRACLOUD_OUTDIR when that is
-    set; OSError unless the directory holding it exists and is writable."""
-    path = cfg_path if cfg_path else default_name
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir:
-        path = os.path.join(outdir, os.path.basename(path))
+def _resolve_output(path, *suffixes):
+    """path, checked before any assembly: OSError unless the directory
+    holding it exists and is writable.  With suffixes, path names the
+    files path + suffix that a command writes, and it is an error when
+    one of them would be a directory: path ends in a separator, or
+    path + suffix is an existing directory."""
     parent = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
         raise OSError(f"output directory {parent!r} is missing or not writable")
+    if suffixes and (not os.path.basename(path)
+                     or any(os.path.isdir(path + s) for s in suffixes)):
+        raise IsADirectoryError(f"output {path!r} names a directory, not a file")
     return path
 
 
@@ -222,8 +222,9 @@ def write_solve_json(path, cfg, res: RunResult):
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    base = _resolve_output(cfg.output_path, "solve.csv")
-    root = base[:-4] if base.endswith(".csv") else base
+    base = cfg.output_path or "solve.csv"
+    root = _resolve_output(base[:-4] if base.endswith(".csv") else base,
+                           ".csv", ".json")
     res = run_solve(cfg)
     write_solve_csv(root + ".csv", cfg, res.report)
     write_solve_json(root + ".json", cfg, res)
@@ -247,7 +248,7 @@ def cmd_sweep(cfg: RunConfig, vary: str, values) -> int:
         raise ValueError("sweep needs at least one value")
     # every value and the output are validated before the first solve runs
     subs = [dataclasses.replace(cfg, **{vary: val}) for val in values]
-    path = _resolve_output(cfg.output_path, "sweep.csv")
+    path = _resolve_output(cfg.output_path or "sweep.csv", "")
     rows = []
     for val, sub in zip(values, subs):
         res = run_solve(sub)
@@ -275,7 +276,7 @@ def cmd_convergence(cfg: RunConfig, n_values) -> int:
     subs = [dataclasses.replace(cfg, n_intervals=int(n),
                                 levels=max(cfg.levels, RATE_LEVELS))
             for n in n_values]
-    path = _resolve_output(cfg.output_path, "convergence.csv")
+    path = _resolve_output(cfg.output_path or "convergence.csv", "")
     samples = {lv: [] for lv in range(1, RATE_LEVELS + 1)}
     rows = []
     for sub in subs:
@@ -296,7 +297,7 @@ def cmd_convergence(cfg: RunConfig, n_values) -> int:
 
 
 def cmd_dump_matrices(cfg: RunConfig) -> int:
-    outdir = _resolve_output(cfg.output_path, "matrices")
+    outdir = _resolve_output(cfg.output_path or "matrices")
     if os.path.lexists(os.path.normpath(outdir)) and not os.path.isdir(outdir):
         raise FileExistsError(f"output {outdir!r} exists and is not a directory")
     _, wfm, system = assemble_pencil(cfg)

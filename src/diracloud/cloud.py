@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enrichment import EnrichmentBasis, QUARTIC_WEIGHT, WeightFunction, sto_default_basis
+from .enrichment import EnrichmentBasis, QUARTIC_WEIGHT, sto_default_basis
 from .grid import Grid
 
 
@@ -46,11 +46,19 @@ class SingularMoment(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class CloudBasis:
+    """A grid plus the enrichment basis of its clouds.  The weight and
+    the moment condition cap are the same for every run (class
+    attributes, not fields)."""
     grid: Grid
     basis: EnrichmentBasis
-    weight: WeightFunction
-    fem_nodes: tuple      # nodes carrying FEM hats; first two and last two
-    cond_cap: float = 1e12
+    weight = QUARTIC_WEIGHT
+    cond_cap = 1e12
+
+    @property
+    def fem_nodes(self):
+        """Nodes carrying FEM hats: the first two and the last two."""
+        n = self.grid.n_intervals
+        return tuple(sorted({0, 1, n - 1, n}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +85,8 @@ class ShapeStack:
 
 
 def build_cloud_basis(grid: Grid, basis: EnrichmentBasis = None) -> CloudBasis:
-    n = grid.n_intervals
-    fem = tuple(sorted({0, 1, n - 1, n}))
     return CloudBasis(grid=grid,
-                      basis=basis if basis is not None else sto_default_basis(),
-                      weight=QUARTIC_WEIGHT,
-                      fem_nodes=fem)
+                      basis=basis if basis is not None else sto_default_basis())
 
 
 def _hat(x, k, nodes):

@@ -33,7 +33,7 @@ A is symmetric only up to quadrature error (see assemble_system):
 - the same pencil without a window, or after such a doubt: an LU
   reduction to the standard problem (dBd)^-1 (dAd), solved by LAPACK
   dgeev (scipy.linalg.eigvals), every eigenvalue;
-- a QZ iteration (scipy.linalg.eig) on the unscaled pencil: the
+- a QZ iteration (scipy.linalg.eigvals) on the unscaled pencil: the
   fallback of the dense nonsymmetric path when the scaling or the
   reduction is unsafe, and the reference the faster paths are tested
   against.
@@ -103,12 +103,11 @@ def bound_window(sys: PhysicalSystem, levels: int) -> BoundWindow:
                        guesses=tuple(float(sys.mc2 + e) for e in ex[:-1]))
 
 
-def solve_generalized(A, B, return_vectors: bool = False,
-                      symmetric_definite: bool = False,
+def solve_generalized(A, B, symmetric_definite: bool = False,
                       window: BoundWindow = None, info: dict = None):
     """Eigenvalues of A x = lambda B x (complex array): all of them, or
-    with `window` only those inside it.  With return_vectors=True also
-    the right eigenvectors, column-wise.
+    with `window` only those inside it.  Eigenvalues only: no path
+    computes eigenvectors.
 
     Every path but QZ equilibrates the pencil by d = diag(B)^{-1/2}
     first, a congruence that leaves the spectrum untouched and takes
@@ -116,20 +115,19 @@ def solve_generalized(A, B, return_vectors: bool = False,
 
     symmetric_definite=True takes the Cholesky-reduction path (A
     symmetric, B SPD; both read from their lower triangles), which
-    returns an exactly real spectrum.  The
-    default path LU-factors dBd and solves the standard problem
-    C = (dBd)^-1 (dAd) with dgeev; its vectors are mapped back by d.
-    Its backward error in the pencil grows like eps / rcond(dBd), so it
+    returns an exactly real spectrum.  The default path LU-factors dBd
+    and solves the standard problem C = (dBd)^-1 (dAd) with dgeev.  Its
+    backward error in the pencil grows like eps / rcond(dBd), so it
     falls back to a QZ iteration on the unscaled (A, B) when a diagonal
     entry of B is not positive, or when the rcond estimate of dBd is
     below RCOND_FLOOR.
 
-    window (a BoundWindow; eigenvalues only, a 2x2 block pencil) returns
-    the eigenvalues in (0, window.hi], above the -mc^2 threshold: on
-    the symmetric path all of them from dsbgvx on the banded pencil
-    (see _solve_window_sbgvx), on the nonsymmetric path found and
-    certified on the banded pencil (see _solve_window); and everything
-    the path's dense solve returns when the window is given up.  A dict
+    window (a BoundWindow; a 2x2 block pencil) returns the eigenvalues
+    in (0, window.hi], above the -mc^2 threshold: on the symmetric path
+    all of them from dsbgvx on the banded pencil (see
+    _solve_window_sbgvx), on the nonsymmetric path found and certified
+    on the banded pencil (see _solve_window); and everything the path's
+    dense solve returns when the window is given up.  A dict
     passed as `info` receives the path that ran under "path" (sbgvx,
     window, lu_dgeev, qz or eigh) and, when a window was given, its
     record under "window": lo (always 0) and hi, the slice edges,
@@ -145,10 +143,8 @@ def solve_generalized(A, B, return_vectors: bool = False,
         raise ValueError(f"pencil shapes mismatch: {A.shape} vs {B.shape}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if window is not None and (return_vectors or A.shape[0] % 2
-                               or not window.guesses):
-        raise ValueError("window= returns eigenvalues of a 2x2 block pencil "
-                         "only, from at least one guess")
+    if window is not None and (A.shape[0] % 2 or not window.guesses):
+        raise ValueError("window= needs a 2x2 block pencil and at least one guess")
     info = {} if info is None else info
     if window is not None:
         rec = info["window"] = {"lo": 0.0, "hi": window.hi, "slice_edges": None,
@@ -165,17 +161,13 @@ def solve_generalized(A, B, return_vectors: bool = False,
                 info["path"] = "sbgvx"
                 return w
         info["path"] = "eigh"
-        out = sla.eigh(_equilibrate(A, d), _equilibrate(B, d),
-                       eigvals_only=not return_vectors,
-                       overwrite_a=True, overwrite_b=True)
-        if return_vectors:
-            return out[0].astype(complex), d[:, None] * out[1]
-        return out.astype(complex)
+        return sla.eigh(_equilibrate(A, d), _equilibrate(B, d), eigvals_only=True,
+                        overwrite_a=True, overwrite_b=True).astype(complex)
     if not np.all(db > 0.0):
         if window is not None:
             rec["fallback"] = "a diagonal entry of B is not positive"
         info["path"] = "qz"
-        return sla.eig(A, B, right=return_vectors)
+        return sla.eigvals(A, B)
     d = 1.0 / np.sqrt(db)
     if window is not None:
         w = _solve_window(A, B, d, window, rec)
@@ -193,12 +185,9 @@ def solve_generalized(A, B, return_vectors: bool = False,
     rcond, _ = gecon(lu, anorm, norm="1")
     if not rcond >= RCOND_FLOOR:
         info["path"] = "qz"
-        return sla.eig(A, B, right=return_vectors)
+        return sla.eigvals(A, B)
     info["path"] = "lu_dgeev"
     C = sla.lu_solve((lu, piv), _equilibrate(A, d), overwrite_b=True)
-    if return_vectors:
-        w, V = sla.eig(C, right=True, overwrite_a=True)
-        return w, d[:, None] * V
     return sla.eigvals(C, overwrite_a=True)
 
 

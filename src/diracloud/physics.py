@@ -25,7 +25,7 @@ class PhysicalSystem:
     c: float = C_LIGHT
     m: float = 1.0
     nucleus: str = "point"    # one of NUCLEI
-    r0_fm: float = 1.2        # nuclear radius model R = r0 * A^(1/3)
+    r0_fm = 1.2               # nuclear radius model R = r0 * A^(1/3), not a field
 
     def __post_init__(self):
         if self.kappa == 0:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from diracloud.assembly import assemble_weak_form, build_quadrature

@@ -120,16 +120,28 @@ def test_unwritable_output_exits_before_any_assembly(argv, monkeypatch, tmp_path
     monkeypatch.setattr(cli, "assemble_pencil", lambda cfg: calls.append(cfg))
     taken = tmp_path / "taken"
     taken.write_text("")
+    dirs = [tmp_path / name for name in ("outdir", "x.csv", "y.json")]
+    for d in dirs:
+        d.mkdir()
+    outdir, csv_dir, _ = dirs
     # a missing directory, a file where a directory should be, and for
-    # dump-matrices a file where its own directory should be
+    # dump-matrices a file where its own directory should be; for the
+    # others a file output that names a directory: a trailing separator,
+    # or an existing directory in the place of a file (solve writes
+    # <root>.csv and <root>.json, and y.json is a directory)
     outputs = [tmp_path / "missing" / "out.csv", taken / "out.csv"]
     if argv[0] == "dump-matrices":
         outputs += [taken, f"{taken}/"]
+    elif argv[0] == "solve":
+        outputs += [f"{outdir}/", csv_dir, tmp_path / "y"]
+    else:
+        outputs += [f"{outdir}/", outdir, csv_dir]
     for out in outputs:
         assert cli.main(argv + ["--n-intervals", "40", "--output", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
     assert calls == []
-    assert list(tmp_path.iterdir()) == [taken]
+    assert sorted(tmp_path.iterdir()) == sorted([taken] + dirs)
+    assert not any(any(d.iterdir()) for d in dirs)
 
 
 def test_supercritical_charge_is_a_config_error(monkeypatch, capsys):
@@ -389,16 +401,6 @@ def test_instilled_state_gets_a_row_without_a_level(tmp_path, monkeypatch, capsy
     assert float(computed) == pytest.approx(-43.35197, abs=1e-5)
     printed = capsys.readouterr().out.splitlines()
     assert f"flagged    {float(computed): .10e}  instilled_spurious" in printed
-
-
-def test_output_dir_env_redirects_files(tmp_path, monkeypatch):
-    workdir, outdir = tmp_path / "w", tmp_path / "o"
-    workdir.mkdir(), outdir.mkdir()
-    monkeypatch.chdir(workdir)
-    monkeypatch.setenv(cli.OUTDIR_ENV, str(outdir))
-    assert cli.main(["solve"] + HYDROGEN_ARGS) == 0
-    assert (outdir / "solve.csv").exists()
-    assert not (workdir / "solve.csv").exists()
 
 
 def test_explicit_output_path(tmp_path):

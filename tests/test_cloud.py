@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,8 @@ from hypothesis import strategies as st
 
 from _oracles import reference_shapes
 from diracloud.assembly import assemble_weak_form, build_quadrature
-from diracloud.cloud import SingularMoment, build_cloud_basis, evaluate_coupled
+from diracloud.cloud import (CloudBasis, SingularMoment, build_cloud_basis,
+                             evaluate_coupled)
 from diracloud.enrichment import shepard_basis, sto_default_basis
 from diracloud.grid import Grid, GridConfig, generate_grid
 from diracloud.physics import PhysicalSystem
@@ -120,8 +119,9 @@ def test_uncovered_point_raises():
         evaluate_coupled(cb, 1.5)
 
 
-def test_condition_cap_enforced(uuo_grid_200):
-    cb = dataclasses.replace(build_cloud_basis(uuo_grid_200), cond_cap=1.0)
+def test_condition_cap_enforced(uuo_grid_200, monkeypatch):
+    monkeypatch.setattr(CloudBasis, "cond_cap", 1.0)
+    cb = build_cloud_basis(uuo_grid_200)
     with pytest.raises(SingularMoment, match="cond estimate"):
         evaluate_coupled(cb, 0.5)
 

@@ -44,17 +44,6 @@ def test_matches_characteristic_polynomial_roots():
         assert max_pairing_distance(mine, ref) <= 1e-8 * scale
 
 
-def test_right_vectors_satisfy_the_pencil():
-    rng = np.random.default_rng(11)
-    A, B = random_pencil(rng, 7)
-    w, V = solve_generalized(A, B, return_vectors=True)
-    nA, nB = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
-    for k in range(len(w)):
-        x = V[:, k]
-        r = np.linalg.norm(A @ x - w[k] * (B @ x))
-        assert r <= 1e-10 * (nA + abs(w[k]) * nB) * np.linalg.norm(x)
-
-
 def test_symmetric_path_agrees_with_qz():
     rng = np.random.default_rng(3)
     A, B = random_pencil(rng, 6)
@@ -63,12 +52,6 @@ def test_symmetric_path_agrees_with_qz():
     fast = np.sort(solve_generalized(A, B, symmetric_definite=True).real)
     slow = np.sort(sla.eigvals(A, B).real)
     assert fast == pytest.approx(slow, rel=1e-10, abs=1e-12)
-    w, V = solve_generalized(A, B, symmetric_definite=True, return_vectors=True)
-    for k in range(len(w)):
-        x = V[:, k].real
-        r = np.linalg.norm(A @ x - w[k].real * (B @ x))
-        assert r <= 1e-10 * (np.linalg.norm(A, 2) + abs(w[k]) *
-                             np.linalg.norm(B, 2)) * np.linalg.norm(x)
 
 
 def test_symmetric_path_rejects_nonpositive_mass_diagonal():
@@ -77,14 +60,14 @@ def test_symmetric_path_rejects_nonpositive_mass_diagonal():
 
 
 def _forbid_qz(monkeypatch):
-    """Make a QZ call (scipy.linalg.eig with a B) fail the test."""
-    real_eig = sla.eig
+    """Make a QZ call (scipy.linalg.eigvals with a B) fail the test."""
+    real_eigvals = sla.eigvals
 
-    def eig(a, b=None, **kwargs):
+    def eigvals(a, b=None, **kwargs):
         assert b is None, "the solve fell back to QZ"
-        return real_eig(a, **kwargs)
+        return real_eigvals(a, **kwargs)
 
-    monkeypatch.setattr(eigen.sla, "eig", eig)
+    monkeypatch.setattr(eigen.sla, "eigvals", eigvals)
 
 
 def _graded_pencil(rng, dim):
@@ -97,18 +80,13 @@ def _graded_pencil(rng, dim):
     return s[:, None] * A * s[None, :], B
 
 
-def test_equilibrated_path_vectors_satisfy_the_pencil(monkeypatch):
+def test_equilibrated_path_agrees_with_qz_on_a_graded_pencil(monkeypatch):
     A, B = _graded_pencil(np.random.default_rng(5), 12)
     ref = sla.eigvals(A, B)
     _forbid_qz(monkeypatch)
-    w, V = solve_generalized(A, B, return_vectors=True)
+    w = solve_generalized(A, B)
     scale = max(1.0, np.abs(ref).max())
     assert max_pairing_distance(w, ref) <= 1e-10 * scale
-    nA, nB = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
-    for k in range(len(w)):
-        x = V[:, k]
-        r = np.linalg.norm(A @ x - w[k] * (B @ x))
-        assert r <= 1e-10 * (nA + abs(w[k]) * nB) * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("method", ["cpg", "cpg_fem_tau", "galerkin"])
@@ -134,10 +112,8 @@ def test_nonpositive_mass_diagonal_falls_back_to_qz(bad):
     B[2, 2] = bad
     # no scale 1 / sqrt(diag B) may be formed from such an entry
     with np.errstate(divide="raise", invalid="raise"):
-        w, V = solve_generalized(A, B, return_vectors=True)
-    w_qz, V_qz = sla.eig(A, B)
-    np.testing.assert_array_equal(w, w_qz)
-    np.testing.assert_array_equal(V, V_qz)
+        w = solve_generalized(A, B)
+    np.testing.assert_array_equal(w, sla.eigvals(A, B))
 
 
 def test_singular_mass_falls_back_to_qz():
@@ -244,20 +220,41 @@ def test_zero_levels_solve_every_eigenvalue(solve_cached):
     assert solve_rows(res.report) == []
 
 
+def test_certificate_refuses_a_stabilized_window_that_holds_a_spurious_state(
+        solve_cached):
+    # on this coarse grid cpg_fem_tau instills a state between levels 1
+    # and 2; inverse iteration finds only the genuine level in its slice,
+    # whose moments show a second singular value 149x below the first
+    # (less than SV_GAP apart), so the window is given up and the dense
+    # solve flags the state
+    grid = dict(Z=109.0, kappa=1, nu=2.678, eps=7.673956417933814e-6,
+                n_intervals=114, levels=5)
+    res = solve_cached(method="cpg_fem_tau", **grid)
+    assert res.eigen_path == "lu_dgeev"
+    fallback = res.eigen_window["fallback"]
+    assert fallback.startswith("slice 5 of 9 holds 1 found; ")
+    assert "singular values are 1.17e+00, 7.87e-03, " in fallback
+    rows = solve_rows(res.report)
+    assert [r[0] for r in rows] == [1, None, 2, 3, 4, 5]
+    assert [r[4] for r in rows] == [FLAG_GENUINE, FLAG_INSTILLED] + [FLAG_GENUINE] * 4
+    assert rows[1][1] == pytest.approx(-1090.1616, abs=1e-4)
+    # plain cpg on the same grid keeps the window, and every row is genuine
+    res = solve_cached(method="cpg", **grid)
+    assert res.eigen_path == "window" and res.eigen_window["fallback"] is None
+    rows = solve_rows(res.report)
+    assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
+    assert all(r[4] == FLAG_GENUINE for r in rows)
+
+
 def test_window_takes_eigenvalues_of_a_block_pencil_only(
         uuo_wfm_200, uuo_system, uuo_grid_200):
     out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
     win = bound_window(uuo_system, 15)
-    with pytest.raises(ValueError, match="window"):
-        solve_generalized(out.A, out.B, window=win, return_vectors=True)
     # both paths take a window: the symmetric one through dsbgvx
     sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
     info = {}
     solve_generalized(sym.A, sym.B, window=win, symmetric_definite=True, info=info)
     assert info["path"] == "sbgvx" and info["window"]["fallback"] is None
-    with pytest.raises(ValueError, match="window"):
-        solve_generalized(sym.A, sym.B, window=win, symmetric_definite=True,
-                          return_vectors=True)
     with pytest.raises(ValueError, match="window"):
         solve_generalized(out.A[1:, 1:], out.B[1:, 1:], window=win)
     with pytest.raises(ValueError, match="window"):

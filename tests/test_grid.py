@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracloud.grid import Grid, GridConfig, generate_grid
+from diracloud.grid import GridConfig, generate_grid
 
 
 def ref_nodes(cfg):

@@ -1,14 +1,12 @@
 """The batched shape kernel and the chunked weak form against the
 per-point implementations they replaced (tests/_oracles.py)."""
-import dataclasses
-
 import numpy as np
 import pytest
 
 from _oracles import exp_basis, reference_shapes, reference_weak_form
 from diracloud.assembly import assemble_weak_form, build_quadrature
-from diracloud.cloud import (SingularMoment, build_cloud_basis, evaluate_coupled,
-                             evaluate_shapes)
+from diracloud.cloud import (CloudBasis, SingularMoment, build_cloud_basis,
+                             evaluate_coupled, evaluate_shapes)
 from diracloud.enrichment import shepard_basis, sto_default_basis
 from diracloud.grid import Grid, GridConfig
 
@@ -91,8 +89,10 @@ def test_weak_form_refuses_an_uncovered_point(uuo_system):
     assert "clouds cover" in err[1]
 
 
-def test_weak_form_enforces_the_condition_cap(uuo_grid_200, uuo_quad_200, uuo_system):
-    cb = dataclasses.replace(build_cloud_basis(uuo_grid_200), cond_cap=1.0)
+def test_weak_form_enforces_the_condition_cap(uuo_grid_200, uuo_quad_200, uuo_system,
+                                              monkeypatch):
+    monkeypatch.setattr(CloudBasis, "cond_cap", 1.0)
+    cb = build_cloud_basis(uuo_grid_200)
     err = raised(assemble_weak_form, cb, uuo_system, uuo_quad_200)
     assert err[0] is SingularMoment
     assert err == raised(reference_weak_form, cb, uuo_system, uuo_quad_200)
