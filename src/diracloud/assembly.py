@@ -7,7 +7,11 @@ potential V for the _V variants).  Everything is assembled on the
 Dirichlet-retained index set 1..n-1 in one pass over fixed-size chunks
 of quadrature points: the shapes of a chunk come from one batched
 evaluation, and every (row, column) product of shapes sharing a point
-is scatter-added into the dense blocks.
+is scatter-added into the blocks' bands (see band.Band): compact cloud
+supports give half-bandwidth 4 on the production grids.  The pencil is
+written straight into interleaved bands, half-bandwidth 9; dense
+matrices are formed only on read (the dump, the dense eigen fallbacks
+and the tests).
 
 The stabilized variant perturbs the Galerkin blocks row-wise: row j of
 the residual blocks gets scaled by a stability parameter tau_j computed
@@ -15,11 +19,12 @@ either from the assembled matrices themselves (ratio of displacement-
 weighted row sums of M_000 and M_100) or from the closed-form FEM
 expression (3/17) h_{j+1} (h_{j+1} - h_j) / (h_{j+1} + h_j).
 """
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import CloudBasis, SingularMoment, evaluate_shapes
+from .band import Band, band_from_dense, bandwidth, slots
+from .cloud import CloudBasis, SingularMoment, candidate_windows, evaluate_shapes
 from .cloud import evaluate_coupled  # noqa: F401  traced by name by the benchmark
 from .grid import Grid
 from .physics import PhysicalSystem, potential
@@ -77,16 +82,28 @@ def build_quadrature(grid: Grid, factor: int = 10, split_at: float = None) -> Qu
     return QuadratureRule(cells=cells, points=pts, weights=wts)
 
 
+def _densified(name):
+    """An attribute that reads bands[name] as a new dense array."""
+    return property(lambda self: self.bands[name].dense(),
+                    doc=f"{name}, densified (a new array on every read)")
+
+
 @dataclass(frozen=True, eq=False)
 class WeakFormMatrices:
-    M_000: np.ndarray
-    M_010: np.ndarray
-    M_001: np.ndarray
-    M_100: np.ndarray
-    M_110: np.ndarray
-    M_101: np.ndarray
-    M_000_V: np.ndarray
-    M_100_V: np.ndarray
+    """The weak-form blocks as bands of one half-bandwidth, keyed by
+    block name.  M_010 is the transpose of M_100 and is not stored.
+    Every name in NAMES reads its block as a dense array."""
+    bands: dict
+    NAMES = ("M_000", "M_010", "M_001", "M_100", "M_110", "M_101",
+             "M_000_V", "M_100_V")
+    M_000 = _densified("M_000")
+    M_010 = property(lambda self: self.M_100.T, doc="M_100 transposed")
+    M_001 = _densified("M_001")
+    M_100 = _densified("M_100")
+    M_110 = _densified("M_110")
+    M_101 = _densified("M_101")
+    M_000_V = _densified("M_000_V")
+    M_100_V = _densified("M_100_V")
 
 
 def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
@@ -94,15 +111,20 @@ def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
     """The weak-form blocks from batched shape evaluations over chunks of
     quadrature points.  Each chunk forms every (row, column) pair of
     retained shapes sharing a point, in point-major order, so every entry
-    receives its contributions in quadrature-point order.  Raises
-    SingularMoment when a block holds inf or NaN (shapes that overflow
-    without tripping a moment check)."""
+    receives its contributions in quadrature-point order.  The pairs of
+    a point lie within its candidate window, which bounds the band
+    before the first chunk; it is trimmed to the outermost nonzero
+    diagonal of the seven blocks afterwards.  Raises SingularMoment when
+    a block holds inf or NaN (shapes that overflow without tripping a
+    moment check)."""
     n = cb.grid.n_intervals
     nd = n - 1
     retained_lo, retained_hi = 1, n - 1
-    keys = ("000", "100", "001", "110", "101", "000V", "100V")
-    M = {k: np.zeros((nd, nd)) for k in keys}
-    flat = {k: m.reshape(-1) for k, m in M.items()}
+    lo, hi, _ = candidate_windows(cb, quad.points)
+    kb = int(np.max(hi - lo, initial=1)) - 1
+    names = [name for name in WeakFormMatrices.NAMES if name != "M_010"]
+    M = {name: np.zeros((2 * kb + 1, nd)) for name in names}
+    flat = {name: m.reshape(-1) for name, m in M.items()}
     for start in range(0, quad.total_points, _CHUNK):
         x = quad.points[start:start + _CHUNK]
         w = quad.weights[start:start + _CHUNK]
@@ -111,25 +133,26 @@ def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
         keep = st.active & (st.indices >= retained_lo) & (st.indices <= retained_hi)
         pt, r, c = np.nonzero(keep[:, :, None] & keep[:, None, :])
         idx = st.indices - retained_lo
-        lin = idx[pt, r] * nd + idx[pt, c]
+        lin = (kb + idx[pt, r] - idx[pt, c]) * nd + idx[pt, c]
         v, dv = st.values, st.derivs
         ov = v[pt, r] * v[pt, c]
         odv = dv[pt, r] * v[pt, c]
         wp, wx, wV = w[pt], (w / x)[pt], (w * V)[pt]
-        np.add.at(flat["000"], lin, wp * ov)
-        np.add.at(flat["100"], lin, wp * odv)
-        np.add.at(flat["001"], lin, wx * ov)
-        np.add.at(flat["110"], lin, wp * (dv[pt, r] * dv[pt, c]))
-        np.add.at(flat["101"], lin, wx * odv)
-        np.add.at(flat["000V"], lin, wV * ov)
-        np.add.at(flat["100V"], lin, wV * odv)
-    wfm = WeakFormMatrices(M_000=M["000"], M_010=M["100"].T, M_001=M["001"],
-                           M_100=M["100"], M_110=M["110"], M_101=M["101"],
-                           M_000_V=M["000V"], M_100_V=M["100V"])
-    for f in fields(wfm):
-        if not np.isfinite(getattr(wfm, f.name)).all():
-            raise SingularMoment(f"weak-form block {f.name} has non-finite entries")
-    return wfm
+        np.add.at(flat["M_000"], lin, wp * ov)
+        np.add.at(flat["M_100"], lin, wp * odv)
+        np.add.at(flat["M_001"], lin, wx * ov)
+        np.add.at(flat["M_110"], lin, wp * (dv[pt, r] * dv[pt, c]))
+        np.add.at(flat["M_101"], lin, wx * odv)
+        np.add.at(flat["M_000_V"], lin, wV * ov)
+        np.add.at(flat["M_100_V"], lin, wV * odv)
+    bands = {name: Band(m) for name, m in M.items()}
+    k = bandwidth(*bands.values())
+    bands = {name: b.trimmed(k) for name, b in bands.items()}
+    stored = dict(bands, M_010=bands["M_100"])  # M_010 is M_100's transpose
+    for name in WeakFormMatrices.NAMES:
+        if not np.isfinite(stored[name].data).all():
+            raise SingularMoment(f"weak-form block {name} has non-finite entries")
+    return WeakFormMatrices(bands)
 
 
 def stability_tau(wfm, coords) -> np.ndarray:
@@ -138,20 +161,28 @@ def stability_tau(wfm, coords) -> np.ndarray:
     with sigma, eta the rows of M_000 and M_100 and theta_ji = x_i - x_j
     the displacements over the working coordinates (the retained nodes
     grid.nodes[1:-1] in a run).  wfm may be a WeakFormMatrices or any
-    object with M_000/M_100 attributes."""
-    M000, M100 = wfm.M_000, wfm.M_100
+    object with dense M_000/M_100 attributes, which are banded first.
+    Each sum runs over the band's diagonals in order, all rows at once."""
+    if isinstance(wfm, WeakFormMatrices):
+        M000, M100 = wfm.bands["M_000"], wfm.bands["M_100"]
+    else:
+        M000, M100 = band_from_dense(wfm.M_000, wfm.M_100)
     xr = np.asarray(coords, dtype=float)
-    if len(xr) != M000.shape[0]:
+    n, k = M000.n, M000.k
+    if len(xr) != n:
         raise ValueError("coordinate set does not match matrix dimension")
-    tau = np.empty(len(xr))
-    for j in range(len(xr)):
-        th = xr - xr[j]
-        num = M000[j] @ th
-        den = M100[j] @ th
-        if abs(den) <= np.finfo(float).eps * (np.abs(M100[j]) @ np.abs(th)):
-            raise DegenerateTau(f"vanishing denominator in row {j + 1}")
-        tau[j] = abs(num / den)
-    return tau
+    # entry (j, j + o) of a band sits in slot (k - o, j + o): row o of the
+    # gathers below, one column per row j of the matrix
+    cols, inside = slots(n, -k, k)
+    diag = np.arange(2 * k, -1, -1)[:, None]
+    th = np.where(inside, xr[cols] - xr, 0.0)
+    sigma, eta = M000.data[diag, cols], M100.data[diag, cols]
+    num = (sigma * th).sum(axis=0)
+    den = (eta * th).sum(axis=0)
+    bad = np.abs(den) <= np.finfo(float).eps * (np.abs(eta) * np.abs(th)).sum(axis=0)
+    if bad.any():
+        raise DegenerateTau(f"vanishing denominator in row {np.argmax(bad) + 1}")
+    return np.abs(num / den)
 
 
 def stability_tau_fem(grid: Grid) -> np.ndarray:
@@ -163,31 +194,47 @@ def stability_tau_fem(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AssembledSystem:
-    A: np.ndarray
-    B: np.ndarray
-    script_A: np.ndarray
-    script_B: np.ndarray
+    """The pencil (A, B) and the residual blocks (script_A, script_B) as
+    interleaved bands of one half-bandwidth (see band.Band), and tau.
+    Every name in NAMES reads its matrix as a dense block-order array."""
+    bands: dict
     tau: np.ndarray
+    NAMES = ("A", "B", "script_A", "script_B")
+    A = _densified("A")
+    B = _densified("B")
+    script_A = _densified("script_A")
+    script_B = _densified("script_B")
 
 
-def _blocks(terms):
-    """The 2x2-block matrix whose block (i, j) is a X + Y for
-    terms[i][j] = (a, X, Y), each block written in place."""
-    nd = terms[0][0][1].shape[0]
-    out = np.empty((2 * nd, 2 * nd))
-    for i, row in enumerate(terms):
-        for j, (a, X, Y) in enumerate(row):
-            block = out[i * nd:(i + 1) * nd, j * nd:(j + 1) * nd]
-            np.multiply(a, X, out=block)
-            block += Y
-    return out
+def _interleave(terms):
+    """The 2x2-block matrix whose block (a, b) is coef X + Y for
+    terms[a][b] = (coef, X, Y) (bands of one k) as an interleaved Band
+    of half-bandwidth 2k + 1.  Each block is written in place into its
+    slots, rows 1 + a - b, 3 + a - b, ... of the columns of parity b;
+    its formula at X = Y = 0 gives the block's fill, in every other slot
+    of its class and outside the band."""
+    k, nd = terms[0][0][1].k, terms[0][0][1].n
+    data = np.empty((4 * k + 3, 2 * nd))
+    fill = np.empty((2, 2))
+    for a, row in enumerate(terms):
+        for b, (coef, X, Y) in enumerate(row):
+            fill[a, b] = coef * X.fill + Y.fill
+            data[(a - b + 1) % 2::2, b::2] = fill[a, b]
+            block = data[1 + a - b:4 * k + 2 + a - b:2, b::2]
+            np.multiply(coef, X.data, out=block)
+            block += Y.data
+    return Band(data, np.tile(fill, (nd, 1)), interleaved=True)
 
 
 def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
                     grid: Grid = None) -> AssembledSystem:
-    """Build the 2x2-block generalized eigenproblem.  galerkin leaves the
-    blocks alone (tau = 0); the cpg variants add the residual blocks with
-    row j scaled by tau_j (same tau for both block-rows of a node).
+    """Build the 2x2-block generalized eigenproblem as interleaved bands.
+    galerkin leaves the blocks alone (tau = 0); the cpg variants add the
+    residual blocks with row j scaled by tau_j (same tau for both
+    block-rows of a node).  Every entry is the one the written-out dense
+    formulas give, signed zeros included: for kappa < 0, c kappa M on a
+    zero of M is -0.0, which galerkin's A keeps in block (0, 1) and
+    script_A in block (1, 1), outside the weak-form band too.
 
     galerkin's A is symmetric only up to quadrature error: the
     off-diagonal blocks of A - A^T are -+c (M_100 + M_100^T), which
@@ -200,33 +247,40 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method != "galerkin" and grid is None:
         raise ValueError(f"{method} needs the grid for the stability parameter")
-    nd = wfm.M_000.shape[0]
+    W = wfm.bands
+    M010 = W["M_100"].T
     c, k, mc2 = sys.c, sys.kappa, sys.mc2
     # block by block in place; (c k) M is formed once per pair of blocks
     # that add it, each product rounded as in the written-out formula
-    ck = (c * k) * wfm.M_001
-    A = _blocks([[(mc2, wfm.M_000, wfm.M_000_V), (-c, wfm.M_010, ck)],
-                 [(c, wfm.M_010, ck), (-mc2, wfm.M_000, wfm.M_000_V)]])
-    np.multiply(c * k, wfm.M_101, out=ck)
-    sA = _blocks([[(c, wfm.M_110, ck), (-mc2, wfm.M_100, wfm.M_100_V)],
-                  [(mc2, wfm.M_100, wfm.M_100_V), (-c, wfm.M_110, ck)]])
-    B = np.zeros((2 * nd, 2 * nd))
-    B[:nd, :nd] = B[nd:, nd:] = wfm.M_000
-    sB = np.zeros((2 * nd, 2 * nd))
-    sB[:nd, nd:] = sB[nd:, :nd] = wfm.M_100
+    ck = Band((c * k) * W["M_001"].data, (c * k) * W["M_001"].fill)
+    A = _interleave([[(mc2, W["M_000"], W["M_000_V"]), (-c, M010, ck)],
+                     [(c, M010, ck), (-mc2, W["M_000"], W["M_000_V"])]])
+    ck = Band((c * k) * W["M_101"].data, (c * k) * W["M_101"].fill)
+    sA = _interleave([[(c, W["M_110"], ck), (-mc2, W["M_100"], W["M_100_V"])],
+                      [(mc2, W["M_100"], W["M_100_V"]), (-c, W["M_110"], ck)]])
+    # the weak-form sums start from +0.0, so no entry is -0.0 and the
+    # copies 1 X + 0 are X bit for bit
+    zero = Band(np.zeros_like(W["M_000"].data))
+    B = _interleave([[(1.0, W["M_000"], zero), (1.0, zero, zero)],
+                     [(1.0, zero, zero), (1.0, W["M_000"], zero)]])
+    sB = _interleave([[(1.0, zero, zero), (1.0, W["M_100"], zero)],
+                      [(1.0, W["M_100"], zero), (1.0, zero, zero)]])
 
     if method == "galerkin":
-        tau = np.zeros(nd)
+        tau = np.zeros(W["M_000"].n)
     elif method == "cpg":
         tau = stability_tau(wfm, grid.nodes[1:-1])
     else:  # cpg_fem_tau
         tau = stability_tau_fem(grid)
 
     if np.any(tau != 0.0):
-        T = np.concatenate([tau, tau])[:, None]
-        A += T * sA
-        B += T * sB
-    return AssembledSystem(A=A, B=B, script_A=sA, script_B=sB, tau=tau)
+        T = np.repeat(tau, 2)  # tau of each interleaved row
+        rows, _ = slots(len(T), -A.k, A.k)
+        for M, S in ((A, sA), (B, sB)):
+            M.data[...] += T[rows] * S.data
+            M.fill[...] += T[:, None] * S.fill
+    return AssembledSystem(bands={"A": A, "B": B, "script_A": sA, "script_B": sB},
+                           tau=tau)
 
 
 def dump_matrix(path, M, name: str = ""):

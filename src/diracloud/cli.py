@@ -110,12 +110,13 @@ def run_solve(cfg: RunConfig) -> RunResult:
     # or eigh for everything); the row-scaled variants are not (the
     # certified window, or LU + dgeev for everything).  Either solves
     # only the bound window when levels are matched, everything
-    # otherwise or when the window is given up.
+    # otherwise or when the window is given up.  The banded pencil goes
+    # in as it is: only the dense paths densify it.
     symmetric = not np.any(system.tau != 0.0)
     window = bound_window(sys, cfg.levels) if cfg.levels > 0 else None
     info = {}
-    eigs = solve_generalized(system.A, system.B, symmetric_definite=symmetric,
-                             window=window, info=info)
+    eigs = solve_generalized(system.bands["A"], system.bands["B"],
+                             symmetric_definite=symmetric, window=window, info=info)
     check_spectrum_reality(eigs)
     report = classify_spectrum(eigs, sys, levels=cfg.levels)
     return RunResult(config=cfg, grid=grid, system=system, report=report,
@@ -302,11 +303,11 @@ def cmd_dump_matrices(cfg: RunConfig) -> int:
         raise FileExistsError(f"output {outdir!r} exists and is not a directory")
     _, wfm, system = assemble_pencil(cfg)
     os.makedirs(outdir, exist_ok=True)
-    blocks = {f.name: getattr(wfm, f.name) for f in dataclasses.fields(wfm)}
-    blocks.update(A=system.A, B=system.B,
-                  script_A=system.script_A, script_B=system.script_B)
-    for name, mat in blocks.items():
-        dump_matrix(os.path.join(outdir, name + ".txt"), mat, name=name)
+    # one block densified at a time
+    blocks = ([(wfm, name) for name in wfm.NAMES]
+              + [(system, name) for name in system.NAMES])
+    for owner, name in blocks:
+        dump_matrix(os.path.join(outdir, name + ".txt"), getattr(owner, name), name=name)
     np.savetxt(os.path.join(outdir, "tau.txt"), system.tau)
     print(f"wrote {len(blocks) + 1} files to {outdir}")
     return 0

@@ -124,21 +124,16 @@ def _apply(A, v):
     return (A @ v[:, :, None])[:, :, 0]
 
 
-def evaluate_shapes(cb: CloudBasis, x) -> ShapeStack:
-    """MLS shapes with the boundary FEM hats coupled in, at every point
-    of x in one vectorised pass.  Every point passes the domain check,
-    coverage >= m, a positive finite moment diagonal and the condition
-    cap; otherwise the first offending point raises."""
-    grid, P = cb.grid, cb.basis
-    nodes, rho = grid.nodes, grid.dilations
-    n = len(nodes) - 1
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = (nodes[0] <= x) & (x <= nodes[-1])
+def candidate_windows(cb: CloudBasis, x):
+    """The candidate window [lo, hi) of node indices per point of x, a
+    superset of the shapes nonzero there, and the boundary hats
+    (k, g, dg, on) nonzero at some point.
 
-    # Candidate window [lo, hi) per point: every node whose support,
-    # widened by round-off slack, contains x.  Running max/min make the
-    # support ends monotone, so the window is a superset of the covering
-    # clouds on any grid; the exact test |x - x_i|/rho_i < 1 follows.
+    The window holds every node whose support, widened by round-off
+    slack, contains x.  Running max/min make the support ends monotone,
+    so it is a superset of the covering clouds on any grid; the exact
+    test |x - x_i|/rho_i < 1 is left to the caller."""
+    nodes, rho = cb.grid.nodes, cb.grid.dilations
     slack = 1e-12 * (np.abs(nodes) + rho)
     right_end = np.maximum.accumulate(nodes + rho + slack)
     left_end = np.minimum.accumulate((nodes - rho - slack)[::-1])[::-1]
@@ -149,6 +144,20 @@ def evaluate_shapes(cb: CloudBasis, x) -> ShapeStack:
     for k, _, _, on in hats:  # a hat may reach past its own cloud
         lo = np.where(on, np.minimum(lo, k), lo)
         hi = np.where(on, np.maximum(hi, k + 1), hi)
+    return lo, hi, hats
+
+
+def evaluate_shapes(cb: CloudBasis, x) -> ShapeStack:
+    """MLS shapes with the boundary FEM hats coupled in, at every point
+    of x in one vectorised pass.  Every point passes the domain check,
+    coverage >= m, a positive finite moment diagonal and the condition
+    cap; otherwise the first offending point raises."""
+    grid, P = cb.grid, cb.basis
+    nodes, rho = grid.nodes, grid.dilations
+    n = len(nodes) - 1
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    inside = (nodes[0] <= x) & (x <= nodes[-1])
+    lo, hi, hats = candidate_windows(cb, x)
     width = int(np.max(hi - lo, initial=1))
     idx = lo[:, None] + np.arange(width)
     in_window = idx < hi[:, None]

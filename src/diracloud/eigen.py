@@ -3,26 +3,28 @@
 The solve takes one of five paths.  All but QZ work on the pencil
 scaled by d = diag(B)^{-1/2} on both sides, which leaves the spectrum
 alone (exponential grids give B nodal masses spanning many decades, and
-every reduction loses digits without it).  Both symmetric paths read
-the lower triangle of A and B in block order, as eigh does: galerkin's
-A is symmetric only up to quadrature error (see assemble_system):
+every reduction loses digits without it).  The two window paths read
+the pencil as interleaved bands (band.Band, unknowns ordered G1, F1,
+G2, F2, ...), the form assemble_system builds; the three dense paths
+are the fallbacks, and densify a banded pencil.  Both symmetric paths
+read the lower triangle of A and B in block order, as eigh does:
+galerkin's A is symmetric only up to quadrature error (see
+assemble_system):
 - galerkin's symmetric pencil, whose B is positive definite, when a
   bound window is given: only the eigenvalues inside it, from LAPACK
-  dsbgvx on the banded pencil with its unknowns interleaved (G1, F1,
-  G2, F2, ...).  Crawford's banded reduction and Sturm-count bisection
-  return every eigenvalue in (0, hi], so the region covered is all of
-  the window and needs no certificate; a failed reduction, or a guess
-  whose match lies farther from it than the window edge, sends the
-  solve to the next path;
+  dsbgvx on the banded pencil.  Crawford's banded reduction and
+  Sturm-count bisection return every eigenvalue in (0, hi], so the
+  region covered is all of the window and needs no certificate; a
+  failed reduction, or a guess whose match lies farther from it than
+  the window edge, sends the solve to the next path;
 - the same pencil without a window, or after such a failure: the
   Cholesky reduction (scipy.linalg.eigh), every eigenvalue;
 - the tau-scaled, nonsymmetric pencil of cpg and cpg_fem_tau, when a
   bound window is given: only the eigenvalues inside it, from banded
-  LAPACK on the pencil with its unknowns interleaved (G1, F1, G2, F2,
-  ...), which makes both matrices banded.  Real inverse iteration
-  started at the closed-form levels finds them; Sakurai-Sugiura / Beyn
-  contour moments over slices of the window certify that nothing else
-  is inside.  The region certified is exactly the union of the closed
+  LAPACK on the interleaved bands.  Real inverse iteration started at
+  the closed-form levels finds them; Sakurai-Sugiura / Beyn contour
+  moments over slices of the window certify that nothing else is
+  inside.  The region certified is exactly the union of the closed
   discs that have the slices as diameters: a complex pair whose real
   part lies in a slice lies outside every contour when it is farther
   from that slice's centre than its half-width, in particular whenever
@@ -51,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .band import Band, band_from_dense, bandwidth, slots
 from .physics import PhysicalSystem, exact_eigenvalue
 
 FLAG_GENUINE = "genuine"
@@ -103,11 +106,22 @@ def bound_window(sys: PhysicalSystem, levels: int) -> BoundWindow:
                        guesses=tuple(float(sys.mc2 + e) for e in ex[:-1]))
 
 
+def _dense(M):
+    """A pencil matrix as a dense block-order array."""
+    return M.dense() if isinstance(M, Band) else M
+
+
 def solve_generalized(A, B, symmetric_definite: bool = False,
                       window: BoundWindow = None, info: dict = None):
     """Eigenvalues of A x = lambda B x (complex array): all of them, or
     with `window` only those inside it.  Eigenvalues only: no path
     computes eigenvectors.
+
+    A and B are both dense arrays or both interleaved Bands of one
+    half-bandwidth (a 2x2 block pencil, see band.Band).  The window
+    paths read bands: a dense pencil given a window is banded once
+    first.  The dense paths read dense arrays: a banded pencil that
+    takes one is densified.
 
     Every path but QZ equilibrates the pencil by d = diag(B)^{-1/2}
     first, a congruence that leaves the spectrum untouched and takes
@@ -137,43 +151,54 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
     slice entries are None then).  A NaN or inf in A or B raises
     ValueError, checked once before a path is picked: `info` receives
     nothing, and no path (the raw dsbgvx call included) sees one."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"pencil shapes mismatch: {A.shape} vs {B.shape}")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+    if isinstance(A, Band) and isinstance(B, Band):
+        if not (A.interleaved and B.interleaved and A.data.shape == B.data.shape):
+            raise ValueError("a banded pencil needs two interleaved bands of one shape")
+        n, arrays = A.n, (A.data, A.fill, B.data, B.fill)
+        db = B.diagonal()
+    else:
+        A = np.asarray(A, dtype=float)
+        B = np.asarray(B, dtype=float)
+        if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"pencil shapes mismatch: {A.shape} vs {B.shape}")
+        n, arrays = A.shape[0], (A, B)
+        db = np.diag(B)
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("array must not contain infs or NaNs")
-    if window is not None and (A.shape[0] % 2 or not window.guesses):
+    if window is not None and (n % 2 or not window.guesses):
         raise ValueError("window= needs a 2x2 block pencil and at least one guess")
     info = {} if info is None else info
     if window is not None:
         rec = info["window"] = {"lo": 0.0, "hi": window.hi, "slice_edges": None,
                                 "slice_counts": None, "slice_nodes": None,
                                 "fallback": None}
-    db = np.diag(B)
+        bands = ((A, B) if isinstance(A, Band)
+                 else band_from_dense(A, B, interleaved=True))
     if symmetric_definite:
         if np.any(db <= 0.0):
             raise ValueError("symmetric_definite needs positive diagonal in B")
         d = 1.0 / np.sqrt(db)
         if window is not None:
-            w = _solve_window_sbgvx(A, B, d, window, rec)
+            w = _solve_window_sbgvx(*bands, d, window, rec)
             if w is not None:
                 info["path"] = "sbgvx"
                 return w
         info["path"] = "eigh"
-        return sla.eigh(_equilibrate(A, d), _equilibrate(B, d), eigvals_only=True,
-                        overwrite_a=True, overwrite_b=True).astype(complex)
+        return sla.eigh(_equilibrate(_dense(A), d), _equilibrate(_dense(B), d),
+                        eigvals_only=True, overwrite_a=True,
+                        overwrite_b=True).astype(complex)
     if not np.all(db > 0.0):
         if window is not None:
             rec["fallback"] = "a diagonal entry of B is not positive"
         info["path"] = "qz"
-        return sla.eigvals(A, B)
+        return sla.eigvals(_dense(A), _dense(B))
     d = 1.0 / np.sqrt(db)
     if window is not None:
-        w = _solve_window(A, B, d, window, rec)
+        w = _solve_window(*bands, d, window, rec)
         if w is not None:
             info["path"] = "window"
             return w
+    A, B = _dense(A), _dense(B)
     # two buffers in all: dBd becomes its LU factors, dAd becomes C
     Be = _equilibrate(B, d)
     lange, gecon = sla.get_lapack_funcs(("lange", "gecon"), (Be,))
@@ -194,54 +219,38 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
 # ------------------------------------------------------ the bound window
 
 
-def _interleaving(A, B):
-    """The block-order index of each unknown with the two block rows
-    interleaved, (G1, F1, G2, F2, ...), and the common half-bandwidth k
-    of A and B in that order."""
-    n = A.shape[0]
-    perm = np.empty(n, dtype=int)
-    perm[0::2] = np.arange(n // 2)
-    perm[1::2] = np.arange(n // 2, n)
-    pos = np.empty(n, dtype=int)
-    pos[perm] = np.arange(n)
-    i, j = np.nonzero((A != 0.0) | (B != 0.0))
-    return perm, int(np.abs(pos[i] - pos[j]).max(initial=0))
-
-
-def _band_indices(perm, lo, hi):
-    """Block-order row and column indices of the interleaved entries
-    (j + o, j), o = lo..hi, one band column j per row of the (n, hi - lo
-    + 1) results, and the mask of those inside the matrix (the others
-    point into row 0).  Their transposes are LAPACK band storage."""
-    n = len(perm)
-    col = np.arange(n)[:, None]
-    row = col + np.arange(lo, hi + 1)[None, :]
-    inside = (row >= 0) & (row < n)
-    pi = perm[np.where(inside, row, 0)]
-    return pi, np.broadcast_to(perm[col], pi.shape), inside
-
-
 def _interleaved_bands(A, B, d):
-    """dAd and dBd with the unknowns of the two block rows interleaved,
-    (G1, F1, G2, F2, ...), in LAPACK band storage (entry (i, j) in row
-    k + i - j) as Fortran arrays, and their common half-bandwidth k."""
-    perm, k = _interleaving(A, B)
-    pi, pj, inside = _band_indices(perm, -k, k)
-    scale = np.where(inside, d[pi] * d[pj], 0.0)
-    # gathered one band column per row: the transposes are Fortran-ordered
-    return (A[pi, pj] * scale).T, (B[pi, pj] * scale).T, k
+    """dAd and dBd (A, B interleaved Bands, d in block order) in LAPACK
+    band storage, entry (i, j) in row k + i - j, as Fortran arrays cut to
+    their common half-bandwidth k, the outermost diagonal on which A or
+    B holds a nonzero, and k.  Each entry is scaled by d_i d_j."""
+    k = bandwidth(A, B)
+    rows, inside = slots(A.n, -k, k)
+    dI = d[A.order()]
+    scale = np.where(inside, dI[rows] * dI, 0.0)
+    return (np.multiply(A.trimmed(k).data, scale, order="F"),
+            np.multiply(B.trimmed(k).data, scale, order="F"), k)
 
 
 def _lower_bands(A, B, d):
     """The lower bands (k + 1 rows, entry (i, j) in row i - j) of dAd and
-    dBd, interleaved as in _interleaved_bands, as Fortran arrays, and k.
-    Each entry is read from the block-order lower triangle, the one eigh
-    reads, and scaled as _equilibrate scales it."""
-    perm, k = _interleaving(A, B)
-    pi, pj, inside = _band_indices(perm, 0, k)
-    p, q = np.maximum(pi, pj), np.minimum(pi, pj)
-    return (np.where(inside, A[p, q] * d[p] * d[q], 0.0).T,
-            np.where(inside, B[p, q] * d[p] * d[q], 0.0).T, k)
+    dBd, interleaved and cut as in _interleaved_bands, as Fortran arrays,
+    and k.  Each entry is read from the block-order lower triangle, the
+    one eigh reads: the entry itself or its mirror across the diagonal,
+    and scaled as _equilibrate scales it."""
+    k = bandwidth(A, B)
+    rows, inside = slots(A.n, 0, k)
+    cols = np.arange(A.n)
+    perm, K, o = A.order(), A.k, np.arange(k + 1)[:, None]
+    p, q = perm[rows], perm[cols]
+    lower = p >= q
+    p, q = np.maximum(p, q), np.minimum(p, q)
+
+    def gather(M):  # entry (i, j) in slot (K + o, j), its mirror in (K - o, i)
+        v = np.where(lower, M.data[K + o, cols], M.data[K - o, rows])
+        return np.asfortranarray(np.where(inside, v * d[p] * d[q], 0.0))
+
+    return gather(A), gather(B), k
 
 
 @functools.cache

@@ -10,14 +10,21 @@ The shape and weak-form oracles are the original one-point-at-a-time
 implementations (an m x m eigh per point, an np.ix_ scatter per point)
 that the batched kernel in diracloud.cloud replaced.
 
+The dense-pencil oracles are the dense implementations the band storage
+replaced: the weak form scatter-added into zero-filled dense blocks, the
+row-by-row stability parameter, and the 2x2-block pencil formulas.  The
+bands must densify to their arrays bit for bit.
+
 exp_basis is a test-only enrichment that drives the kernel into its
 ill-conditioned and overflowing regimes on purpose.
 """
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from diracloud.assembly import WeakFormMatrices
-from diracloud.cloud import CloudBasis, ShapeEval, SingularMoment
+from diracloud.assembly import DegenerateTau
+from diracloud.cloud import CloudBasis, ShapeEval, SingularMoment, evaluate_shapes
 from diracloud.enrichment import EnrichmentBasis
 from diracloud.physics import potential
 
@@ -163,7 +170,7 @@ def reference_shapes(cb: CloudBasis, x: float, coupled: bool) -> ShapeEval:
     return ShapeEval(x=x, active_indices=act, values=vals, derivs=ders, cond=cond)
 
 
-def reference_weak_form(cb: CloudBasis, sys, quad) -> WeakFormMatrices:
+def reference_weak_form(cb: CloudBasis, sys, quad):
     """The weak-form blocks with one oracle shape evaluation and one
     np.ix_ scatter per quadrature point."""
     n = cb.grid.n_intervals
@@ -189,9 +196,97 @@ def reference_weak_form(cb: CloudBasis, sys, quad) -> WeakFormMatrices:
         M["101"][ix] += (w / x) * odv
         M["000V"][ix] += (w * V) * ov
         M["100V"][ix] += (w * V) * odv
-    return WeakFormMatrices(M_000=M["000"], M_010=M["100"].T, M_001=M["001"],
-                            M_100=M["100"], M_110=M["110"], M_101=M["101"],
-                            M_000_V=M["000V"], M_100_V=M["100V"])
+    return _dense_blocks(M)
+
+
+def _dense_blocks(M):
+    return SimpleNamespace(M_000=M["000"], M_010=M["100"].T, M_001=M["001"],
+                           M_100=M["100"], M_110=M["110"], M_101=M["101"],
+                           M_000_V=M["000V"], M_100_V=M["100V"])
+
+
+# ------------------------------------------- the dense pencil, bit for bit
+
+def dense_weak_form(cb: CloudBasis, sys, quad):
+    """The weak-form blocks scatter-added into dense zero-filled blocks,
+    chunk by chunk in the order assemble_weak_form uses: its bands must
+    densify to these bit for bit."""
+    n = cb.grid.n_intervals
+    nd = n - 1
+    keys = ("000", "100", "001", "110", "101", "000V", "100V")
+    M = {k: np.zeros((nd, nd)) for k in keys}
+    flat = {k: m.reshape(-1) for k, m in M.items()}
+    for start in range(0, quad.total_points, 512):
+        x = quad.points[start:start + 512]
+        w = quad.weights[start:start + 512]
+        st = evaluate_shapes(cb, x)
+        V = potential(sys, x)
+        keep = st.active & (st.indices >= 1) & (st.indices <= n - 1)
+        pt, r, c = np.nonzero(keep[:, :, None] & keep[:, None, :])
+        idx = st.indices - 1
+        lin = idx[pt, r] * nd + idx[pt, c]
+        v, dv = st.values, st.derivs
+        ov = v[pt, r] * v[pt, c]
+        odv = dv[pt, r] * v[pt, c]
+        wp, wx, wV = w[pt], (w / x)[pt], (w * V)[pt]
+        np.add.at(flat["000"], lin, wp * ov)
+        np.add.at(flat["100"], lin, wp * odv)
+        np.add.at(flat["001"], lin, wx * ov)
+        np.add.at(flat["110"], lin, wp * (dv[pt, r] * dv[pt, c]))
+        np.add.at(flat["101"], lin, wx * odv)
+        np.add.at(flat["000V"], lin, wV * ov)
+        np.add.at(flat["100V"], lin, wV * odv)
+    return _dense_blocks(M)
+
+
+def reference_tau(wfm, coords):
+    """The stability parameter row by row from dense M_000 and M_100."""
+    M000, M100 = wfm.M_000, wfm.M_100
+    xr = np.asarray(coords, dtype=float)
+    tau = np.empty(len(xr))
+    for j in range(len(xr)):
+        th = xr - xr[j]
+        num = M000[j] @ th
+        den = M100[j] @ th
+        if abs(den) <= np.finfo(float).eps * (np.abs(M100[j]) @ np.abs(th)):
+            raise DegenerateTau(f"vanishing denominator in row {j + 1}")
+        tau[j] = abs(num / den)
+    return tau
+
+
+def _blocks(terms):
+    """The 2x2-block matrix whose block (i, j) is a X + Y for
+    terms[i][j] = (a, X, Y), each block written in place."""
+    nd = terms[0][0][1].shape[0]
+    out = np.empty((2 * nd, 2 * nd))
+    for i, row in enumerate(terms):
+        for j, (a, X, Y) in enumerate(row):
+            block = out[i * nd:(i + 1) * nd, j * nd:(j + 1) * nd]
+            np.multiply(a, X, out=block)
+            block += Y
+    return out
+
+
+def reference_pencil(wfm, sys, tau):
+    """A, B, script_A and script_B from the dense blocks of wfm by the
+    written-out dense formulas, with the stability parameter tau given."""
+    nd = wfm.M_000.shape[0]
+    c, k, mc2 = sys.c, sys.kappa, sys.mc2
+    ck = (c * k) * wfm.M_001
+    A = _blocks([[(mc2, wfm.M_000, wfm.M_000_V), (-c, wfm.M_010, ck)],
+                 [(c, wfm.M_010, ck), (-mc2, wfm.M_000, wfm.M_000_V)]])
+    np.multiply(c * k, wfm.M_101, out=ck)
+    sA = _blocks([[(c, wfm.M_110, ck), (-mc2, wfm.M_100, wfm.M_100_V)],
+                  [(mc2, wfm.M_100, wfm.M_100_V), (-c, wfm.M_110, ck)]])
+    B = np.zeros((2 * nd, 2 * nd))
+    B[:nd, :nd] = B[nd:, nd:] = wfm.M_000
+    sB = np.zeros((2 * nd, 2 * nd))
+    sB[:nd, nd:] = sB[nd:, :nd] = wfm.M_100
+    if np.any(tau != 0.0):
+        T = np.concatenate([tau, tau])[:, None]
+        A += T * sA
+        B += T * sB
+    return SimpleNamespace(A=A, B=B, script_A=sA, script_B=sB)
 
 
 def reference_dump(path, M, name=""):

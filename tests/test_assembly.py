@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from _oracles import reference_dump
-from diracloud.assembly import (DegenerateTau, assemble_system, assemble_weak_form,
-                                build_quadrature, dump_matrix, stability_tau,
-                                stability_tau_fem)
+from _oracles import dense_weak_form, reference_dump, reference_pencil, reference_tau
+from diracloud.assembly import (METHODS, DegenerateTau, assemble_system,
+                                assemble_weak_form, build_quadrature, dump_matrix,
+                                stability_tau, stability_tau_fem)
 from diracloud.cloud import build_cloud_basis, evaluate_coupled
+from diracloud.eigen import bound_window, solve_generalized
 from diracloud.enrichment import shepard_basis
 from diracloud.grid import Grid, GridConfig, generate_grid
 from diracloud.physics import PhysicalSystem
@@ -146,6 +147,45 @@ def test_zero_tau_reduces_stabilized_to_plain(uuo_wfm_200, uuo_system, uuo_grid_
     assert np.array_equal(stab.B, plain.B + T * stab.script_B)
     assert not np.array_equal(plain.A, stab.A)
     assert not np.array_equal(plain.B, stab.B)
+
+
+def _bits(M):
+    """The bit patterns of a float array: signed zeros count."""
+    return np.ascontiguousarray(M).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kappa", [-2, 2])
+def test_bands_densify_to_the_dense_formulas_bit_for_bit(kappa, method, n):
+    grid = generate_grid(GridConfig(n_intervals=n, I_a=0.0, I_b=100.0, eps=1e-5, nu=2.2))
+    sys = PhysicalSystem(Z=118.0, kappa=kappa)
+    cb = build_cloud_basis(grid)
+    quad = build_quadrature(grid, factor=10)
+    wfm = assemble_weak_form(cb, sys, quad)
+    ref_wfm = dense_weak_form(cb, sys, quad)
+    for name in wfm.NAMES:
+        np.testing.assert_array_equal(_bits(getattr(wfm, name)),
+                                      _bits(getattr(ref_wfm, name)), err_msg=name)
+    out = assemble_system(wfm, sys, method, grid=grid)
+    if method == "cpg":
+        # summed along the band's diagonals, tau may move in its last bits
+        np.testing.assert_allclose(out.tau, reference_tau(ref_wfm, grid.nodes[1:-1]),
+                                   rtol=1e-14, atol=0)
+    ref = reference_pencil(ref_wfm, sys, out.tau)
+    for name in out.NAMES:
+        np.testing.assert_array_equal(_bits(getattr(out, name)),
+                                      _bits(getattr(ref, name)), err_msg=name)
+    if kappa < 0:  # the signed zeros c kappa M gives outside the weak-form band
+        sA = out.script_A
+        assert np.any((sA == 0.0) & np.signbit(sA))
+    # the window paths read the bands as they read the densified pencil
+    win = bound_window(sys, 15)
+    symmetric = method == "galerkin"
+    banded = solve_generalized(out.bands["A"], out.bands["B"],
+                               symmetric_definite=symmetric, window=win)
+    dense = solve_generalized(out.A, out.B, symmetric_definite=symmetric, window=win)
+    np.testing.assert_array_equal(banded, dense)
 
 
 def test_method_validation(uuo_wfm_200, uuo_system, uuo_grid_200):

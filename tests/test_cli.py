@@ -179,7 +179,10 @@ def test_non_positive_definite_galerkin_mass_is_a_numerical_error(monkeypatch, c
 
     def indefinite(*args, **kwargs):
         out = assemble(*args, **kwargs)
-        out.B[0, 1] = out.B[1, 0] = 2.0 * np.sqrt(out.B[0, 0] * out.B[1, 1])
+        # B[0, 1] = B[1, 0] = 2 sqrt(B[0, 0] B[1, 1]) in the stored band,
+        # where block-order unknowns 0 and 1 sit at 0 and 2
+        B, k = out.bands["B"].data, out.bands["B"].k
+        B[k - 2, 2] = B[k + 2, 0] = 2.0 * np.sqrt(B[k, 0] * B[k, 2])
         return out
 
     monkeypatch.setattr(cli, "assemble_system", indefinite)
@@ -506,7 +509,7 @@ def test_dump_matrices_files_match_per_entry_writer(tmp_path, n):
     assert cli.main(["dump-matrices", "--n-intervals", str(n), "--method", "cpg",
                      "--output", str(out)]) == 0
     _, wfm, system = cli.assemble_pencil(cli.RunConfig(n_intervals=n, method="cpg"))
-    blocks = {f.name: getattr(wfm, f.name) for f in dataclasses.fields(wfm)}
+    blocks = {name: getattr(wfm, name) for name in wfm.NAMES}
     blocks.update(A=system.A, B=system.B,
                   script_A=system.script_A, script_B=system.script_B)
     # from n=100 on, script_A holds -0.0 entries (-c M_110 + c kappa M_101

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from diracloud import eigen
 from diracloud.assembly import METHODS, assemble_system
+from diracloud.band import Band, band_from_dense
 from diracloud.cli import RunConfig, run_solve, solve_rows
 from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
                              FLAG_INSTILLED, FLAG_TAIL, BoundWindow, bound_window,
@@ -133,15 +135,16 @@ def test_nonfinite_pencil_entries_are_rejected(where, value, entry):
     A, B = _graded_pencil(np.random.default_rng(19), 4)
     (A if where == "A" else B)[entry] = value
     # one check before any path is picked: no scale is formed, nothing
-    # is banded and no path is recorded
-    for symmetric in (False, True):
-        for window in (None, BoundWindow(hi=1e9, guesses=(1.0,))):
-            info = {}
-            with pytest.raises(ValueError, match="infs or NaNs"), \
-                    np.errstate(divide="raise", invalid="raise"):
-                solve_generalized(A, B, symmetric_definite=symmetric,
-                                  window=window, info=info)
-            assert "path" not in info
+    # is banded and no path is recorded; a banded pencil is checked too
+    for pencil in ((A, B), band_from_dense(A, B, interleaved=True)):
+        for symmetric in (False, True):
+            for window in (None, BoundWindow(hi=1e9, guesses=(1.0,))):
+                info = {}
+                with pytest.raises(ValueError, match="infs or NaNs"), \
+                        np.errstate(divide="raise", invalid="raise"):
+                    solve_generalized(*pencil, symmetric_definite=symmetric,
+                                      window=window, info=info)
+                assert "path" not in info
 
 
 # ---------------------------------------------------------- the bound window
@@ -390,6 +393,31 @@ def test_galerkin_window_matches_the_dense_spectrum(kwargs, kappa, solve_cached)
         assert r[1] == pytest.approx(q[1], rel=1e-10)
 
 
+@pytest.mark.parametrize("method,path", [("cpg", "window"), ("galerkin", "sbgvx")])
+def test_window_paths_never_densify(method, path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a band was densified")
+
+    monkeypatch.setattr(Band, "dense", refuse)
+    res = run_solve(RunConfig(Z=118.0, kappa=-2, method=method))
+    assert res.eigen_path == path
+    assert len(res.report.matches) == 15
+
+
+def test_a_large_window_solve_stays_small():
+    # the peak Python-traced allocation of a whole n=2000 cpg run_solve:
+    # 896 MB with the weak form and the pencil stored dense, 8.2 MB banded
+    cfg = RunConfig(Z=118.0, kappa=-2, method="cpg", n_intervals=2000)
+    tracemalloc.start()
+    try:
+        res = run_solve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.eigen_path == "window"
+    assert peak <= 32e6
+
+
 def test_coarse_galerkin_window_falls_back_to_eigh(solve_cached):
     # at n=60 the levels are off by O(1): a guess is matched beyond the
     # window edge, and the run returns the dense spectrum and its rows
@@ -431,7 +459,7 @@ def test_sbgvx_bands_hold_the_lower_triangle(uuo_wfm_200, uuo_system):
     sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
     n = sym.A.shape[0]
     d = 1.0 / np.sqrt(np.diag(sym.B))
-    Ab, Bb, k = eigen._lower_bands(sym.A, sym.B, d)
+    Ab, Bb, k = eigen._lower_bands(sym.bands["A"], sym.bands["B"], d)
     assert k == 9 and Ab.shape == Bb.shape == (k + 1, n)
     assert Ab.flags.f_contiguous and Bb.flags.f_contiguous
     perm = np.concatenate([np.arange(n // 2)[:, None],
@@ -487,7 +515,7 @@ def test_contour_nodes_factor_in_one_shared_buffer(uuo_wfm_200, uuo_system,
                                                    uuo_grid_200):
     out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
     d = 1.0 / np.sqrt(np.diag(out.B))
-    Ab, Bb, k = eigen._interleaved_bands(out.A, out.B, d)
+    Ab, Bb, k = eigen._interleaved_bands(out.bands["A"], out.bands["B"], d)
     assert Ab.flags.f_contiguous and Bb.flags.f_contiguous
     # a buffer full of NaN: the fill-in rows must be cleared by gbtrf
     ab = np.full((3 * k + 1, Ab.shape[1]), complex(np.nan, np.nan), order="F")
@@ -540,7 +568,7 @@ def test_interleaved_bands_hold_the_whole_pencil(uuo_wfm_200, uuo_system, uuo_gr
     out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
     n = out.A.shape[0]
     d = 1.0 / np.sqrt(np.diag(out.B))
-    Ab, Bb, k = eigen._interleaved_bands(out.A, out.B, d)
+    Ab, Bb, k = eigen._interleaved_bands(out.bands["A"], out.bands["B"], d)
     assert k == 9  # blocks of half-bandwidth 4, interleaved
     perm = np.concatenate([np.arange(n // 2)[:, None],
                            np.arange(n // 2, n)[:, None]], axis=1).ravel()
