@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import Band, band_from_dense, bandwidth, slots
+from .band import Band, bandwidth, slots
 from .cloud import CloudBasis, SingularMoment, candidate_windows, evaluate_shapes
 from .cloud import evaluate_coupled  # noqa: F401  traced by name by the benchmark
 from .grid import Grid
@@ -155,18 +155,14 @@ def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
     return WeakFormMatrices(bands)
 
 
-def stability_tau(wfm, coords) -> np.ndarray:
+def stability_tau(wfm: WeakFormMatrices, coords) -> np.ndarray:
     """Row-wise stability parameter from the assembled matrices:
     tau_j = | sum_i sigma_ji theta_ji / sum_i eta_ji theta_ji |
     with sigma, eta the rows of M_000 and M_100 and theta_ji = x_i - x_j
     the displacements over the working coordinates (the retained nodes
-    grid.nodes[1:-1] in a run).  wfm may be a WeakFormMatrices or any
-    object with dense M_000/M_100 attributes, which are banded first.
-    Each sum runs over the band's diagonals in order, all rows at once."""
-    if isinstance(wfm, WeakFormMatrices):
-        M000, M100 = wfm.bands["M_000"], wfm.bands["M_100"]
-    else:
-        M000, M100 = band_from_dense(wfm.M_000, wfm.M_100)
+    grid.nodes[1:-1] in a run).  Each sum runs over the band's diagonals
+    in order, all rows at once."""
+    M000, M100 = wfm.bands["M_000"], wfm.bands["M_100"]
     xr = np.asarray(coords, dtype=float)
     n, k = M000.n, M000.k
     if len(xr) != n:
@@ -210,20 +206,16 @@ def _interleave(terms):
     """The 2x2-block matrix whose block (a, b) is coef X + Y for
     terms[a][b] = (coef, X, Y) (bands of one k) as an interleaved Band
     of half-bandwidth 2k + 1.  Each block is written in place into its
-    slots, rows 1 + a - b, 3 + a - b, ... of the columns of parity b;
-    its formula at X = Y = 0 gives the block's fill, in every other slot
-    of its class and outside the band."""
+    slots, rows 1 + a - b, 3 + a - b, ... of the columns of parity b, of
+    a zero-filled buffer."""
     k, nd = terms[0][0][1].k, terms[0][0][1].n
-    data = np.empty((4 * k + 3, 2 * nd))
-    fill = np.empty((2, 2))
+    data = np.zeros((4 * k + 3, 2 * nd))
     for a, row in enumerate(terms):
         for b, (coef, X, Y) in enumerate(row):
-            fill[a, b] = coef * X.fill + Y.fill
-            data[(a - b + 1) % 2::2, b::2] = fill[a, b]
             block = data[1 + a - b:4 * k + 2 + a - b:2, b::2]
             np.multiply(coef, X.data, out=block)
             block += Y.data
-    return Band(data, np.tile(fill, (nd, 1)), interleaved=True)
+    return Band(data, interleaved=True)
 
 
 def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
@@ -231,10 +223,9 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
     """Build the 2x2-block generalized eigenproblem as interleaved bands.
     galerkin leaves the blocks alone (tau = 0); the cpg variants add the
     residual blocks with row j scaled by tau_j (same tau for both
-    block-rows of a node).  Every entry is the one the written-out dense
-    formulas give, signed zeros included: for kappa < 0, c kappa M on a
-    zero of M is -0.0, which galerkin's A keeps in block (0, 1) and
-    script_A in block (1, 1), outside the weak-form band too.
+    block-rows of a node).  Every entry inside the weak-form band is the
+    one the written-out dense formulas give, bit for bit; every entry
+    outside it is +0.0.
 
     galerkin's A is symmetric only up to quadrature error: the
     off-diagonal blocks of A - A^T are -+c (M_100 + M_100^T), which
@@ -252,10 +243,10 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
     c, k, mc2 = sys.c, sys.kappa, sys.mc2
     # block by block in place; (c k) M is formed once per pair of blocks
     # that add it, each product rounded as in the written-out formula
-    ck = Band((c * k) * W["M_001"].data, (c * k) * W["M_001"].fill)
+    ck = Band((c * k) * W["M_001"].data)
     A = _interleave([[(mc2, W["M_000"], W["M_000_V"]), (-c, M010, ck)],
                      [(c, M010, ck), (-mc2, W["M_000"], W["M_000_V"])]])
-    ck = Band((c * k) * W["M_101"].data, (c * k) * W["M_101"].fill)
+    ck = Band((c * k) * W["M_101"].data)
     sA = _interleave([[(c, W["M_110"], ck), (-mc2, W["M_100"], W["M_100_V"])],
                       [(mc2, W["M_100"], W["M_100_V"]), (-c, W["M_110"], ck)]])
     # the weak-form sums start from +0.0, so no entry is -0.0 and the
@@ -278,7 +269,6 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
         rows, _ = slots(len(T), -A.k, A.k)
         for M, S in ((A, sA), (B, sB)):
             M.data[...] += T[rows] * S.data
-            M.fill[...] += T[:, None] * S.fill
     return AssembledSystem(bands={"A": A, "B": B, "script_A": sA, "script_B": sB},
                            tau=tau)
 

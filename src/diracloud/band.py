@@ -2,16 +2,13 @@
 
 A Band keeps the diagonals -k..k of an n x n matrix in LAPACK general
 band storage: entry (i, j), |i - j| <= k, at data[k + i - j, j].  The
-slots of data that fall outside the matrix hold zeros.  Every entry
-outside the band is a zero too, of the sign `fill` gives: the pencil's
-blocks keep the signed zeros their formulas give there (see
-assembly.assemble_system), and dense() reproduces them.
+slots of data that fall outside the matrix hold zeros, and every entry
+outside the band is +0.0.
 
 A 2x2 block matrix of order n is stored with the unknowns of its two
 block rows interleaved, (G1, F1, G2, F2, ...): blocks of half-bandwidth
-k then fit one band of half-bandwidth 2k + 1, and the fill is given per
-interleaved row and block column, an (n, 2) array.  dense() returns
-block order, the order the dense solvers and the dump read.
+k then fit one band of half-bandwidth 2k + 1.  dense() returns block
+order, the order the dense solvers and the dump read.
 """
 from dataclasses import dataclass
 
@@ -40,7 +37,6 @@ def slots(n, lo, hi):
 @dataclass(frozen=True, eq=False)
 class Band:
     data: np.ndarray          # (2k + 1, n)
-    fill: object = 0.0        # outside the band: a scalar, or (n, 2) when interleaved
     interleaved: bool = False
 
     @property
@@ -58,14 +54,7 @@ class Band:
     def dense(self):
         """The matrix as a new dense array, in block order."""
         n, k, perm = self.n, self.k, self.order()
-        out = np.empty((n, n))
-        if self.interleaved:
-            fill = np.empty((n, 2))
-            fill[perm] = self.fill
-            out[:, :n // 2] = fill[:, :1]
-            out[:, n // 2:] = fill[:, 1:]
-        else:
-            out[...] = self.fill
+        out = np.zeros((n, n))
         i, inside = slots(n, -k, k)
         j = np.broadcast_to(np.arange(n), i.shape)
         out[perm[i[inside]], perm[j[inside]]] = self.data[inside]
@@ -83,11 +72,11 @@ class Band:
         takes entry (j, j + o), slot (k - o, j + o)."""
         i, inside = slots(self.n, -self.k, self.k)
         flipped = np.take_along_axis(self.data[::-1], i, axis=1)
-        return Band(np.where(inside, flipped, 0.0), self.fill)
+        return Band(np.where(inside, flipped, 0.0))
 
     def trimmed(self, k):
         """The band cut to diagonals -k..k."""
-        return Band(self.data[self.k - k:self.k + k + 1], self.fill, self.interleaved)
+        return Band(self.data[self.k - k:self.k + k + 1], self.interleaved)
 
 
 def bandwidth(*bands):
@@ -95,19 +84,3 @@ def bandwidth(*bands):
     holds a nonzero."""
     nonzero = np.any([b.data != 0.0 for b in bands], axis=(0, 2))
     return int(np.abs(np.flatnonzero(nonzero) - bands[0].k).max(initial=0))
-
-
-def band_from_dense(*mats, interleaved=False):
-    """Bands of square dense matrices (block order, of one order n) with
-    one k, the outermost diagonal of any of their nonzeros: the gather
-    for inputs built dense.  Zeros outside the band lose their sign."""
-    n = mats[0].shape[0]
-    perm = interleaving(n) if interleaved else np.arange(n)
-    pos = np.empty(n, dtype=int)
-    pos[perm] = np.arange(n)
-    i, j = np.nonzero(np.logical_or.reduce([M != 0.0 for M in mats]))
-    k = int(np.abs(pos[i] - pos[j]).max(initial=0))
-    rows, inside = slots(n, -k, k)
-    pi, pj = perm[rows], perm[np.arange(n)][None, :]
-    return tuple(Band(np.where(inside, M[pi, pj], 0.0), interleaved=interleaved)
-                 for M in mats)

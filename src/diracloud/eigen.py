@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .band import Band, band_from_dense, bandwidth, slots
+from .band import Band, bandwidth, slots
 from .physics import PhysicalSystem, exact_eigenvalue
 
 FLAG_GENUINE = "genuine"
@@ -117,11 +117,10 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
     with `window` only those inside it.  Eigenvalues only: no path
     computes eigenvectors.
 
-    A and B are both dense arrays or both interleaved Bands of one
-    half-bandwidth (a 2x2 block pencil, see band.Band).  The window
-    paths read bands: a dense pencil given a window is banded once
-    first.  The dense paths read dense arrays: a banded pencil that
-    takes one is densified.
+    A and B are both interleaved Bands of one half-bandwidth (a 2x2
+    block pencil, see band.Band) or both dense arrays; a window needs
+    the Bands, which the window paths read directly.  The dense paths
+    read dense arrays: a banded pencil that takes one is densified.
 
     Every path but QZ equilibrates the pencil by d = diag(B)^{-1/2}
     first, a congruence that leaves the spectrum untouched and takes
@@ -136,7 +135,7 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
     entry of B is not positive, or when the rcond estimate of dBd is
     below RCOND_FLOOR.
 
-    window (a BoundWindow; a 2x2 block pencil) returns the eigenvalues
+    window (a BoundWindow; a banded pencil) returns the eigenvalues
     in (0, window.hi], above the -mc^2 threshold: on the symmetric path
     all of them from dsbgvx on the banded pencil (see
     _solve_window_sbgvx), on the nonsymmetric path found and certified
@@ -148,38 +147,39 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
     per-slice counts and per-slice contour nodes (upper half) of the
     certificate (dsbgvx: the one slice [0, hi] and no nodes), and under
     "fallback" why the window was given up (None when it was not; the
-    slice entries are None then).  A NaN or inf in A or B raises
+    slice entries are None then).  A pencil of any other form, a NaN or
+    inf in A or B, and a window given with a dense pencil raise
     ValueError, checked once before a path is picked: `info` receives
-    nothing, and no path (the raw dsbgvx call included) sees one."""
-    if isinstance(A, Band) and isinstance(B, Band):
+    nothing, and no path (the raw dsbgvx call included) sees them."""
+    banded = isinstance(A, Band), isinstance(B, Band)
+    if all(banded):
         if not (A.interleaved and B.interleaved and A.data.shape == B.data.shape):
             raise ValueError("a banded pencil needs two interleaved bands of one shape")
-        n, arrays = A.n, (A.data, A.fill, B.data, B.fill)
-        db = B.diagonal()
-    else:
+        arrays, db = (A.data, B.data), B.diagonal()
+    elif not any(banded):
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
         if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"pencil shapes mismatch: {A.shape} vs {B.shape}")
-        n, arrays = A.shape[0], (A, B)
-        db = np.diag(B)
+        arrays, db = (A, B), np.diag(B)
+    else:
+        raise ValueError("a pencil is two interleaved Bands or two dense arrays, "
+                         "not one of each")
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("array must not contain infs or NaNs")
-    if window is not None and (n % 2 or not window.guesses):
-        raise ValueError("window= needs a 2x2 block pencil and at least one guess")
+    if window is not None and not (all(banded) and window.guesses):
+        raise ValueError("window= needs a banded 2x2 block pencil and at least one guess")
     info = {} if info is None else info
     if window is not None:
         rec = info["window"] = {"lo": 0.0, "hi": window.hi, "slice_edges": None,
                                 "slice_counts": None, "slice_nodes": None,
                                 "fallback": None}
-        bands = ((A, B) if isinstance(A, Band)
-                 else band_from_dense(A, B, interleaved=True))
     if symmetric_definite:
         if np.any(db <= 0.0):
             raise ValueError("symmetric_definite needs positive diagonal in B")
         d = 1.0 / np.sqrt(db)
         if window is not None:
-            w = _solve_window_sbgvx(*bands, d, window, rec)
+            w = _solve_window_sbgvx(A, B, d, window, rec)
             if w is not None:
                 info["path"] = "sbgvx"
                 return w
@@ -194,7 +194,7 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
         return sla.eigvals(_dense(A), _dense(B))
     d = 1.0 / np.sqrt(db)
     if window is not None:
-        w = _solve_window(*bands, d, window, rec)
+        w = _solve_window(A, B, d, window, rec)
         if w is not None:
             info["path"] = "window"
             return w

@@ -13,7 +13,8 @@ that the batched kernel in diracloud.cloud replaced.
 The dense-pencil oracles are the dense implementations the band storage
 replaced: the weak form scatter-added into zero-filled dense blocks, the
 row-by-row stability parameter, and the 2x2-block pencil formulas.  The
-bands must densify to their arrays bit for bit.
+bands must densify to their arrays bit for bit.  band_from_dense gathers
+the bands of matrices a test builds dense.
 
 exp_basis is a test-only enrichment that drives the kernel into its
 ill-conditioned and overflowing regimes on purpose.
@@ -23,7 +24,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from diracloud.assembly import DegenerateTau
+from diracloud.assembly import DegenerateTau, WeakFormMatrices
+from diracloud.band import Band, interleaving, slots
 from diracloud.cloud import CloudBasis, ShapeEval, SingularMoment, evaluate_shapes
 from diracloud.enrichment import EnrichmentBasis
 from diracloud.physics import potential
@@ -287,6 +289,28 @@ def reference_pencil(wfm, sys, tau):
         A += T * sA
         B += T * sB
     return SimpleNamespace(A=A, B=B, script_A=sA, script_B=sB)
+
+
+def band_from_dense(*mats, interleaved=False):
+    """Bands of square dense matrices (block order, of one order n) with
+    one k, the outermost diagonal of any of their nonzeros.  Zeros
+    outside the band lose their sign."""
+    n = mats[0].shape[0]
+    perm = interleaving(n) if interleaved else np.arange(n)
+    pos = np.empty(n, dtype=int)
+    pos[perm] = np.arange(n)
+    i, j = np.nonzero(np.logical_or.reduce([M != 0.0 for M in mats]))
+    k = int(np.abs(pos[i] - pos[j]).max(initial=0))
+    rows, inside = slots(n, -k, k)
+    return tuple(Band(np.where(inside, M[perm[rows], perm], 0.0), interleaved)
+                 for M in mats)
+
+
+def banded_weak_form(dense):
+    """A WeakFormMatrices of the bands of dense.M_000 and dense.M_100,
+    the two blocks stability_tau reads."""
+    return WeakFormMatrices(dict(zip(("M_000", "M_100"),
+                                     band_from_dense(dense.M_000, dense.M_100))))
 
 
 def reference_dump(path, M, name=""):

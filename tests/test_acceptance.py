@@ -18,7 +18,8 @@ from diracloud.eigen import (FLAG_COINCIDENCE, FLAG_INSTILLED, convergence_rate,
 from diracloud.enrichment import sto_default_basis
 from diracloud.physics import PhysicalSystem, exact_eigenvalue
 
-from _oracles import charpoly_eigenvalues, max_pairing_distance, random_pencil
+from _oracles import (banded_weak_form, charpoly_eigenvalues, max_pairing_distance,
+                      random_pencil)
 
 
 # ------------------------------------------------------------ 1: closed form
@@ -117,7 +118,7 @@ def test_tau_consistency_oracle():
         wfm = SimpleNamespace(M_000=np.tile(sigma, (3, 1)),
                               M_100=np.tile(eta, (3, 1)))
         coords = np.array([0.0, hj, hj + hj1])
-        tau = stability_tau(wfm, coords)[1]
+        tau = stability_tau(banded_weak_form(wfm), coords)[1]
         ref = stability_tau_fem(SimpleNamespace(spacings=np.array([hj, hj1])))[0]
         assert tau == pytest.approx(abs(ref), rel=1e-12)
 
@@ -125,7 +126,7 @@ def test_tau_consistency_oracle():
     sigma = np.array([3.0 * h, 40.0 * h, 3.0 * h]) / 70.0
     wfm = SimpleNamespace(M_000=np.tile(sigma, (3, 1)),
                           M_100=np.tile(eta, (3, 1)))
-    assert stability_tau(wfm, np.array([0.0, h, 2 * h]))[1] == \
+    assert stability_tau(banded_weak_form(wfm), np.array([0.0, h, 2 * h]))[1] == \
         pytest.approx(0.0, abs=1e-15)
     assert stability_tau_fem(SimpleNamespace(spacings=np.array([h, h])))[0] == 0.0
 

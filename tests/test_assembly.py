@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from _oracles import dense_weak_form, reference_dump, reference_pencil, reference_tau
+from _oracles import (band_from_dense, banded_weak_form, dense_weak_form, reference_dump,
+                      reference_pencil, reference_tau)
 from diracloud.assembly import (METHODS, DegenerateTau, assemble_system,
                                 assemble_weak_form, build_quadrature, dump_matrix,
                                 stability_tau, stability_tau_fem)
@@ -150,8 +151,16 @@ def test_zero_tau_reduces_stabilized_to_plain(uuo_wfm_200, uuo_system, uuo_grid_
 
 
 def _bits(M):
-    """The bit patterns of a float array: signed zeros count."""
-    return np.ascontiguousarray(M).view(np.uint64)
+    """The bit patterns of a float array, zeros unsigned."""
+    return np.where(M == 0.0, 0.0, M).view(np.uint64)
+
+
+def _outside(band):
+    """The entries of band.dense() outside the band."""
+    n = band.n
+    pos = np.empty(n, dtype=int)
+    pos[band.order()] = np.arange(n)
+    return np.abs(pos[:, None] - pos[None, :]) > band.k
 
 
 @pytest.mark.parametrize("n", [100, 200])
@@ -167,6 +176,8 @@ def test_bands_densify_to_the_dense_formulas_bit_for_bit(kappa, method, n):
     for name in wfm.NAMES:
         np.testing.assert_array_equal(_bits(getattr(wfm, name)),
                                       _bits(getattr(ref_wfm, name)), err_msg=name)
+    for name, band in wfm.bands.items():
+        assert np.all(band.dense()[_outside(band)].view(np.uint64) == 0), name
     out = assemble_system(wfm, sys, method, grid=grid)
     if method == "cpg":
         # summed along the band's diagonals, tau may move in its last bits
@@ -176,16 +187,17 @@ def test_bands_densify_to_the_dense_formulas_bit_for_bit(kappa, method, n):
     for name in out.NAMES:
         np.testing.assert_array_equal(_bits(getattr(out, name)),
                                       _bits(getattr(ref, name)), err_msg=name)
-    if kappa < 0:  # the signed zeros c kappa M gives outside the weak-form band
-        sA = out.script_A
-        assert np.any((sA == 0.0) & np.signbit(sA))
-    # the window paths read the bands as they read the densified pencil
+        band = out.bands[name]
+        assert np.all(band.dense()[_outside(band)].view(np.uint64) == 0), name
+    # the window paths read the assembled bands as they read the bands
+    # gathered from the dense pencil
     win = bound_window(sys, 15)
     symmetric = method == "galerkin"
     banded = solve_generalized(out.bands["A"], out.bands["B"],
                                symmetric_definite=symmetric, window=win)
-    dense = solve_generalized(out.A, out.B, symmetric_definite=symmetric, window=win)
-    np.testing.assert_array_equal(banded, dense)
+    gathered = solve_generalized(*band_from_dense(ref.A, ref.B, interleaved=True),
+                                 symmetric_definite=symmetric, window=win)
+    np.testing.assert_array_equal(banded, gathered)
 
 
 def test_method_validation(uuo_wfm_200, uuo_system, uuo_grid_200):
@@ -224,21 +236,21 @@ def synthetic_row_problem(hj, hj1):
 @pytest.mark.parametrize("hj,hj1", [(1.0, 2.0), (0.25, 0.4), (3.0, 0.5)])
 def test_tau_matches_two_interval_reference(hj, hj1):
     wfm, coords = synthetic_row_problem(hj, hj1)
-    tau = stability_tau(wfm, coords)
+    tau = stability_tau(banded_weak_form(wfm), coords)
     fake = SimpleNamespace(spacings=np.array([hj, hj1]))
     assert tau[1] == pytest.approx(abs(stability_tau_fem(fake)[0]), rel=1e-12)
 
 
 def test_tau_vanishes_on_uniform_spacing():
     wfm, coords = synthetic_row_problem(1.0, 1.0)
-    assert stability_tau(wfm, coords)[1] == pytest.approx(0.0, abs=1e-15)
+    assert stability_tau(banded_weak_form(wfm), coords)[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_tau_degenerate_row_raises():
     wfm, coords = synthetic_row_problem(1.0, 2.0)
     wfm.M_100[1, :] = 0.0
     with pytest.raises(DegenerateTau):
-        stability_tau(wfm, coords)
+        stability_tau(banded_weak_form(wfm), coords)
 
 
 def test_tau_fem_closed_form():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from diracloud import eigen
 from diracloud.assembly import METHODS, assemble_system
-from diracloud.band import Band, band_from_dense
+from diracloud.band import Band
 from diracloud.cli import RunConfig, run_solve, solve_rows
 from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
                              FLAG_INSTILLED, FLAG_TAIL, BoundWindow, bound_window,
@@ -16,7 +16,8 @@ from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
                              convergence_rate, exact_levels, solve_generalized)
 from diracloud.physics import PhysicalSystem, exact_eigenvalue
 
-from _oracles import charpoly_eigenvalues, max_pairing_distance, random_pencil
+from _oracles import (band_from_dense, charpoly_eigenvalues, max_pairing_distance,
+                      random_pencil)
 
 
 # ----------------------------------------------------------------- the solver
@@ -147,6 +148,18 @@ def test_nonfinite_pencil_entries_are_rejected(where, value, entry):
                 assert "path" not in info
 
 
+def test_a_pencil_is_two_bands_or_two_arrays(uuo_wfm_200, uuo_system, uuo_grid_200):
+    # one band and one array, in either order: rejected before any path
+    # is picked, with or without a window
+    out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    for A, B in ((out.bands["A"], out.B), (out.A, out.bands["B"])):
+        for window in (None, bound_window(uuo_system, 15)):
+            info = {}
+            with pytest.raises(ValueError, match="two interleaved Bands or two dense"):
+                solve_generalized(A, B, window=window, info=info)
+            assert info == {}
+
+
 # ---------------------------------------------------------- the bound window
 
 def _dense_in_window(A, B, win):
@@ -189,13 +202,13 @@ def test_window_count_catches_the_instilled_galerkin_state(solve_cached):
     # away from every closed-form guess: inverse iteration misses it, and
     # the contour count over its slice must not
     res = solve_cached(Z=118.0, kappa=-2, method="galerkin")
-    A, B = res.system.A, res.system.B
+    bands = res.system.bands
     win = bound_window(res.config.physical_system(), 15)
     info = {}
-    w = solve_generalized(A, B, window=win, info=info)
+    w = solve_generalized(bands["A"], bands["B"], window=win, info=info)
     assert info["path"] == "lu_dgeev"
     assert info["window"]["fallback"].startswith("slice ")
-    np.testing.assert_array_equal(w, solve_generalized(A, B))
+    np.testing.assert_array_equal(w, solve_generalized(res.system.A, res.system.B))
     rep = classify_spectrum(w, res.config.physical_system())
     assert rep.flags.count(FLAG_INSTILLED) == 1
 
@@ -256,12 +269,15 @@ def test_window_takes_eigenvalues_of_a_block_pencil_only(
     # both paths take a window: the symmetric one through dsbgvx
     sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
     info = {}
-    solve_generalized(sym.A, sym.B, window=win, symmetric_definite=True, info=info)
+    solve_generalized(sym.bands["A"], sym.bands["B"], window=win, symmetric_definite=True,
+                      info=info)
     assert info["path"] == "sbgvx" and info["window"]["fallback"] is None
+    info = {}
+    with pytest.raises(ValueError, match="window= needs a banded"):
+        solve_generalized(out.A, out.B, window=win, info=info)  # a dense pencil
+    assert info == {}
     with pytest.raises(ValueError, match="window"):
-        solve_generalized(out.A[1:, 1:], out.B[1:, 1:], window=win)
-    with pytest.raises(ValueError, match="window"):
-        solve_generalized(out.A, out.B, window=BoundWindow(win.hi, ()))
+        solve_generalized(out.bands["A"], out.bands["B"], window=BoundWindow(win.hi, ()))
 
 
 def test_window_record_partitions_the_window(uuo_wfm_200, uuo_system, uuo_grid_200,
@@ -273,7 +289,7 @@ def test_window_record_partitions_the_window(uuo_wfm_200, uuo_system, uuo_grid_2
     assert win.hi - uuo_system.mc2 == pytest.approx(0.5 * (ex[14] + ex[15]), rel=1e-12)
     _forbid_qz(monkeypatch)
     info = {}
-    w = solve_generalized(out.A, out.B, window=win, info=info)
+    w = solve_generalized(out.bands["A"], out.bands["B"], window=win, info=info)
     rec = info["window"]
     assert info["path"] == "window" and rec["fallback"] is None
     edges = np.array(rec["slice_edges"])
@@ -405,17 +421,20 @@ def test_window_paths_never_densify(method, path, monkeypatch):
 
 
 def test_a_large_window_solve_stays_small():
-    # the peak Python-traced allocation of a whole n=2000 cpg run_solve:
-    # 896 MB with the weak form and the pencil stored dense, 8.2 MB banded
-    cfg = RunConfig(Z=118.0, kappa=-2, method="cpg", n_intervals=2000)
-    tracemalloc.start()
-    try:
-        res = run_solve(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.eigen_path == "window"
-    assert peak <= 32e6
+    # the peak Python-traced allocation of a whole n=2000 run_solve: for
+    # cpg 896 MB with the weak form and the pencil stored dense, 7.9 MB
+    # banded; for galerkin 6.1 MB banded, where the densified pencil
+    # alone would be 128 MB
+    for method, path in (("cpg", "window"), ("galerkin", "sbgvx")):
+        cfg = RunConfig(Z=118.0, kappa=-2, method=method, n_intervals=2000)
+        tracemalloc.start()
+        try:
+            res = run_solve(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.eigen_path == path, method
+        assert peak <= 32e6, method
 
 
 def test_coarse_galerkin_window_falls_back_to_eigh(solve_cached):
@@ -446,8 +465,8 @@ def test_sbgvx_reads_the_block_order_lower_triangle(uuo_wfm_200, uuo_system):
     got = {}
     for name, A in (("clean", sym.A), ("garbage", garbage)):
         info = {}
-        got[name] = solve_generalized(A, sym.B, symmetric_definite=True,
-                                      window=win, info=info)
+        got[name] = solve_generalized(*band_from_dense(A, sym.B, interleaved=True),
+                                      symmetric_definite=True, window=win, info=info)
         assert info["path"] == "sbgvx"
     np.testing.assert_array_equal(got["garbage"], got["clean"])
     dense = solve_generalized(garbage, sym.B, symmetric_definite=True).real
@@ -481,8 +500,9 @@ def test_non_positive_definite_mass_falls_back_to_eigh_and_raises(uuo_wfm_200,
     B[0, 1] = B[1, 0] = 2.0 * np.sqrt(B[0, 0] * B[1, 1])
     info = {}
     with pytest.raises(np.linalg.LinAlgError):
-        solve_generalized(sym.A, B, symmetric_definite=True,
-                          window=bound_window(uuo_system, 15), info=info)
+        solve_generalized(*band_from_dense(sym.A, B, interleaved=True),
+                          symmetric_definite=True, window=bound_window(uuo_system, 15),
+                          info=info)
     assert info["path"] == "eigh"
     assert "not positive definite" in info["window"]["fallback"]
 
@@ -546,7 +566,8 @@ def test_slice_nodes_count_the_complex_lus_in_one_buffer(uuo_wfm_200, uuo_system
 
     monkeypatch.setattr(eigen, "_factor_band", spy)
     info = {}
-    solve_generalized(out.A, out.B, window=bound_window(uuo_system, 15), info=info)
+    solve_generalized(out.bands["A"], out.bands["B"], window=bound_window(uuo_system, 15),
+                      info=info)
     assert info["path"] == "window"
     assert len(buffers) == sum(info["window"]["slice_nodes"])
     assert all(b is buffers[0] for b in buffers)
@@ -558,7 +579,8 @@ def test_window_with_a_nonpositive_mass_diagonal_takes_qz():
     win = BoundWindow(hi=10.0, guesses=(0.0,))
     info = {}
     with np.errstate(divide="raise", invalid="raise"):
-        w = solve_generalized(A, B, window=win, info=info)
+        w = solve_generalized(*band_from_dense(A, B, interleaved=True), window=win,
+                              info=info)
     np.testing.assert_array_equal(w, sla.eig(A, B)[0])
     assert info["path"] == "qz"
     assert info["window"]["fallback"] == "a diagonal entry of B is not positive"
@@ -584,7 +606,7 @@ def test_interleaved_bands_hold_the_whole_pencil(uuo_wfm_200, uuo_system, uuo_gr
 def _cpg_200(wfm, system, grid):
     out = assemble_system(wfm, system, "cpg", grid=grid)
     win = bound_window(system, 15)
-    return out, win, solve_generalized(out.A, out.B, window=win).real
+    return out, win, solve_generalized(out.bands["A"], out.bands["B"], window=win).real
 
 
 def test_a_level_matched_beyond_the_window_edge_falls_back(
@@ -595,7 +617,7 @@ def test_a_level_matched_beyond_the_window_edge_falls_back(
     g = w[-1] + 0.1
     edgy = BoundWindow(hi=g + 0.025, guesses=win.guesses[:-1] + (g,))
     info = {}
-    got = solve_generalized(out.A, out.B, window=edgy, info=info)
+    got = solve_generalized(out.bands["A"], out.bands["B"], window=edgy, info=info)
     assert info["path"] == "lu_dgeev"
     assert "window edge" in info["window"]["fallback"]
     np.testing.assert_array_equal(got, solve_generalized(out.A, out.B))
@@ -608,7 +630,7 @@ def test_two_guesses_on_one_eigenvalue_fall_back(uuo_wfm_200, uuo_system, uuo_gr
     twice = BoundWindow(hi=win.hi,
                         guesses=win.guesses + (win.guesses[-1] + 1e-3,))
     info = {}
-    got = solve_generalized(out.A, out.B, window=twice, info=info)
+    got = solve_generalized(out.bands["A"], out.bands["B"], window=twice, info=info)
     assert info["path"] == "lu_dgeev"
     assert "same eigenvalue" in info["window"]["fallback"]
     np.testing.assert_array_equal(got, solve_generalized(out.A, out.B))
