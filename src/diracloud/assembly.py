@@ -59,19 +59,23 @@ def build_quadrature(grid: Grid, factor: int = 10, split_at: float = None) -> Qu
     if factor < 2 or factor % 2 != 0:
         raise ValueError(f"quadrature factor must be even and >= 2, got {factor}")
     ncell = factor // 2
-    nodes = grid.nodes
-    cells = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        if split_at is not None and a < split_at < b:
-            # distribute the cells over the two pieces, at least one each
-            left = max(1, min(ncell - 1, round(ncell * (split_at - a) / (b - a))))
-            right = max(1, ncell - left)
-            edges = np.concatenate([np.linspace(a, split_at, left + 1),
-                                    np.linspace(split_at, b, right + 1)[1:]])
-        else:
-            edges = np.linspace(a, b, ncell + 1)
-        cells.extend(zip(edges[:-1], edges[1:]))
-    cells = np.array(cells)
+    a, b = grid.nodes[:-1, None], grid.nodes[1:, None]
+    # np.linspace(a, b, ncell + 1) of every interval at once, in its own
+    # arithmetic: start + i * ((stop - start) / (num - 1)), the last edge stop
+    edges = np.arange(ncell + 1) * ((b - a) / ncell) + a
+    edges[:, -1] = b[:, 0]
+    cells = np.stack((edges[:, :-1], edges[:, 1:]), axis=-1).reshape(-1, 2)
+    split = [] if split_at is None else np.flatnonzero((a < split_at) & (split_at < b))
+    if len(split):  # one interval at most holds the split
+        # distribute the cells over the two pieces, at least one each
+        j = split[0]
+        lo, hi = a[j, 0], b[j, 0]
+        left = max(1, min(ncell - 1, round(ncell * (split_at - lo) / (hi - lo))))
+        right = max(1, ncell - left)
+        piece = np.concatenate([np.linspace(lo, split_at, left + 1),
+                                np.linspace(split_at, hi, right + 1)[1:]])
+        cells = np.concatenate([cells[:j * ncell], np.stack((piece[:-1], piece[1:]), axis=-1),
+                                cells[(j + 1) * ncell:]])
     mid = 0.5 * (cells[:, 0] + cells[:, 1])
     width = cells[:, 1] - cells[:, 0]
     pts = np.empty(2 * len(cells))

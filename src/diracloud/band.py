@@ -39,6 +39,11 @@ class Band:
     data: np.ndarray          # (2k + 1, n)
     interleaved: bool = False
 
+    def __post_init__(self):
+        if self.interleaved and self.n % 2:
+            raise ValueError(f"an interleaved band holds a 2x2 block matrix, of even "
+                             f"order; this one has order {self.n}")
+
     @property
     def k(self):
         return self.data.shape[0] // 2

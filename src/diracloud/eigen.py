@@ -31,7 +31,17 @@ assemble_system):
   its imaginary part exceeds the half-width.  Each slice gets as many
   contour nodes as the distance to its nearest outside level asks for;
   that sets how sharply a disc is told from its outside, not the
-  region.  Any doubt sends the solve to the dense path below;
+  region.  Any doubt sends the solve to the dense path below.  The
+  inverse iterations, one per guess, and the slice moments, one per
+  slice, are independent: they run on a thread pool made for the
+  solve, one worker per usable core, each task with its own factor
+  buffer, and their results are read back in guess and slice order, so
+  eigenvalues, record and fallback reason are those of the serial
+  loop, bit for bit.  The banded LU kernels (d/zgbtrf, d/zgbtrs) are
+  bound through ctypes from scipy's cython_lapack, as dsbgvx is: the
+  same LAPACK as scipy.linalg's f2py wrappers, which hold the GIL
+  while LAPACK runs, where a ctypes call releases it and lets the
+  workers overlap;
 - the same pencil without a window, or after such a doubt: an LU
   reduction to the standard problem (dBd)^-1 (dAd), solved by LAPACK
   dgeev (scipy.linalg.eigvals), every eigenvalue;
@@ -47,6 +57,7 @@ negative-kappa ground level.
 """
 import ctypes
 import functools
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -254,19 +265,40 @@ def _lower_bands(A, B, d):
 
 
 @functools.cache
-def _dsbgvx():
-    """LAPACK dsbgvx, bound through ctypes from scipy's cython_lapack."""
+def _lapack(name):
+    """LAPACK routine `name` of scipy's cython_lapack, the LAPACK that
+    scipy.linalg calls, bound through ctypes.  Fortran passes every
+    argument by address, so each is declared a void pointer; their
+    count is read off the C signature the capsule is named by."""
     from scipy.linalg import cython_lapack
-    capsule = cython_lapack.__pyx_capi__["dsbgvx"]
     api = ctypes.pythonapi
-    api.PyCapsule_GetName.restype = ctypes.c_char_p
-    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
-    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
-    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    ptr = api.PyCapsule_GetPointer(capsule, api.PyCapsule_GetName(capsule))
-    s, i, f = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    return ctypes.CFUNCTYPE(None, s, s, s, i, i, i, f, i, f, i, f, i, f, f, i, i,
-                            f, i, f, f, i, f, i, i, i)(ptr)
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = get_name(capsule)
+    nargs = signature.count(b",") + 1
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(get_pointer(capsule, signature))
+
+
+def _call(name, *args):
+    """LAPACK's info from routine `name` (see _lapack) called on args
+    and a trailing info: an array passed as its data, bytes as a
+    character, a float as a C double and an int as a C int.  ctypes
+    releases the GIL for the call, where the f2py wrappers hold it."""
+    refs = []
+    for a in args:
+        if isinstance(a, np.ndarray):
+            refs.append(a.ctypes.data)
+        elif isinstance(a, bytes):
+            refs.append(a)
+        else:
+            refs.append(ctypes.byref(ctypes.c_double(a) if isinstance(a, float)
+                                     else ctypes.c_int(a)))
+    info = ctypes.c_int()
+    _lapack(name)(*refs, ctypes.byref(info))
+    return info.value
 
 
 def _sbgvx_eigenvalues(Ab, Bb, k, vl, vu):
@@ -280,21 +312,11 @@ def _sbgvx_eigenvalues(Ab, Bb, k, vl, vu):
         raise ValueError("dsbgvx needs two Fortran-ordered (k + 1, n) bands")
     w, work, dummy = np.empty(n), np.empty(7 * n), np.empty(1)
     iwork, ifail = np.empty(5 * n, dtype=np.intc), np.empty(n, dtype=np.intc)
-    m, info = ctypes.c_int(), ctypes.c_int()
-
-    def ptr(a):
-        return a.ctypes.data_as(ctypes.POINTER(np.ctypeslib.as_ctypes_type(a.dtype)))
-
-    def ref(v, t=ctypes.c_int):
-        return ctypes.byref(t(v))
-
-    _dsbgvx()(b"N", b"V", b"L", ref(n), ref(k), ref(k), ptr(Ab), ref(k + 1),
-              ptr(Bb), ref(k + 1), ptr(dummy), ref(1), ref(vl, ctypes.c_double),
-              ref(vu, ctypes.c_double), ref(0), ref(0),
-              ref(2.0 * np.finfo(float).tiny, ctypes.c_double), ctypes.byref(m),
-              ptr(w), ptr(dummy), ref(1), ptr(work), ptr(iwork), ptr(ifail),
-              ctypes.byref(info))
-    return w[:m.value], info.value
+    m = np.zeros(1, dtype=np.intc)
+    info = _call("dsbgvx", b"N", b"V", b"L", n, k, k, Ab, k + 1, Bb, k + 1, dummy, 1,
+                 float(vl), float(vu), 0, 0, 2.0 * np.finfo(float).tiny, m, w, dummy, 1,
+                 work, iwork, ifail)
+    return w[:m[0]], info
 
 
 def _match_doubt(found, win: BoundWindow):
@@ -349,32 +371,40 @@ def _band_matvec(Mb, k, X):
     return Y.reshape(X.shape)
 
 
-def _factor_band(Ab, Bb, k, z, ab):
-    """Banded LU (dgbtrf, or zgbtrf for a complex z) of z B - A in `ab`,
-    a (3k+1, n) Fortran array of z's type that the factors overwrite:
-    the factors, the pivots and the LAPACK info (> 0: exactly singular).
-    Rows k.. are filled from Ab and Bb; gbtrf clears the top k rows (the
-    fill-in) itself before it writes them, so a buffer can be reused."""
+def _factor_band(Ab, Bb, z, ab):
+    """Banded LU (dgbtrf, or zgbtrf for a complex z) of z B - A, for Ab
+    and Bb of half-bandwidth k, in `ab`, a (3k+1, n) Fortran array of
+    z's type that the factors overwrite: the pivots and the LAPACK info
+    (> 0: exactly singular).  Rows k.. are filled from Ab and Bb; gbtrf
+    clears the top k rows (the fill-in) itself before it writes them,
+    so a buffer can be reused."""
+    k, n = Ab.shape[0] // 2, Ab.shape[1]
+    if ab.shape != (3 * k + 1, n) or not ab.flags.f_contiguous or ab.dtype not in (
+            np.float64, np.complex128):
+        raise ValueError("gbtrf needs a Fortran-ordered (3k+1, n) float or complex buffer")
     re = ab.real[k:]
     np.multiply(Bb, z.real, out=re)
     re -= Ab
     if np.iscomplexobj(ab):
         np.multiply(Bb, z.imag, out=ab.imag[k:])
-    gbtrf, = sla.get_lapack_funcs(("gbtrf",), (ab,))
-    return gbtrf(ab, k, k, overwrite_ab=True)
+    piv = np.empty(n, dtype=np.intc)
+    return piv, _call("zgbtrf" if np.iscomplexobj(ab) else "dgbtrf",
+                      n, n, k, k, ab, 3 * k + 1, piv)
 
 
-def _inverse_iteration(Ab, Bb, k, shift, x):
+def _inverse_iteration(Ab, Bb, shift, x):
     """The eigenvalue nearest the real `shift`, from inverse iteration
     with that fixed shift, or None when the estimate does not settle
     within INVIT_MAXIT steps or A - shift B is exactly singular."""
-    lu, piv, info = _factor_band(Ab, Bb, k, shift, np.empty((3 * k + 1, Ab.shape[1]), order="F"))
+    k, n = Ab.shape[0] // 2, Ab.shape[1]
+    lu = np.empty((3 * k + 1, n), order="F")
+    piv, info = _factor_band(Ab, Bb, shift, lu)
     if info:
         return None
-    gbtrs, = sla.get_lapack_funcs(("gbtrs",), (lu,))
     lam = None
     for _ in range(INVIT_MAXIT):
-        y, _ = gbtrs(lu, k, k, _band_matvec(Bb, k, x), piv)
+        y = _band_matvec(Bb, k, x)
+        _call("dgbtrs", b"N", n, k, k, 1, lu, 3 * k + 1, piv, y, n)
         est = shift - (x @ x) / (x @ y)  # y = x / (shift - lambda) at an eigenvector
         x = y / np.linalg.norm(y)
         if lam is not None and abs(est - lam) <= INVIT_TOL * abs(est):
@@ -424,24 +454,37 @@ def _slice_nodes(edges, found, hi):
     return nodes
 
 
-def _moment_singular_values(Ab, Bb, k, a, b, nodes, BV, ab):
+def _moment_singular_values(Ab, Bb, BV, a, b, nodes):
     """Singular values of the zeroth contour moment of (z B - A)^-1 B V
     (BV real, held as a complex Fortran array) on the circle over [a, b],
     by the trapezoid rule with `nodes` nodes on the upper half, each
-    factored in the buffer `ab` (see _factor_band); None when a node is
-    exactly singular.  Only the upper half is solved: the pencil is real,
-    so the lower nodes give the complex conjugates."""
+    factored in one buffer of the call's own (see _factor_band); None
+    when a node is exactly singular.  Only the upper half is solved: the
+    pencil is real, so the lower nodes give the complex conjugates."""
+    k, n = Ab.shape[0] // 2, Ab.shape[1]
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    gbtrs, = sla.get_lapack_funcs(("gbtrs",), (BV,))
+    lu = np.empty((3 * k + 1, n), dtype=complex, order="F")
+    X = np.empty(BV.shape, dtype=complex, order="F")
     S = np.zeros(BV.shape, dtype=complex)
     for t in np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes):
         w = r * complex(np.cos(t), np.sin(t))
-        lu, piv, info = _factor_band(Ab, Bb, k, c + w, ab)
+        piv, info = _factor_band(Ab, Bb, c + w, lu)
         if info:
             return None
-        X, _ = gbtrs(lu, k, k, BV, piv)
+        X[...] = BV
+        _call("zgbtrs", b"N", n, k, k, BV.shape[1], lu, 3 * k + 1, piv, X, n)
         S += w * X
     return np.linalg.svd(S.real / nodes, compute_uv=False)
+
+
+def _pooled(calls):
+    """The results of `calls` (functions of no argument), in order, from a
+    thread pool of one worker per usable core, at most one per call.
+    The first exception in that order is raised here."""
+    # imported here: only the nonsymmetric window runs threads
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(calls))) as pool:
+        return [f.result() for f in [pool.submit(c) for c in calls]]
 
 
 def _solve_window(A, B, d, win: BoundWindow, rec):
@@ -460,6 +503,9 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
        equal the found values inside, with a gap: every kept singular
        value at least SV_GAP times every dropped one, over all slices.
 
+    Steps 1 and 3 run one task per guess and per slice (see _pooled);
+    a doubt names the lowest-numbered guess or slice it concerns.
+
     rec (the window record of solve_generalized: lo, hi, slice_edges,
     slice_counts, slice_nodes, fallback) receives the slice edges, the
     certified per-slice counts and the per-slice node counts, or under
@@ -473,9 +519,10 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     n = len(d)
     rng = np.random.default_rng(PROBE_SEED)
     x0 = rng.standard_normal(n)
+    lams = _pooled([functools.partial(_inverse_iteration, Ab, Bb, g, x0)
+                    for g in win.guesses])
     found = []
-    for i, g in enumerate(win.guesses, start=1):
-        lam = _inverse_iteration(Ab, Bb, k, g, x0)
+    for i, lam in enumerate(lams, start=1):
         if lam is None:
             return doubt(f"inverse iteration from guess {i} did not settle")
         if 0.0 < lam <= win.hi:
@@ -492,13 +539,11 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
               for a, b in zip(edges[:-1], edges[1:])]
     nodes = _slice_nodes(edges, found, win.hi)
     BV = _band_matvec(Bb, k, rng.standard_normal((n, PROBES))).astype(complex, order="F")
-    ab = np.empty((3 * k + 1, n), dtype=complex, order="F")
-    svals = []
-    for i, (a, b, m) in enumerate(zip(edges[:-1], edges[1:], nodes), start=1):
-        s = _moment_singular_values(Ab, Bb, k, a, b, m, BV, ab)
+    svals = _pooled([functools.partial(_moment_singular_values, Ab, Bb, BV, a, b, m)
+                     for a, b, m in zip(edges[:-1], edges[1:], nodes)])
+    for i, s in enumerate(svals, start=1):
         if s is None:
             return doubt(f"a contour node of slice {i} is singular")
-        svals.append(s)
     kept = min(s[m - 1] for s, m in zip(svals, counts) if m)
     for i, (s, m) in enumerate(zip(svals, counts), start=1):
         dropped = s[m] if m < len(s) else np.inf

@@ -16,15 +16,23 @@ row-by-row stability parameter, and the 2x2-block pencil formulas.  The
 bands must densify to their arrays bit for bit.  band_from_dense gathers
 the bands of matrices a test builds dense.
 
+reference_quadrature is the per-interval np.linspace rule that the
+broadcast in build_quadrature replaced, and serial_window the window
+solve before its slices and inverse iterations ran on a thread pool:
+the f2py LAPACK wrappers, one guess and one slice after the other, every
+contour node factored in one buffer.  Both must agree bit for bit.
+
 exp_basis is a test-only enrichment that drives the kernel into its
 ill-conditioned and overflowing regimes on purpose.
 """
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from diracloud.assembly import DegenerateTau, WeakFormMatrices
+from diracloud import eigen
+from diracloud.assembly import _GAUSS_OFFSET, DegenerateTau, QuadratureRule, WeakFormMatrices
 from diracloud.band import Band, interleaving, slots
 from diracloud.cloud import CloudBasis, ShapeEval, SingularMoment, evaluate_shapes
 from diracloud.enrichment import EnrichmentBasis
@@ -322,3 +330,107 @@ def reference_dump(path, M, name=""):
         for i in range(M.shape[0]):
             for j in range(M.shape[1]):
                 f.write(f"{i + 1} {j + 1} {M[i, j]:.17g}\n")
+
+
+def reference_quadrature(grid, factor, split_at=None):
+    """build_quadrature's rule, one np.linspace per nodal interval."""
+    ncell = factor // 2
+    nodes = grid.nodes
+    cells = []
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        if split_at is not None and a < split_at < b:
+            left = max(1, min(ncell - 1, round(ncell * (split_at - a) / (b - a))))
+            right = max(1, ncell - left)
+            edges = np.concatenate([np.linspace(a, split_at, left + 1),
+                                    np.linspace(split_at, b, right + 1)[1:]])
+        else:
+            edges = np.linspace(a, b, ncell + 1)
+        cells.extend(zip(edges[:-1], edges[1:]))
+    cells = np.array(cells)
+    mid = 0.5 * (cells[:, 0] + cells[:, 1])
+    width = cells[:, 1] - cells[:, 0]
+    pts = np.empty(2 * len(cells))
+    wts = np.empty(2 * len(cells))
+    pts[0::2] = mid - _GAUSS_OFFSET * width
+    pts[1::2] = mid + _GAUSS_OFFSET * width
+    wts[0::2] = wts[1::2] = 0.5 * width
+    return QuadratureRule(cells=cells, points=pts, weights=wts)
+
+
+def _serial_factor(Ab, Bb, k, z, ab):
+    re = ab.real[k:]
+    np.multiply(Bb, z.real, out=re)
+    re -= Ab
+    if np.iscomplexobj(ab):
+        np.multiply(Bb, z.imag, out=ab.imag[k:])
+    gbtrf, = sla.get_lapack_funcs(("gbtrf",), (ab,))
+    return gbtrf(ab, k, k, overwrite_ab=True)
+
+
+def serial_window(A, B, win):
+    """The window eigenvalues of the banded cpg pencil (A, B) (None when
+    the window is given up) and the window record, as solve_generalized
+    builds them, from f2py gbtrf/gbtrs with the guesses and slices in
+    order."""
+    rec = {"lo": 0.0, "hi": win.hi, "slice_edges": None, "slice_counts": None,
+           "slice_nodes": None, "fallback": None}
+
+    def doubt(reason):
+        rec["fallback"] = reason
+        return None, rec
+
+    d = 1.0 / np.sqrt(B.diagonal())
+    Ab, Bb, k = eigen._interleaved_bands(A, B, d)
+    n = len(d)
+    rng = np.random.default_rng(eigen.PROBE_SEED)
+    x0 = rng.standard_normal(n)
+    found = []
+    for i, g in enumerate(win.guesses, start=1):
+        lu, piv, info = _serial_factor(Ab, Bb, k, g, np.empty((3 * k + 1, n), order="F"))
+        lam = est = None
+        x = x0
+        for _ in range(0 if info else eigen.INVIT_MAXIT):
+            y, _ = sla.lapack.dgbtrs(lu, k, k, eigen._band_matvec(Bb, k, x), piv)
+            est = g - (x @ x) / (x @ y)
+            x = y / np.linalg.norm(y)
+            if lam is not None and abs(est - lam) <= eigen.INVIT_TOL * abs(est):
+                break
+            lam = est
+        else:
+            return doubt(f"inverse iteration from guess {i} did not settle")
+        if 0.0 < est <= win.hi:
+            found.append(est)
+    found = np.sort(found)
+    if np.any(np.diff(found) <= eigen.DISTINCT_TOL * np.abs(found[1:])):
+        return doubt("two guesses found the same eigenvalue")
+    reason = eigen._match_doubt(found, win)
+    if reason is not None:
+        return doubt(reason)
+    edges = eigen._slice_edges(found, win.hi)
+    counts = [int(np.sum((found > a) & (found <= b)))
+              for a, b in zip(edges[:-1], edges[1:])]
+    nodes = eigen._slice_nodes(edges, found, win.hi)
+    BV = eigen._band_matvec(Bb, k, rng.standard_normal((n, eigen.PROBES))).astype(
+        complex, order="F")
+    ab = np.empty((3 * k + 1, n), dtype=complex, order="F")
+    svals = []
+    for i, (a, b, m) in enumerate(zip(edges[:-1], edges[1:], nodes), start=1):
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        S = np.zeros(BV.shape, dtype=complex)
+        for t in np.pi * (2 * np.arange(m) + 1) / (2 * m):
+            w = r * complex(np.cos(t), np.sin(t))
+            lu, piv, info = _serial_factor(Ab, Bb, k, c + w, ab)
+            if info:
+                return doubt(f"a contour node of slice {i} is singular")
+            X, _ = sla.lapack.zgbtrs(lu, k, k, BV, piv)
+            S += w * X
+        svals.append(np.linalg.svd(S.real / m, compute_uv=False))
+    kept = min(s[m - 1] for s, m in zip(svals, counts) if m)
+    for i, (s, m) in enumerate(zip(svals, counts), start=1):
+        dropped = s[m] if m < len(s) else np.inf
+        if dropped * eigen.SV_GAP > kept:
+            sv = ", ".join(f"{v:.2e}" for v in s)
+            return doubt(f"slice {i} of {len(counts)} holds {m} found; its moment "
+                         f"singular values are {sv}, the weakest kept {kept:.2e}")
+    rec.update(slice_edges=edges.tolist(), slice_counts=counts, slice_nodes=nodes)
+    return found.astype(complex), rec

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from _oracles import (band_from_dense, banded_weak_form, dense_weak_form, reference_dump,
-                      reference_pencil, reference_tau)
+                      reference_pencil, reference_quadrature, reference_tau)
 from diracloud.assembly import (METHODS, DegenerateTau, assemble_system,
                                 assemble_weak_form, build_quadrature, dump_matrix,
                                 stability_tau, stability_tau_fem)
@@ -47,6 +47,19 @@ def test_quadrature_exact_for_cubics():
     fake = SimpleNamespace(nodes=np.array([0.0, 1.0]))
     q = build_quadrature(fake, factor=10)
     assert q.weights @ q.points ** 3 == pytest.approx(0.25, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [60, 200, 600, 2000])
+def test_quadrature_matches_the_per_interval_rule(n):
+    g = generate_grid(GridConfig(n_intervals=n, I_a=0.0, I_b=100.0, eps=1e-5, nu=2.2))
+    x = g.nodes
+    for factor in (2, 10, 40):
+        for split in (None, 0.5 * (x[3] + x[4]), x[7] + 1e-3 * (x[8] - x[7]), x[5], 1e9):
+            q = build_quadrature(g, factor=factor, split_at=split)
+            ref = reference_quadrature(g, factor, split_at=split)
+            for name in ("cells", "points", "weights"):
+                assert getattr(q, name).tobytes() == getattr(ref, name).tobytes(), \
+                    (factor, split, name)
 
 
 def test_quadrature_split_point_becomes_a_cell_edge(uuo_grid_200):

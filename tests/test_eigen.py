@@ -1,5 +1,10 @@
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +22,7 @@ from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
 from diracloud.physics import PhysicalSystem, exact_eigenvalue
 
 from _oracles import (band_from_dense, charpoly_eigenvalues, max_pairing_distance,
-                      random_pencil)
+                      random_pencil, serial_window)
 
 
 # ----------------------------------------------------------------- the solver
@@ -158,6 +163,12 @@ def test_a_pencil_is_two_bands_or_two_arrays(uuo_wfm_200, uuo_system, uuo_grid_2
             with pytest.raises(ValueError, match="two interleaved Bands or two dense"):
                 solve_generalized(A, B, window=window, info=info)
             assert info == {}
+
+
+def test_an_interleaved_band_of_odd_order_is_refused():
+    with pytest.raises(ValueError, match="even order; this one has order 5"):
+        Band(np.ones((3, 5)), interleaved=True)
+    assert Band(np.ones((3, 5))).n == 5  # a band that is not interleaved may be odd
 
 
 # ---------------------------------------------------------- the bound window
@@ -533,44 +544,169 @@ def test_slice_nodes_follow_the_nearest_outside_level():
 
 def test_contour_nodes_factor_in_one_shared_buffer(uuo_wfm_200, uuo_system,
                                                    uuo_grid_200):
+    # the ctypes gbtrf and gbtrs agree bit for bit with scipy.linalg.lapack's
     out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
     d = 1.0 / np.sqrt(np.diag(out.B))
     Ab, Bb, k = eigen._interleaved_bands(out.bands["A"], out.bands["B"], d)
     assert Ab.flags.f_contiguous and Bb.flags.f_contiguous
-    # a buffer full of NaN: the fill-in rows must be cleared by gbtrf
-    ab = np.full((3 * k + 1, Ab.shape[1]), complex(np.nan, np.nan), order="F")
-    # entries of the band array outside the matrix are never read
     n = Ab.shape[1]
+    # entries of the band array outside the matrix are never read
     i = np.arange(n)[None, :] + np.arange(3 * k + 1)[:, None] - 2 * k
     inside = (i >= 0) & (i < n)
+    rhs = np.random.default_rng(37).normal(size=(n, eigen.PROBES))
     g = bound_window(uuo_system, 15).guesses
-    for z in (complex(g[0], 50.0), complex(g[3], -2.0), complex(g[9], 1e-3)):
-        lu, piv, info = eigen._factor_band(Ab, Bb, k, z, ab)
-        assert info == 0 and np.shares_memory(lu, ab)
-        fresh = np.zeros(ab.shape, dtype=complex, order="F")
-        ref_lu, ref_piv, _ = eigen._factor_band(Ab, Bb, k, z, fresh)
-        np.testing.assert_array_equal(lu[inside], ref_lu[inside])
-        np.testing.assert_array_equal(piv, ref_piv)
+    for dtype, name in ((complex, "zgb"), (float, "dgb")):
+        # a buffer full of NaN: the fill-in rows must be cleared by gbtrf
+        ab = np.full((3 * k + 1, n), np.nan, dtype=dtype, order="F")
+        B = np.asfortranarray(rhs, dtype=dtype)
+        for z in (complex(g[0], 50.0), complex(g[3], -2.0), complex(g[9], 1e-3)):
+            z = z if dtype is complex else z.real
+            piv, info = eigen._factor_band(Ab, Bb, z, ab)
+            assert info == 0
+            fresh = np.zeros(ab.shape, dtype=dtype, order="F")
+            fresh.real[k:] = z.real * Bb - Ab
+            if dtype is complex:
+                fresh.imag[k:] = z.imag * Bb
+            ref_lu, ref_piv, ref_info = getattr(sla.lapack, name + "trf")(fresh, k, k)
+            assert ref_info == 0
+            np.testing.assert_array_equal(ab[inside], ref_lu[inside])
+            np.testing.assert_array_equal(piv, ref_piv + 1)  # f2py counts from 0
+            X = B.copy(order="F")
+            assert eigen._call(name + "trs", b"N", n, k, k, X.shape[1], ab, 3 * k + 1,
+                               piv, X, n) == 0
+            ref_X, _ = getattr(sla.lapack, name + "trs")(ref_lu, k, k, B, ref_piv)
+            np.testing.assert_array_equal(X, ref_X)
 
 
 def test_slice_nodes_count_the_complex_lus_in_one_buffer(uuo_wfm_200, uuo_system,
                                                           uuo_grid_200, monkeypatch):
+    # one complex LU per contour node, in one buffer per slice
     out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
     buffers = []
     factor = eigen._factor_band
 
-    def spy(Ab, Bb, k, z, ab):
+    def spy(Ab, Bb, z, ab):
         if np.iscomplexobj(ab):
             buffers.append(ab)
-        return factor(Ab, Bb, k, z, ab)
+        return factor(Ab, Bb, z, ab)
 
     monkeypatch.setattr(eigen, "_factor_band", spy)
     info = {}
     solve_generalized(out.bands["A"], out.bands["B"], window=bound_window(uuo_system, 15),
                       info=info)
     assert info["path"] == "window"
-    assert len(buffers) == sum(info["window"]["slice_nodes"])
-    assert all(b is buffers[0] for b in buffers)
+    nodes = info["window"]["slice_nodes"]
+    assert len(buffers) == sum(nodes)
+    # the list keeps every buffer alive, so no id is reused
+    uses = Counter(id(b) for b in buffers)
+    assert sorted(uses.values()) == sorted(nodes)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(Z=118.0, kappa=-2, method="cpg"),
+    dict(Z=118.0, kappa=-2, method="cpg_fem_tau", nu=1.1),
+    dict(Z=118.0, kappa=2, method="cpg"),
+    dict(Z=119.0, kappa=2, method="cpg"),
+    dict(Z=118.0, kappa=-2, method="cpg", n_intervals=60),
+], ids=["flagship", "fem_tau", "kappa+2", "Z119-kappa+2", "n60"])
+def test_pooled_window_matches_the_serial_oracle(kwargs, solve_cached):
+    # eigenvalues and record bit-identical to the serial f2py solve; the
+    # last two give the window up, for a moment rank and an unsettled
+    # inverse iteration
+    res = solve_cached(**kwargs)
+    A, B = res.system.bands["A"], res.system.bands["B"]
+    win = bound_window(res.config.physical_system(), res.config.levels)
+    w, rec = serial_window(A, B, win)
+    if w is None:
+        # run_solve's record is shifted by -mc^2; the reason is not
+        assert res.eigen_path == "lu_dgeev"
+        assert res.eigen_window["fallback"] == rec["fallback"] and rec["fallback"]
+    else:
+        info = {}
+        got = solve_generalized(A, B, window=win, info=info)
+        assert info == {"path": "window", "window": rec}
+        assert got.tobytes() == w.tobytes()
+
+
+def test_the_first_failing_slice_is_named(uuo_wfm_200, uuo_system, uuo_grid_200,
+                                          monkeypatch):
+    # singular nodes in slices 3 and 6, slice 3 the slower to fail: the
+    # fallback names slice 3, as the serial loop did
+    out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    win = bound_window(uuo_system, 15)
+    info = {}
+    solve_generalized(out.bands["A"], out.bands["B"], window=win, info=info)
+    edges = info["window"]["slice_edges"]
+    factor = eigen._factor_band
+
+    def singular_in_3_and_6(Ab, Bb, z, ab):
+        piece = int(np.searchsorted(edges, z.real)) if np.iscomplexobj(ab) else 0
+        if piece == 3:
+            time.sleep(0.05)
+        return (np.zeros(Ab.shape[1], np.intc), 1) if piece in (3, 6) else \
+            factor(Ab, Bb, z, ab)
+
+    monkeypatch.setattr(eigen, "_factor_band", singular_in_3_and_6)
+    info = {}
+    solve_generalized(out.bands["A"], out.bands["B"], window=win, info=info)
+    assert info["path"] == "lu_dgeev"
+    assert info["window"]["fallback"] == "a contour node of slice 3 is singular"
+
+
+def test_an_exception_in_a_worker_propagates(uuo_wfm_200, uuo_system, uuo_grid_200,
+                                             monkeypatch):
+    out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    threads = []
+
+    class Broken(RuntimeError):
+        pass
+
+    def broken(*args):
+        threads.append(threading.current_thread())
+        raise Broken("slice moment failed")
+
+    monkeypatch.setattr(eigen, "_moment_singular_values", broken)
+    info = {}
+    with pytest.raises(Broken, match="slice moment failed"):
+        solve_generalized(out.bands["A"], out.bands["B"],
+                          window=bound_window(uuo_system, 15), info=info)
+    assert threads and threading.main_thread() not in threads
+    assert "path" not in info
+
+
+def test_more_workers_than_cores_keep_the_serial_result(uuo_wfm_200, uuo_system,
+                                                        uuo_grid_200, monkeypatch):
+    # eight workers on a short switch interval: the shared bands and probe
+    # columns are read only, so every result stays bit-identical
+    out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    A, B = out.bands["A"], out.bands["B"]
+    win = bound_window(uuo_system, 15)
+    ref, ref_rec = serial_window(A, B, win)
+    threads = set()
+    factor = eigen._factor_band
+
+    def spy(*args):
+        threads.add(threading.current_thread())
+        return factor(*args)
+
+    monkeypatch.setattr(eigen, "_factor_band", spy)
+    monkeypatch.setattr(eigen.os, "sched_getaffinity", lambda pid: set(range(8)))
+    got = []
+    interval = sys.getswitchinterval()
+    runner = ThreadPoolExecutor(1)
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            info = {}
+            w = runner.submit(solve_generalized, A, B, window=win, info=info)
+            got.append((w.result(timeout=60), info))
+    finally:
+        sys.setswitchinterval(interval)
+        runner.shutdown(wait=False)
+    for w, info in got:
+        assert info["path"] == "window" and info["window"] == ref_rec
+        assert w.tobytes() == ref.tobytes()
+    assert len(threads) > 1 and threading.main_thread() not in threads
 
 
 def test_window_with_a_nonpositive_mass_diagonal_takes_qz():
