@@ -33,15 +33,15 @@ assemble_system):
   that sets how sharply a disc is told from its outside, not the
   region.  Any doubt sends the solve to the dense path below.  The
   inverse iterations, one per guess, and the slice moments, one per
-  slice, are independent: they run on a thread pool made for the
-  solve, one worker per usable core, each task with its own factor
-  buffer, and their results are read back in guess and slice order, so
-  eigenvalues, record and fallback reason are those of the serial
-  loop, bit for bit.  The banded LU kernels (d/zgbtrf, d/zgbtrs) are
-  bound through ctypes from scipy's cython_lapack, as dsbgvx is: the
-  same LAPACK as scipy.linalg's f2py wrappers, which hold the GIL
-  while LAPACK runs, where a ctypes call releases it and lets the
-  workers overlap;
+  slice, are independent: each of the two phases runs on a thread
+  pool made inside the solve, one worker per usable core, each task
+  with its own factor buffer, and the results are read back in guess
+  and slice order, so eigenvalues, record and fallback reason are
+  those of the serial loop, bit for bit.  The banded LU kernels
+  (d/zgbtrf, d/zgbtrs) are bound through ctypes from scipy's
+  cython_lapack, as dsbgvx is: the same LAPACK as scipy.linalg's f2py
+  wrappers, which hold the GIL while LAPACK runs, where a ctypes call
+  releases it and lets the workers overlap;
 - the same pencil without a window, or after such a doubt: an LU
   reduction to the standard problem (dBd)^-1 (dAd), solved by LAPACK
   dgeev (scipy.linalg.eigvals), every eigenvalue;

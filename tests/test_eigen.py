@@ -557,7 +557,8 @@ def test_contour_nodes_factor_in_one_shared_buffer(uuo_wfm_200, uuo_system,
     g = bound_window(uuo_system, 15).guesses
     for dtype, name in ((complex, "zgb"), (float, "dgb")):
         # a buffer full of NaN: the fill-in rows must be cleared by gbtrf
-        ab = np.full((3 * k + 1, n), np.nan, dtype=dtype, order="F")
+        nan = complex(np.nan, np.nan) if dtype is complex else np.nan
+        ab = np.full((3 * k + 1, n), nan, dtype=dtype, order="F")
         B = np.asfortranarray(rhs, dtype=dtype)
         for z in (complex(g[0], 50.0), complex(g[3], -2.0), complex(g[9], 1e-3)):
             z = z if dtype is complex else z.real
