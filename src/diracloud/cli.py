@@ -87,7 +87,7 @@ class RunResult:
     grid: object
     system: object
     report: SpectrumReport    # its raw is what the eigen path computed: the window or all
-    eigen_path: str           # sbgvx, window, lu_dgeev, qz or eigh
+    eigen_path: str           # inertia, window, lu_dgeev, qz or eigh
     eigen_window: dict = None  # the window record (shifted), when one was asked for
 
 
@@ -106,12 +106,13 @@ def run_solve(cfg: RunConfig) -> RunResult:
     """Pencil -> eigensolve -> classification."""
     sys = cfg.physical_system()
     grid, _, system = assemble_pencil(cfg)
-    # the unperturbed pencil is symmetric with B SPD (dsbgvx on the band,
-    # or eigh for everything); the row-scaled variants are not (the
-    # certified window, or LU + dgeev for everything).  Either solves
-    # only the bound window when levels are matched, everything
-    # otherwise or when the window is given up.  The banded pencil goes
-    # in as it is: only the dense paths densify it.
+    # the unperturbed pencil is symmetric with B SPD (the window counted
+    # by inertia on the band, or eigh for everything); the row-scaled
+    # variants are not (the window certified by contour moments, or LU +
+    # dgeev for everything).  Either solves only the bound window when
+    # levels are matched, everything otherwise or when the window is
+    # given up.  The banded pencil goes in as it is: only the dense
+    # paths densify it.
     symmetric = not np.any(system.tau != 0.0)
     window = bound_window(sys, cfg.levels) if cfg.levels > 0 else None
     info = {}
@@ -198,7 +199,7 @@ def write_solve_csv(path, cfg, report):
 def report_as_dict(res: RunResult):
     """The JSON twin's report.  n_eigenvalues, n_complex and
     positive_shifted describe what the eigen path computed: the bound
-    window on the window and sbgvx paths, every eigenvalue on the
+    window on the window and inertia paths, every eigenvalue on the
     others."""
     report = res.report
     return {

@@ -11,12 +11,18 @@ read the lower triangle of A and B in block order, as eigh does:
 galerkin's A is symmetric only up to quadrature error (see
 assemble_system):
 - galerkin's symmetric pencil, whose B is positive definite, when a
-  bound window is given: only the eigenvalues inside it, from LAPACK
-  dsbgvx on the banded pencil.  Crawford's banded reduction and
-  Sturm-count bisection return every eigenvalue in (0, hi], so the
-  region covered is all of the window and needs no certificate; a
-  failed reduction, or a guess whose match lies farther from it than
-  the window edge, sends the solve to the next path;
+  bound window is given: only the eigenvalues inside it, on the banded
+  pencil, with no reduction.  Banded inverse iteration from the
+  closed-form levels finds them, and where the sign of a banded LU's
+  determinant (the parity of the count above its shift) disagrees with
+  the values found, it locates the ones missed.  Sylvester's law of
+  inertia certifies them (spectrum slicing): the negative eigenvalues
+  of d(A - hi B)d less those of dAd, from a block LDL^T of the band,
+  count the window exactly, and the count must equal the number found.
+  A dBd with no banded Cholesky factor, a numerically singular Schur
+  complement, a count that disagrees, or a guess whose match lies
+  farther from it than the window edge, sends the solve to the next
+  path;
 - the same pencil without a window, or after such a failure: the
   Cholesky reduction (scipy.linalg.eigh), every eigenvalue;
 - the tau-scaled, nonsymmetric pencil of cpg and cpg_fem_tau, when a
@@ -39,7 +45,7 @@ assemble_system):
   and slice order, so eigenvalues, record and fallback reason are
   those of the serial loop, bit for bit.  The banded LU kernels
   (d/zgbtrf, d/zgbtrs) are bound through ctypes from scipy's
-  cython_lapack, as dsbgvx is: the same LAPACK as scipy.linalg's f2py
+  cython_lapack, as dpbtrf is: the same LAPACK as scipy.linalg's f2py
   wrappers, which hold the GIL while LAPACK runs, where a ctypes call
   releases it and lets the workers overlap;
 - the same pencil without a window, or after such a doubt: an LU
@@ -147,21 +153,21 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
     below RCOND_FLOOR.
 
     window (a BoundWindow; a banded pencil) returns the eigenvalues
-    in (0, window.hi], above the -mc^2 threshold: on the symmetric path
-    all of them from dsbgvx on the banded pencil (see
-    _solve_window_sbgvx), on the nonsymmetric path found and certified
-    on the banded pencil (see _solve_window); and everything the path's
-    dense solve returns when the window is given up.  A dict
-    passed as `info` receives the path that ran under "path" (sbgvx,
-    window, lu_dgeev, qz or eigh) and, when a window was given, its
-    record under "window": lo (always 0) and hi, the slice edges,
-    per-slice counts and per-slice contour nodes (upper half) of the
-    certificate (dsbgvx: the one slice [0, hi] and no nodes), and under
+    in (0, window.hi], above the -mc^2 threshold, found and certified on
+    the banded pencil: on the symmetric path by an inertia count (see
+    _solve_window_inertia), on the nonsymmetric path by contour moments
+    (see _solve_window); and everything the path's dense solve returns
+    when the window is given up.  A dict passed as `info` receives the
+    path that ran under "path" (inertia, window, lu_dgeev, qz or eigh)
+    and, when a window was given, its record under "window": lo (always
+    0) and hi, the slice edges, per-slice counts and per-slice contour
+    nodes (upper half) of the certificate (inertia: the one slice
+    [0, hi], its count, and no nodes), and under
     "fallback" why the window was given up (None when it was not; the
     slice entries are None then).  A pencil of any other form, a NaN or
     inf in A or B, and a window given with a dense pencil raise
     ValueError, checked once before a path is picked: `info` receives
-    nothing, and no path (the raw dsbgvx call included) sees them."""
+    nothing, and no path (the raw LAPACK calls included) sees them."""
     banded = isinstance(A, Band), isinstance(B, Band)
     if all(banded):
         if not (A.interleaved and B.interleaved and A.data.shape == B.data.shape):
@@ -190,9 +196,9 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
             raise ValueError("symmetric_definite needs positive diagonal in B")
         d = 1.0 / np.sqrt(db)
         if window is not None:
-            w = _solve_window_sbgvx(A, B, d, window, rec)
+            w = _solve_window_inertia(A, B, d, window, rec)
             if w is not None:
-                info["path"] = "sbgvx"
+                info["path"] = "inertia"
                 return w
         info["path"] = "eigh"
         return sla.eigh(_equilibrate(_dense(A), d), _equilibrate(_dense(B), d),
@@ -301,24 +307,6 @@ def _call(name, *args):
     return info.value
 
 
-def _sbgvx_eigenvalues(Ab, Bb, k, vl, vu):
-    """The eigenvalues in (vl, vu] of the symmetric-definite pencil whose
-    lower bands (half-bandwidth k, Fortran arrays, both overwritten) are
-    Ab and Bb, ascending and to full accuracy, and LAPACK's info (> n:
-    Bb is not positive definite)."""
-    n = Ab.shape[1]
-    if Ab.shape != (k + 1, n) or Bb.shape != Ab.shape or not (
-            Ab.flags.f_contiguous and Bb.flags.f_contiguous):
-        raise ValueError("dsbgvx needs two Fortran-ordered (k + 1, n) bands")
-    w, work, dummy = np.empty(n), np.empty(7 * n), np.empty(1)
-    iwork, ifail = np.empty(5 * n, dtype=np.intc), np.empty(n, dtype=np.intc)
-    m = np.zeros(1, dtype=np.intc)
-    info = _call("dsbgvx", b"N", b"V", b"L", n, k, k, Ab, k + 1, Bb, k + 1, dummy, 1,
-                 float(vl), float(vu), 0, 0, 2.0 * np.finfo(float).tiny, m, w, dummy, 1,
-                 work, iwork, ifail)
-    return w[:m[0]], info
-
-
 def _match_doubt(found, win: BoundWindow):
     """Step 2 of both windows: the greedy matcher of classify_spectrum
     pairs the ascending `found` with the guesses, and each pair must lie
@@ -330,31 +318,6 @@ def _match_doubt(found, win: BoundWindow):
         return ("a matched level lies farther from its guess than the window "
                 "edge, or a guess has no match")
     return None
-
-
-def _solve_window_sbgvx(A, B, d, win: BoundWindow, rec):
-    """The eigenvalues in (0, win.hi] of the symmetric-definite pencil,
-    or None when the window is given up.
-
-    dsbgvx reduces the banded d(A, B)d (see _lower_bands) to a
-    tridiagonal matrix by Crawford's algorithm and bisects it by Sturm
-    counts, so it returns every eigenvalue in the window.  They must
-    pass step 2 of _solve_window (see _match_doubt).  rec (the window
-    record of solve_generalized) receives the one slice [0, hi] and its
-    count, or under "fallback" why the window was given up."""
-    Ab, Bb, k = _lower_bands(A, B, d)
-    found, lapack_info = _sbgvx_eigenvalues(Ab, Bb, k, 0.0, win.hi)
-    if lapack_info:
-        rec["fallback"] = (f"dsbgvx returned info {lapack_info}: the equilibrated B "
-                           "is not positive definite" if lapack_info > len(d)
-                           else f"dsbgvx returned info {lapack_info}")
-        return None
-    rec["fallback"] = _match_doubt(found, win)
-    if rec["fallback"] is not None:
-        return None
-    rec["slice_edges"] = [0.0, win.hi]
-    rec["slice_counts"] = [len(found)]
-    return found.astype(complex)
 
 
 def _band_matvec(Mb, k, X):
@@ -411,6 +374,160 @@ def _inverse_iteration(Ab, Bb, shift, x):
             return est
         lam = est
     return None
+
+
+def _negative_counts(Ml):
+    """The number of negative eigenvalues of each symmetric matrix of the
+    stack Ml of lower bands ((s, k + 1, n), entry (i, j) of matrix m in
+    Ml[m, i - j, j]), or None when a Schur complement below is
+    numerically singular: its smallest eigenvalue in modulus at most k
+    eps times its largest, or exactly singular.
+
+    In k x k blocks (1 x 1 for a diagonal) the band is block
+    tridiagonal, diagonal blocks D_J and blocks C_J below them, and its
+    block LDL^T has the Schur complements S_1 = D_1,
+    S_J+1 = D_J+1 - C_J S_J^-1 C_J^T.  By Sylvester's law of inertia
+    (Haynsworth's additivity) the count is the sum of theirs, each from
+    eigvalsh.  The matrices of the stack run through the blocks
+    together; the last block is padded with the identity, which adds no
+    negative eigenvalue."""
+    s, k, n = Ml.shape[0], max(Ml.shape[1] - 1, 1), Ml.shape[2]
+    nb = -(-n // k)
+    M = np.zeros((s, k + 1, nb * k))
+    M[:, :Ml.shape[1], :n] = Ml
+    M[:, 0, n:] = 1.0
+    a = np.arange(k)
+    lo, hi = np.minimum.outer(a, a), np.maximum.outer(a, a)
+    cols = k * np.arange(nb)[:, None, None]
+    # D_J[a, b] = M[Jk + a, Jk + b], from the lower triangle, and C_J[a, b]
+    # = M[(J+1)k + a, Jk + b], on diagonal k + a - b: in the band for a <= b
+    below = k + a[:, None] - a
+    D = M[:, hi - lo, cols + lo]
+    C = np.where(below <= k, M[:, np.minimum(below, k), cols[:-1] + a], 0.0)
+    D, C = (np.ascontiguousarray(X.swapaxes(0, 1)) for X in (D, C))  # block J first
+    Ct = np.ascontiguousarray(C.swapaxes(2, 3))
+    mu = np.empty((nb, s, k))
+    try:
+        S = D[0]
+        for J in range(nb):
+            if J:
+                S = D[J] - C[J - 1] @ np.linalg.solve(S, Ct[J - 1])
+            mu[J] = np.linalg.eigvalsh(S)
+    except np.linalg.LinAlgError:  # an exactly singular S
+        return None
+    size = np.abs(mu)
+    if np.any(size.min(axis=2) <= k * np.finfo(float).eps * size.max(axis=2)):
+        return None
+    return np.count_nonzero(mu < 0.0, axis=(0, 2))
+
+
+def _find_window_eigenvalues(Ab, Bb, win: BoundWindow):
+    """Distinct eigenvalues in (0, win.hi] of the symmetric-definite
+    pencil whose full bands (LAPACK storage, see _interleaved_bands) are
+    Ab and Bb, ascending.  Found, not certified: more may lie inside.
+
+    Inverse iteration from each guess finds some; values within
+    DISTINCT_TOL of a lower one are one eigenvalue.  Then the sign of
+    det(s B - A), the product of the diagonal of dgbtrf's U and
+    (-1)^(row swaps), is the parity of the count above s, since B is
+    positive definite; so the parities at a slice's edges give the
+    parity of its count.  The slices from 0 to hi with edges midway
+    between the found values, and at each guess that found nothing
+    inside the window (one that does not settle has two eigenvalues
+    about as near it, often one on each side), are searched.  One whose
+    parity disagrees with the found values inside is cut in two by one
+    more factorization: one holding a found value in the middle of the
+    wider side of it, an empty one at its centre.  An empty one first
+    takes inverse iteration from its centre when it is isolated, its
+    half-width at most a quarter of the distance from its centre to
+    every found value, so that the iteration converges fast; a landing
+    inside is a new found value.  Slices narrower than DISTINCT_TOL of
+    their top are not cut, so each missed eigenvalue costs a few
+    factorizations, however large n.  An even number missed in one
+    slice is not seen."""
+    k, n = Ab.shape[0] // 2, Ab.shape[1]
+    x = np.random.default_rng(PROBE_SEED).standard_normal(n)
+    lu = np.empty((3 * k + 1, n), order="F")
+    unswapped = np.arange(1, n + 1, dtype=np.intc)
+
+    def parity(s):  # an exactly singular U leaves a wrong parity: it only locates
+        piv, _ = _factor_band(Ab, Bb, s, lu)
+        return (np.count_nonzero(lu[2 * k] < 0.0)
+                + np.count_nonzero(piv != unswapped)) % 2
+
+    lams = [_inverse_iteration(Ab, Bb, g, x) for g in win.guesses]
+    hit = [lam is not None and 0.0 < lam <= win.hi for lam in lams]
+    found = np.sort([lam for lam, h in zip(lams, hit) if h])
+    found = list(found[np.diff(found, prepend=-np.inf) > DISTINCT_TOL * found])
+    edges = sorted({0.0, win.hi, *(0.5 * (f + g) for f, g in zip(found[:-1], found[1:])),
+                    *(g for g, h in zip(win.guesses, hit) if not h)})
+    par = {e: parity(e) for e in edges}
+    todo = list(zip(edges[:-1], edges[1:]))
+    while todo:
+        a, b = todo.pop()
+        inside = [f for f in found if a < f <= b]
+        if (par[a] + par[b] + len(inside)) % 2 == 0 or b - a <= DISTINCT_TOL * b:
+            continue
+        c = 0.5 * (a + b)
+        if inside:
+            f = inside[0]
+            c = 0.5 * (a + f) if f - a >= b - f else 0.5 * (f + b)
+        elif 2.0 * (b - a) <= min((abs(f - c) for f in found), default=np.inf):
+            lam = _inverse_iteration(Ab, Bb, c, x)
+            if lam is not None and a < lam <= b:
+                found.append(lam)
+                continue
+        par[c] = parity(c)
+        todo += [(a, c), (c, b)]
+    return np.sort(found)
+
+
+def _solve_window_inertia(A, B, d, win: BoundWindow, rec):
+    """The eigenvalues in (0, win.hi] of the symmetric-definite pencil,
+    or None when the window is given up.
+
+    1. d(A, B)d is read from its block-order lower triangle, the one
+       eigh reads (see _lower_bands), and dBd must have a banded
+       Cholesky factor (dpbtrf).
+    2. Inverse iteration and the parity of slice counts find the
+       eigenvalues (see _find_window_eigenvalues), on the lower bands
+       mirrored into full ones.
+    3. They must pass step 2 of _solve_window (see _match_doubt), and
+       their number must be the count of eigenvalues in [0, hi), which
+       is exact: the negative eigenvalues of d(A - hi B)d less those of
+       dAd (see _negative_counts).
+    rec (the window record of solve_generalized) receives the one slice
+    [0, hi] and its count, or under "fallback" why the window was given
+    up."""
+    Al, Bl, k = _lower_bands(A, B, d)
+    n = len(d)
+    lapack_info = _call("dpbtrf", b"L", n, k, Bl.copy(order="F"), k + 1)
+    if lapack_info:
+        rec["fallback"] = (f"dpbtrf returned info {lapack_info}: the equilibrated B "
+                           "is not positive definite")
+        return None
+    full = np.zeros((2, 2 * k + 1, n))
+    for F, L in zip(full, (Al, Bl)):  # entry (i, j) in row k + i - j, both triangles
+        F[k:] = L
+        for o in range(1, k + 1):
+            F[k - o, o:] = L[o, :n - o]
+    found = _find_window_eigenvalues(*full, win)
+    rec["fallback"] = _match_doubt(found, win)
+    if rec["fallback"] is not None:
+        return None
+    counts = _negative_counts(Al - np.array([0.0, win.hi])[:, None, None] * Bl)
+    if counts is None:
+        rec["fallback"] = ("a Schur complement of d(A - s B)d, s = 0 or hi, is "
+                           "numerically singular")
+        return None
+    count = int(counts[1] - counts[0])
+    if count != len(found):
+        rec["fallback"] = (f"the inertia count of the window is {count}, but {len(found)} "
+                           "distinct eigenvalues were found")
+        return None
+    rec["slice_edges"] = [0.0, win.hi]
+    rec["slice_counts"] = [count]
+    return found.astype(complex)
 
 
 def _slice_edges(found, hi):

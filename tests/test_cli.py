@@ -174,7 +174,7 @@ def test_solver_breakdown_is_a_numerical_error(monkeypatch, capsys):
 def test_non_positive_definite_galerkin_mass_is_a_numerical_error(monkeypatch, capsys,
                                                                  tmp_path):
     # a mass matrix with a positive diagonal but no Cholesky factor: the
-    # dsbgvx window gives up, and the dense eigh path stops the run
+    # inertia window gives up, and the dense eigh path stops the run
     assemble = cli.assemble_system
 
     def indefinite(*args, **kwargs):
@@ -330,8 +330,8 @@ def test_solve_writes_csv_and_json(tmp_path, monkeypatch):
     assert set(rep) == {"n_eigenvalues", "n_complex", "positive_shifted",
                         "flags", "matches", "eigen_path", "eigen_window"}
     assert rep["n_complex"] == 0
-    assert rep["eigen_path"] == "sbgvx"
-    # dsbgvx covers the whole window in one slice, without contour nodes
+    assert rep["eigen_path"] == "inertia"
+    # the inertia count covers the whole window in one slice, without contour nodes
     win = rep["eigen_window"]
     assert win["fallback"] is None and win["slice_nodes"] is None
     assert win["lo"] == pytest.approx(-cli.RunConfig(Z=1.0).physical_system().mc2,
@@ -350,7 +350,7 @@ CPG_WINDOW_ARGS = ["--Z", "118", "--kappa", "-2", "--n-intervals", "200",
 
 
 def test_solve_output_is_deterministic(tmp_path, monkeypatch):
-    # a galerkin run on the dsbgvx window and a cpg run on the certified one
+    # a galerkin run on the inertia window and a cpg run on the contour one
     for name, argv in (("galerkin", HYDROGEN_ARGS), ("cpg", CPG_WINDOW_ARGS)):
         a, b = tmp_path / name / "a", tmp_path / name / "b"
         for d in (a, b):

@@ -277,12 +277,12 @@ def test_window_takes_eigenvalues_of_a_block_pencil_only(
         uuo_wfm_200, uuo_system, uuo_grid_200):
     out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
     win = bound_window(uuo_system, 15)
-    # both paths take a window: the symmetric one through dsbgvx
+    # both paths take a window: the symmetric one certified by inertia counts
     sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
     info = {}
     solve_generalized(sym.bands["A"], sym.bands["B"], window=win, symmetric_definite=True,
                       info=info)
-    assert info["path"] == "sbgvx" and info["window"]["fallback"] is None
+    assert info["path"] == "inertia" and info["window"]["fallback"] is None
     info = {}
     with pytest.raises(ValueError, match="window= needs a banded"):
         solve_generalized(out.A, out.B, window=win, info=info)  # a dense pencil
@@ -346,7 +346,7 @@ def test_slice_nodes_certify_with_fewer_than_the_cap(kwargs, solve_cached):
        levels=st.integers(1, 6))
 def test_window_paths_keep_the_dense_levels_or_say_why_not(
         Z, kappa, nu, eps, n, method, levels):
-    # coarse random grids: a kept window (window or sbgvx) holds the
+    # coarse random grids: a kept window (window or inertia) holds the
     # dense solve's levels and flags, and a window given up says why.
     # Only the dense spectrum of a window given up may warn of complex
     # pairs (that of Z=5, kappa=3, nu=2.04, eps=5.9e-4, n=60 cpg does)
@@ -356,13 +356,13 @@ def test_window_paths_keep_the_dense_levels_or_say_why_not(
         warnings.simplefilter("always")
         res = run_solve(cfg)
     win = res.eigen_window
-    if res.eigen_path not in ("window", "sbgvx"):
+    if res.eigen_path not in ("window", "inertia"):
         assert isinstance(win["fallback"], str) and win["fallback"]
         return
     assert win["fallback"] is None and not caught
     sys = cfg.physical_system()
     dense = solve_generalized(res.system.A, res.system.B,
-                              symmetric_definite=res.eigen_path == "sbgvx")
+                              symmetric_definite=res.eigen_path == "inertia")
     ref = classify_spectrum(dense, sys, levels=levels)
     got = res.report
     assert len(got.matches) == len(ref.matches)
@@ -396,13 +396,13 @@ def test_z92_kappa_minus1_takes_the_window_with_a_slice_past_12_nodes():
 @pytest.mark.parametrize("kwargs", _VARIANTS,
                          ids=[f"Z{v['Z']:g}-Ib{v['I_b']:g}" for v in _VARIANTS])
 def test_galerkin_window_matches_the_dense_spectrum(kwargs, kappa, solve_cached):
-    # the nine variants at n=600: dsbgvx returns exactly the dense
+    # the nine variants at n=600: the inertia window returns exactly the dense
     # spectrum's window, its one instilled state included, and
     # classification gives the dense path's rows and flags
     cfg = RunConfig(kappa=kappa, method="galerkin", **kwargs)
     flagship = cfg == RunConfig(Z=118.0, kappa=-2, method="galerkin")
     res = solve_cached(**cfg.as_dict()) if flagship else run_solve(cfg)
-    assert res.eigen_path == "sbgvx"
+    assert res.eigen_path == "inertia"
     win = res.eigen_window
     assert win["fallback"] is None and win["slice_nodes"] is None
     assert win["slice_edges"] == [win["lo"], win["hi"]]
@@ -420,7 +420,7 @@ def test_galerkin_window_matches_the_dense_spectrum(kwargs, kappa, solve_cached)
         assert r[1] == pytest.approx(q[1], rel=1e-10)
 
 
-@pytest.mark.parametrize("method,path", [("cpg", "window"), ("galerkin", "sbgvx")])
+@pytest.mark.parametrize("method,path", [("cpg", "window"), ("galerkin", "inertia")])
 def test_window_paths_never_densify(method, path, monkeypatch):
     def refuse(self):
         raise AssertionError("a band was densified")
@@ -436,7 +436,7 @@ def test_a_large_window_solve_stays_small():
     # cpg 896 MB with the weak form and the pencil stored dense, 7.9 MB
     # banded; for galerkin 6.1 MB banded, where the densified pencil
     # alone would be 128 MB
-    for method, path in (("cpg", "window"), ("galerkin", "sbgvx")):
+    for method, path in (("cpg", "window"), ("galerkin", "inertia")):
         cfg = RunConfig(Z=118.0, kappa=-2, method=method, n_intervals=2000)
         tracemalloc.start()
         try:
@@ -463,7 +463,7 @@ def test_coarse_galerkin_window_falls_back_to_eigh(solve_cached):
     assert res.report.flags == ref.flags
 
 
-def test_sbgvx_reads_the_block_order_lower_triangle(uuo_wfm_200, uuo_system):
+def test_inertia_window_reads_the_block_order_lower_triangle(uuo_wfm_200, uuo_system):
     # galerkin's A is symmetric only up to quadrature error; both
     # symmetric paths read the lower triangle in block order, so garbage
     # in the strict upper one moves neither.  In the interleaved order
@@ -478,14 +478,14 @@ def test_sbgvx_reads_the_block_order_lower_triangle(uuo_wfm_200, uuo_system):
         info = {}
         got[name] = solve_generalized(*band_from_dense(A, sym.B, interleaved=True),
                                       symmetric_definite=True, window=win, info=info)
-        assert info["path"] == "sbgvx"
+        assert info["path"] == "inertia"
     np.testing.assert_array_equal(got["garbage"], got["clean"])
     dense = solve_generalized(garbage, sym.B, symmetric_definite=True).real
     inside = np.sort(dense[(dense > 0.0) & (dense <= win.hi)])
     np.testing.assert_allclose(got["garbage"].real, inside, rtol=1e-12, atol=0)
 
 
-def test_sbgvx_bands_hold_the_lower_triangle(uuo_wfm_200, uuo_system):
+def test_lower_bands_hold_the_block_order_lower_triangle(uuo_wfm_200, uuo_system):
     sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
     n = sym.A.shape[0]
     d = 1.0 / np.sqrt(np.diag(sym.B))
@@ -504,7 +504,7 @@ def test_sbgvx_bands_hold_the_lower_triangle(uuo_wfm_200, uuo_system):
 
 def test_non_positive_definite_mass_falls_back_to_eigh_and_raises(uuo_wfm_200,
                                                                    uuo_system):
-    # a positive diagonal, but no Cholesky factor: dsbgvx reports it, and
+    # a positive diagonal, but no Cholesky factor: dpbtrf reports it, and
     # the dense path raises as it always did
     sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
     B = sym.B.copy()
@@ -516,6 +516,109 @@ def test_non_positive_definite_mass_falls_back_to_eigh_and_raises(uuo_wfm_200,
                           info=info)
     assert info["path"] == "eigh"
     assert "not positive definite" in info["window"]["fallback"]
+
+
+def _dense_lower(Ml):
+    """The dense symmetric matrix whose lower band is Ml, (k + 1, n)."""
+    k, n = Ml.shape[0] - 1, Ml.shape[1]
+    M = np.zeros((n, n))
+    for o in range(k + 1):
+        M[np.arange(o, n), np.arange(n - o)] = Ml[o, :n - o]
+    return np.tril(M) + np.tril(M, -1).T
+
+
+def test_inertia_counts_match_eigvalsh_on_the_galerkin_pencil(uuo_wfm_200, uuo_system):
+    # d(A - s B)d at 0, at hi and 1e-9 (relative) on either side of each
+    # eigenvalue in the window: the block LDL^T counts the negative
+    # eigenvalues eigvalsh finds, which count the eigenvalues below s
+    sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
+    win = bound_window(uuo_system, 15)
+    d = 1.0 / np.sqrt(np.diag(sym.B))
+    Al, Bl, k = eigen._lower_bands(sym.bands["A"], sym.bands["B"], d)
+    lam = solve_generalized(sym.A, sym.B, symmetric_definite=True).real
+    inside = lam[(lam > 0.0) & (lam <= win.hi)]
+    assert len(inside) >= 15
+    shifts = np.concatenate([[0.0, win.hi], inside * (1.0 - 1e-9), inside * (1.0 + 1e-9)])
+    Ml = Al - shifts[:, None, None] * Bl
+    counts = eigen._negative_counts(Ml)
+    ref = [int(np.sum(np.linalg.eigvalsh(_dense_lower(M)) < 0.0)) for M in Ml]
+    np.testing.assert_array_equal(counts, ref)
+    np.testing.assert_array_equal(counts, [np.sum(lam < s) for s in shifts])
+    assert counts[1] - counts[0] == len(inside)
+
+
+@pytest.mark.parametrize("n,k", [(50, 3), (61, 4), (5, 3), (9, 9), (7, 0)])
+def test_inertia_counts_match_eigvalsh_on_random_banded_pencils(n, k):
+    # n a multiple of k or not (the last block is padded), n < k, and a
+    # diagonal pencil (1 x 1 blocks)
+    rng = np.random.default_rng(41 + n)
+    Al, Bl = rng.normal(size=(k + 1, n)), 0.1 * rng.normal(size=(k + 1, n))
+    Bl[0] = 2.0 * k + rng.uniform(size=n)  # diagonally dominant: B is SPD
+    for o in range(k + 1):
+        Al[o, n - o:] = Bl[o, n - o:] = 0.0
+    A, B = _dense_lower(Al), _dense_lower(Bl)
+    lam = sla.eigh(A, B, eigvals_only=True)
+    shifts = np.concatenate([[lam[0] - 1.0, lam[-1] + 1.0, 0.0],
+                             lam * (1.0 - 1e-9), lam * (1.0 + 1e-9)])
+    Ml = Al - shifts[:, None, None] * Bl
+    counts = eigen._negative_counts(Ml)
+    ref = [int(np.sum(np.linalg.eigvalsh(_dense_lower(M)) < 0.0)) for M in Ml]
+    np.testing.assert_array_equal(counts, ref)
+    np.testing.assert_array_equal(counts, [np.sum(lam < s) for s in shifts])
+
+
+def test_a_singular_schur_complement_gives_no_count():
+    Ml = np.zeros((1, 3, 7))
+    Ml[0, 0] = np.arange(7.0) - 3.0  # diag(-3, ..., 3): the fourth pivot is 0
+    assert eigen._negative_counts(Ml) is None
+    Ml[0, 0, 3] = 1e-3
+    np.testing.assert_array_equal(eigen._negative_counts(Ml), [3])
+
+
+def test_a_window_missing_an_eigenvalue_falls_back_to_eigh(solve_cached, monkeypatch):
+    # a finder that drops the instilled state: the matcher still pairs
+    # every guess, but the inertia count of the window is one more than
+    # what was found, and the run takes the dense spectrum
+    res = solve_cached(Z=118.0, kappa=-2, method="galerkin")
+    assert res.eigen_path == "inertia"
+    skip = res.report.flags.index(FLAG_INSTILLED)
+    find = eigen._find_window_eigenvalues
+    monkeypatch.setattr(eigen, "_find_window_eigenvalues",
+                        lambda Ab, Bb, win: np.delete(find(Ab, Bb, win), skip))
+    bands = res.system.bands
+    info = {}
+    w = solve_generalized(bands["A"], bands["B"], symmetric_definite=True,
+                          window=bound_window(res.config.physical_system(), 15), info=info)
+    assert info["path"] == "eigh"
+    rec = info["window"]
+    assert rec["fallback"] == ("the inertia count of the window is 16, but 15 distinct "
+                               "eigenvalues were found")
+    assert rec["slice_edges"] is rec["slice_counts"] is rec["slice_nodes"] is None
+    np.testing.assert_array_equal(
+        w, solve_generalized(res.system.A, res.system.B, symmetric_definite=True))
+
+
+def test_the_galerkin_window_factors_as_often_at_any_n(monkeypatch):
+    # the flagship galerkin window: inverse iterations and parity
+    # factorizations do not grow with n, and no dense reduction is bound
+    calls, names = Counter(), set()
+    factor, lapack = eigen._factor_band, eigen._lapack
+
+    def counted(*args):
+        calls[n] += 1
+        return factor(*args)
+
+    def bound(name):
+        names.add(name)
+        return lapack(name)
+
+    monkeypatch.setattr(eigen, "_factor_band", counted)
+    monkeypatch.setattr(eigen, "_lapack", bound)
+    for n in (600, 2000):
+        res = run_solve(RunConfig(Z=118.0, kappa=-2, method="galerkin", n_intervals=n))
+        assert res.eigen_path == "inertia" and res.eigen_window["slice_counts"] == [16]
+    assert calls[600] == calls[2000] > 0
+    assert "dsbgvx" not in names and "dpbtrf" in names
 
 
 def test_contour_nodes_grow_with_the_ratio_up_to_the_cap():
