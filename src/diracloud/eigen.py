@@ -31,13 +31,18 @@ assemble_system):
   the closed-form levels finds them; Sakurai-Sugiura / Beyn contour
   moments over slices of the window certify that nothing else is
   inside.  The region certified is exactly the union of the closed
-  discs that have the slices as diameters: a complex pair whose real
-  part lies in a slice lies outside every contour when it is farther
-  from that slice's centre than its half-width, in particular whenever
-  its imaginary part exceeds the half-width.  Each slice gets as many
-  contour nodes as the distance to its nearest outside level asks for;
-  that sets how sharply a disc is told from its outside, not the
-  region.  Any doubt sends the solve to the dense path below.  The
+  ellipses over the slices, each with semi-axes r (the slice's
+  half-width, along the real axis) and CONTOUR_ASPECT r = r/2 (across
+  it): every real point of a slice lies inside its ellipse, and a
+  complex pair whose real part lies in a slice lies outside every
+  contour whenever its imaginary part exceeds r/2.  The ellipse takes
+  fewer nodes than the circle of radius r to tell a slice from its
+  nearest outside level (112 complex LUs on the flagship against 151),
+  at the price of the pairs with imaginary parts between r/2 and r,
+  which a circle would see.  Each slice gets as many contour nodes
+  as the distance to its nearest outside level asks for; that sets how
+  sharply an ellipse is told from its outside, not the region.  Any
+  doubt sends the solve to the dense path below.  The
   inverse iterations, one per guess, and the slice moments, one per
   slice, are independent: each of the two phases runs on a thread
   pool made inside the solve, one worker per usable core, each task
@@ -86,7 +91,8 @@ RCOND_FLOOR = 1e-6      # rcond of the equilibrated B below which the nonsymmetr
 INVIT_TOL = 1e-14       # relative change at which an inverse iteration has settled
 INVIT_MAXIT = 10        # inverse-iteration steps before the level counts as not found
 DISTINCT_TOL = 1e-8     # relative distance below which two found levels are one eigenvalue
-CONTOUR_NODES_MAX = 24  # trapezoid nodes on the upper half of a slice's circle, at most
+CONTOUR_NODES_MAX = 24  # trapezoid nodes on the upper half of a slice's ellipse, at most
+CONTOUR_ASPECT = 0.5    # a slice's ellipse: semi-axis across the real axis over that along it
 PROBES = 4              # real random columns the contour moments are taken of
 PROBE_SEED = 0          # seed of those columns and of the inverse-iteration start
 SV_GAP = 1e3            # weakest kept over largest dropped moment singular value
@@ -161,10 +167,12 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
     path that ran under "path" (inertia, window, lu_dgeev, qz or eigh)
     and, when a window was given, its record under "window": lo (always
     0) and hi, the slice edges, per-slice counts and per-slice contour
-    nodes (upper half) of the certificate (inertia: the one slice
-    [0, hi], its count, and no nodes), and under
-    "fallback" why the window was given up (None when it was not; the
-    slice entries are None then).  A pencil of any other form, a NaN or
+    nodes (upper half of each slice's ellipse) of the certificate, the
+    ellipses' contour_aspect (CONTOUR_ASPECT: the region certified, see
+    the module docstring); inertia: the one slice [0, hi], its count, no
+    nodes and no aspect; and under "fallback" why the window was given
+    up (None when it was not; the slice entries and the aspect are None
+    then).  A pencil of any other form, a NaN or
     inf in A or B, and a window given with a dense pencil raise
     ValueError, checked once before a path is picked: `info` receives
     nothing, and no path (the raw LAPACK calls included) sees them."""
@@ -190,7 +198,7 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
     if window is not None:
         rec = info["window"] = {"lo": 0.0, "hi": window.hi, "slice_edges": None,
                                 "slice_counts": None, "slice_nodes": None,
-                                "fallback": None}
+                                "contour_aspect": None, "fallback": None}
     if symmetric_definite:
         if np.any(db <= 0.0):
             raise ValueError("symmetric_definite needs positive diagonal in B")
@@ -547,13 +555,23 @@ def _slice_edges(found, hi):
 
 
 def _contour_nodes(ratio):
-    """Trapezoid nodes on the upper half of a slice's circle of radius r,
-    for a nearest eigenvalue outside it at distance delta from the
-    centre, ratio = r / delta.  With N nodes there, 2N on the whole
-    circle, the filter weighs that eigenvalue by about ratio^(2N): this
-    is the fewest N >= 2 that brings the weight to LEAKAGE, at most
-    CONTOUR_NODES_MAX."""
-    return next((m for m in range(2, CONTOUR_NODES_MAX) if ratio ** (2 * m) <= LEAKAGE),
+    """Trapezoid nodes on the upper half of a slice's ellipse, semi-axes r
+    and beta r (beta = CONTOUR_ASPECT), for a nearest eigenvalue outside
+    it at distance delta from the centre c, ratio = r / delta.  In the
+    Joukowski variable w of (z - c) / (r f) = (w + 1/w) / 2, f =
+    sqrt(1 - beta^2) (the foci at c -+ r f), the ellipse is the circle
+    |w| = rho = sqrt((1 + beta) / (1 - beta)), and the eigenvalue lies at
+    |w_t| = s + sqrt(s^2 - 1), s = delta / (r f).  With N nodes there, 2N
+    on the whole ellipse, equally spaced on that circle, the filter
+    weighs the eigenvalue by about q^(2N), q = rho / |w_t|: this is the
+    fewest N >= 2 that brings the weight to LEAKAGE, at most
+    CONTOUR_NODES_MAX.  In terms of the ratio, q = (1 + beta) ratio /
+    (1 + sqrt(1 - f^2 ratio^2)), which is the ratio itself on a circle
+    (beta = 1) and reaches 1 at ratio 1, an eigenvalue on the contour."""
+    beta = CONTOUR_ASPECT
+    ratio = min(ratio, 1.0)
+    q = (1.0 + beta) * ratio / (1.0 + np.sqrt(1.0 - (1.0 - beta * beta) * ratio * ratio))
+    return next((m for m in range(2, CONTOUR_NODES_MAX) if q ** (2 * m) <= LEAKAGE),
                 CONTOUR_NODES_MAX)
 
 
@@ -573,24 +591,29 @@ def _slice_nodes(edges, found, hi):
 
 def _moment_singular_values(Ab, Bb, BV, a, b, nodes):
     """Singular values of the zeroth contour moment of (z B - A)^-1 B V
-    (BV real, held as a complex Fortran array) on the circle over [a, b],
-    by the trapezoid rule with `nodes` nodes on the upper half, each
-    factored in one buffer of the call's own (see _factor_band); None
-    when a node is exactly singular.  Only the upper half is solved: the
-    pencil is real, so the lower nodes give the complex conjugates."""
+    (BV real, held as a complex Fortran array) on the ellipse over
+    [a, b], semi-axes r = (b - a) / 2 along the real axis and
+    CONTOUR_ASPECT r across it, which meets the real axis at a and b; by
+    the trapezoid rule with `nodes` nodes on the upper half, z_j = c +
+    r (cos t_j + i beta sin t_j), t_j = pi (2j + 1) / (2 nodes), each
+    weighted by w_j = r (beta cos t_j + i sin t_j), dz/dt over i, and
+    each factored in one buffer of the call's own (see _factor_band);
+    None when a node is exactly singular.  Only the upper half is
+    solved: the pencil is real, so the lower nodes give the complex
+    conjugates."""
     k, n = Ab.shape[0] // 2, Ab.shape[1]
-    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    c, r, beta = 0.5 * (a + b), 0.5 * (b - a), CONTOUR_ASPECT
     lu = np.empty((3 * k + 1, n), dtype=complex, order="F")
     X = np.empty(BV.shape, dtype=complex, order="F")
     S = np.zeros(BV.shape, dtype=complex)
     for t in np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes):
-        w = r * complex(np.cos(t), np.sin(t))
-        piv, info = _factor_band(Ab, Bb, c + w, lu)
+        cos, sin = np.cos(t), np.sin(t)
+        piv, info = _factor_band(Ab, Bb, c + r * complex(cos, beta * sin), lu)
         if info:
             return None
         X[...] = BV
         _call("zgbtrs", b"N", n, k, k, BV.shape[1], lu, 3 * k + 1, piv, X, n)
-        S += w * X
+        S += r * complex(beta * cos, sin) * X
     return np.linalg.svd(S.real / nodes, compute_uv=False)
 
 
@@ -671,6 +694,7 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     rec["slice_edges"] = edges.tolist()
     rec["slice_counts"] = counts
     rec["slice_nodes"] = nodes
+    rec["contour_aspect"] = CONTOUR_ASPECT
     return found.astype(complex)
 
 

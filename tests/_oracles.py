@@ -21,6 +21,8 @@ broadcast in build_quadrature replaced, and serial_window the window
 solve before its slices and inverse iterations ran on a thread pool:
 the f2py LAPACK wrappers, one guess and one slice after the other, every
 contour node factored in one buffer.  Both must agree bit for bit.
+ellipse_filter sums a slice contour's trapezoid filter at one real
+point directly, the weight that eigen._contour_nodes bounds.
 
 exp_basis is a test-only enrichment that drives the kernel into its
 ill-conditioned and overflowing regimes on purpose.
@@ -367,13 +369,34 @@ def _serial_factor(Ab, Bb, k, z, ab):
     return gbtrf(ab, k, k, overwrite_ab=True)
 
 
+def ellipse_node(c, r, beta, t):
+    """The point z = c + r (cos t + i beta sin t) at angle t of the ellipse
+    with centre c and semi-axes r (along the real axis) and beta r, and
+    its trapezoid weight w = r (beta cos t + i sin t), dz/dt over i."""
+    cos, sin = np.cos(t), np.sin(t)
+    return c + r * complex(cos, beta * sin), r * complex(beta * cos, sin)
+
+
+def ellipse_filter(lam, c, r, beta, nodes):
+    """The contour filter that the trapezoid rule with `nodes` nodes on
+    the upper half of that ellipse gives the real eigenvalue lam: the sum
+    of w_j / (z_j - lam) over those nodes, real part, over `nodes` (the
+    lower half adds the complex conjugates), summed directly.  It is
+    about 1 inside the ellipse and about 0 outside."""
+    total = 0.0
+    for t in np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes):
+        z, w = ellipse_node(c, r, beta, t)
+        total += w / (z - lam)
+    return total.real / nodes
+
+
 def serial_window(A, B, win):
     """The window eigenvalues of the banded cpg pencil (A, B) (None when
     the window is given up) and the window record, as solve_generalized
     builds them, from f2py gbtrf/gbtrs with the guesses and slices in
     order."""
     rec = {"lo": 0.0, "hi": win.hi, "slice_edges": None, "slice_counts": None,
-           "slice_nodes": None, "fallback": None}
+           "slice_nodes": None, "contour_aspect": None, "fallback": None}
 
     def doubt(reason):
         rec["fallback"] = reason
@@ -415,11 +438,11 @@ def serial_window(A, B, win):
     ab = np.empty((3 * k + 1, n), dtype=complex, order="F")
     svals = []
     for i, (a, b, m) in enumerate(zip(edges[:-1], edges[1:], nodes), start=1):
-        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        c, r, beta = 0.5 * (a + b), 0.5 * (b - a), eigen.CONTOUR_ASPECT
         S = np.zeros(BV.shape, dtype=complex)
         for t in np.pi * (2 * np.arange(m) + 1) / (2 * m):
-            w = r * complex(np.cos(t), np.sin(t))
-            lu, piv, info = _serial_factor(Ab, Bb, k, c + w, ab)
+            z, w = ellipse_node(c, r, beta, t)
+            lu, piv, info = _serial_factor(Ab, Bb, k, z, ab)
             if info:
                 return doubt(f"a contour node of slice {i} is singular")
             X, _ = sla.lapack.zgbtrs(lu, k, k, BV, piv)
@@ -432,5 +455,6 @@ def serial_window(A, B, win):
             sv = ", ".join(f"{v:.2e}" for v in s)
             return doubt(f"slice {i} of {len(counts)} holds {m} found; its moment "
                          f"singular values are {sv}, the weakest kept {kept:.2e}")
-    rec.update(slice_edges=edges.tolist(), slice_counts=counts, slice_nodes=nodes)
+    rec.update(slice_edges=edges.tolist(), slice_counts=counts, slice_nodes=nodes,
+               contour_aspect=eigen.CONTOUR_ASPECT)
     return found.astype(complex), rec

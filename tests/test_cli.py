@@ -334,6 +334,7 @@ def test_solve_writes_csv_and_json(tmp_path, monkeypatch):
     # the inertia count covers the whole window in one slice, without contour nodes
     win = rep["eigen_window"]
     assert win["fallback"] is None and win["slice_nodes"] is None
+    assert win["contour_aspect"] is None
     assert win["lo"] == pytest.approx(-cli.RunConfig(Z=1.0).physical_system().mc2,
                                       rel=1e-12)
     assert win["slice_edges"] == [win["lo"], win["hi"]]
@@ -368,8 +369,10 @@ def test_json_twin_records_the_window(tmp_path, monkeypatch):
     assert rep["eigen_path"] == "window"
     win = rep["eigen_window"]
     assert set(win) == {"lo", "hi", "slice_edges", "slice_counts", "slice_nodes",
-                        "fallback"}
+                        "contour_aspect", "fallback"}
     assert win["fallback"] is None
+    # the slices' contours are ellipses with semi-axes r and r/2
+    assert win["contour_aspect"] == 0.5
     mc2 = cli.RunConfig().physical_system().mc2
     assert win["lo"] == pytest.approx(-mc2, rel=1e-12)
     assert win["slice_edges"][0] == win["lo"] and win["slice_edges"][-1] == win["hi"]
