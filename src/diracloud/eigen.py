@@ -12,47 +12,42 @@ galerkin's A is symmetric only up to quadrature error (see
 assemble_system):
 - galerkin's symmetric pencil, whose B is positive definite, when a
   bound window is given: only the eigenvalues inside it, on the banded
-  pencil, with no reduction.  Banded inverse iteration from the
-  closed-form levels finds them, and where the sign of a banded LU's
-  determinant (the parity of the count above its shift) disagrees with
-  the values found, it locates the ones missed.  Sylvester's law of
-  inertia certifies them (spectrum slicing): the negative eigenvalues
-  of d(A - hi B)d less those of dAd, from a block LDL^T of the band,
-  count the window exactly, and the count must equal the number found.
-  A dBd with no banded Cholesky factor, a numerically singular Schur
-  complement, a count that disagrees, or a guess whose match lies
-  farther from it than the window edge, sends the solve to the next
-  path;
+  pencil, with no reduction.  The window finder (below) finds them, and
+  Sylvester's law of inertia certifies them (spectrum slicing): the
+  negative eigenvalues of d(A - hi B)d less those of dAd, from a block
+  LDL^T of the band, count the window exactly, and the count must equal
+  the number found.  A dBd with no banded Cholesky factor, a
+  numerically singular Schur complement, a count that disagrees, or a
+  guess whose match lies farther from it than the window edge, sends
+  the solve to the next path;
 - the same pencil without a window, or after such a failure: the
   Cholesky reduction (scipy.linalg.eigh), every eigenvalue;
 - the tau-scaled, nonsymmetric pencil of cpg and cpg_fem_tau, when a
   bound window is given: only the eigenvalues inside it, from banded
-  LAPACK on the interleaved bands.  Real inverse iteration started at
-  the closed-form levels finds them; Sakurai-Sugiura / Beyn contour
-  moments over slices of the window certify that nothing else is
-  inside.  The region certified is exactly the union of the closed
-  ellipses over the slices, each with semi-axes r (the slice's
-  half-width, along the real axis) and CONTOUR_ASPECT r = r/2 (across
-  it): every real point of a slice lies inside its ellipse, and a
-  complex pair whose real part lies in a slice lies outside every
-  contour whenever its imaginary part exceeds r/2.  The ellipse takes
-  fewer nodes than the circle of radius r to tell a slice from its
-  nearest outside level (112 complex LUs on the flagship against 151),
-  at the price of the pairs with imaginary parts between r/2 and r,
-  which a circle would see.  Each slice gets as many contour nodes
-  as the distance to its nearest outside level asks for; that sets how
-  sharply an ellipse is told from its outside, not the region.  Any
-  doubt sends the solve to the dense path below.  The
-  inverse iterations, one per guess, and the slice moments, one per
-  slice, are independent: each of the two phases runs on a thread
-  pool made inside the solve, one worker per usable core, each task
-  with its own factor buffer, and the results are read back in guess
-  and slice order, so eigenvalues, record and fallback reason are
-  those of the serial loop, bit for bit.  The banded LU kernels
-  (d/zgbtrf, d/zgbtrs) are bound through ctypes from scipy's
-  cython_lapack, as dpbtrf is: the same LAPACK as scipy.linalg's f2py
-  wrappers, which hold the GIL while LAPACK runs, where a ctypes call
-  releases it and lets the workers overlap;
+  LAPACK on the interleaved bands.  The window finder (below) finds
+  them; Sakurai-Sugiura / Beyn contour moments over slices of the
+  window certify that nothing else is inside.  The region certified is
+  exactly the union of the closed ellipses over the slices, each with
+  semi-axes r (the slice's half-width, along the real axis) and
+  CONTOUR_ASPECT r = r/2 (across it): every real point of a slice lies
+  inside its ellipse, and a complex pair whose real part lies in a
+  slice lies outside every contour whenever its imaginary part exceeds
+  r/2.  The ellipse takes fewer nodes than the circle of radius r to
+  tell a slice from its nearest outside level (112 complex LUs on the
+  flagship against 151), at the price of the pairs with imaginary parts
+  between r/2 and r, which a circle would see.  Each slice gets as many
+  contour nodes as the distance to its nearest outside level asks for;
+  that sets how sharply an ellipse is told from its outside, not the
+  region.  Any doubt sends the solve to the dense path below.  The slice
+  moments, one per slice, are independent: they run on a thread pool
+  made inside the solve, one worker per usable core, each task with its
+  own factor buffer, and the results are read back in slice order, so
+  eigenvalues, record and fallback reason are those of the serial loop,
+  bit for bit.  The banded LU kernels (d/zgbtrf, d/zgbtrs) are bound
+  through ctypes from scipy's cython_lapack, as dpbtrf is: the same
+  LAPACK as scipy.linalg's f2py wrappers, which hold the GIL while
+  LAPACK runs, where a ctypes call releases it and lets the workers
+  overlap;
 - the same pencil without a window, or after such a doubt: an LU
   reduction to the standard problem (dBd)^-1 (dAd), solved by LAPACK
   dgeev (scipy.linalg.eigvals), every eigenvalue;
@@ -60,6 +55,12 @@ assemble_system):
   fallback of the dense nonsymmetric path when the scaling or the
   reduction is unsafe, and the reference the faster paths are tested
   against.
+The window finder, one for both window paths: banded inverse iteration
+from the closed-form levels finds the eigenvalues, and where the signs
+of banded LU determinants at two shifts (which give the parity of the
+count of real eigenvalues between them, for either pencil) disagree
+with the values found, it locates the ones missed.  Each path then
+certifies what it found its own way.
 Classification pairs the computed bound states against the closed-form
 relativistic levels with a greedy monotone matcher and flags the two
 spuriosity patterns separately: values instilled between genuine
@@ -430,19 +431,24 @@ def _negative_counts(Ml):
 
 
 def _find_window_eigenvalues(Ab, Bb, win: BoundWindow):
-    """Distinct eigenvalues in (0, win.hi] of the symmetric-definite
-    pencil whose full bands (LAPACK storage, see _interleaved_bands) are
-    Ab and Bb, ascending.  Found, not certified: more may lie inside.
+    """Distinct real eigenvalues in (0, win.hi] of the pencil whose full
+    bands (LAPACK storage, see _interleaved_bands) are Ab and Bb, B
+    nonsingular, ascending.  Found, not certified: more may lie inside,
+    and nothing is said of complex ones.
 
-    Inverse iteration from each guess finds some; values within
+    Inverse iteration from each guess finds some, all from one start
+    vector, the first draw of the PROBE_SEED generator; values within
     DISTINCT_TOL of a lower one are one eigenvalue.  Then the sign of
     det(s B - A), the product of the diagonal of dgbtrf's U and
-    (-1)^(row swaps), is the parity of the count above s, since B is
-    positive definite; so the parities at a slice's edges give the
-    parity of its count.  The slices from 0 to hi with edges midway
-    between the found values, and at each guess that found nothing
-    inside the window (one that does not settle has two eigenvalues
-    about as near it, often one on each side), are searched.  One whose
+    (-1)^(row swaps), is that of det B times (-1)^(count of real
+    eigenvalues above s): det(s B - A) = det B prod(s - lambda), and a
+    complex pair contributes |s - lambda|^2 > 0.  The sign of det B is
+    the same at every s, so it cancels between a slice's edges, and
+    their parities give the parity of its count, whether or not B is
+    definite.  The slices from 0 to hi with edges midway between the
+    found values, and at each guess that found nothing inside the window
+    (one that does not settle has two eigenvalues about as near it,
+    often one on each side), are searched.  One whose
     parity disagrees with the found values inside is cut in two by one
     more factorization: one holding a found value in the middle of the
     wider side of it, an empty one at its centre.  An empty one first
@@ -631,66 +637,52 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     """The eigenvalues in (0, win.hi], or None when they cannot be
     certified complete.
 
-    1. Inverse iteration on the banded d(A, B)d, started at each guess,
-       finds one eigenvalue per guess.
-    2. The greedy matcher of classify_spectrum pairs the found values
-       with the guesses.  Each pair must lie closer together than the
-       guess lies to hi, so no value above the window could have won it
-       (see _match_doubt).
+    1. Inverse iteration and the parity of slice counts find the
+       eigenvalues on the banded d(A, B)d (see _find_window_eigenvalues).
+    2. The greedy matcher of classify_spectrum pairs them with the
+       guesses.  Each pair must lie closer together than the guess lies
+       to hi, so no value above the window could have won it (see
+       _match_doubt).
     3. The window is cut into slices (see _slice_edges), each with as
        many contour nodes as its nearest outside level asks for (see
        _slice_nodes).  On each, the rank of the contour moment must
        equal the found values inside, with a gap: every kept singular
        value at least SV_GAP times every dropped one, over all slices.
 
-    Steps 1 and 3 run one task per guess and per slice (see _pooled);
-    a doubt names the lowest-numbered guess or slice it concerns.
+    Step 3 runs one task per slice (see _pooled); a doubt names the
+    lowest-numbered slice it concerns.
 
     rec (the window record of solve_generalized: lo, hi, slice_edges,
     slice_counts, slice_nodes, fallback) receives the slice edges, the
     certified per-slice counts and the per-slice node counts, or under
     "fallback" why the window was given up."""
-
-    def doubt(reason):
-        rec["fallback"] = reason
-        return None
-
     Ab, Bb, k = _interleaved_bands(A, B, d)
     n = len(d)
-    rng = np.random.default_rng(PROBE_SEED)
-    x0 = rng.standard_normal(n)
-    lams = _pooled([functools.partial(_inverse_iteration, Ab, Bb, g, x0)
-                    for g in win.guesses])
-    found = []
-    for i, lam in enumerate(lams, start=1):
-        if lam is None:
-            return doubt(f"inverse iteration from guess {i} did not settle")
-        if 0.0 < lam <= win.hi:
-            found.append(lam)
-    found = np.sort(found)
-    if np.any(np.diff(found) <= DISTINCT_TOL * np.abs(found[1:])):
-        return doubt("two guesses found the same eigenvalue")
-    reason = _match_doubt(found, win)
-    if reason is not None:
-        return doubt(reason)
-
+    found = _find_window_eigenvalues(Ab, Bb, win)
+    rec["fallback"] = _match_doubt(found, win)
+    if rec["fallback"] is not None:
+        return None
     edges = _slice_edges(found, win.hi)
     counts = [int(np.sum((found > a) & (found <= b)))
               for a, b in zip(edges[:-1], edges[1:])]
     nodes = _slice_nodes(edges, found, win.hi)
+    rng = np.random.default_rng(PROBE_SEED)
+    rng.standard_normal(n)  # the finder's start vector: the probes are the next draw
     BV = _band_matvec(Bb, k, rng.standard_normal((n, PROBES))).astype(complex, order="F")
     svals = _pooled([functools.partial(_moment_singular_values, Ab, Bb, BV, a, b, m)
                      for a, b, m in zip(edges[:-1], edges[1:], nodes)])
     for i, s in enumerate(svals, start=1):
         if s is None:
-            return doubt(f"a contour node of slice {i} is singular")
+            rec["fallback"] = f"a contour node of slice {i} is singular"
+            return None
     kept = min(s[m - 1] for s, m in zip(svals, counts) if m)
     for i, (s, m) in enumerate(zip(svals, counts), start=1):
         dropped = s[m] if m < len(s) else np.inf
         if dropped * SV_GAP > kept:
             sv = ", ".join(f"{v:.2e}" for v in s)
-            return doubt(f"slice {i} of {len(counts)} holds {m} found; its moment "
-                         f"singular values are {sv}, the weakest kept {kept:.2e}")
+            rec["fallback"] = (f"slice {i} of {len(counts)} holds {m} found; its moment "
+                               f"singular values are {sv}, the weakest kept {kept:.2e}")
+            return None
     rec["slice_edges"] = edges.tolist()
     rec["slice_counts"] = counts
     rec["slice_nodes"] = nodes

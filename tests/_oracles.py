@@ -18,9 +18,10 @@ the bands of matrices a test builds dense.
 
 reference_quadrature is the per-interval np.linspace rule that the
 broadcast in build_quadrature replaced, and serial_window the window
-solve before its slices and inverse iterations ran on a thread pool:
-the f2py LAPACK wrappers, one guess and one slice after the other, every
-contour node factored in one buffer.  Both must agree bit for bit.
+solve before its slices ran on a thread pool: the eigenvalues of the
+window finder, then the f2py LAPACK wrappers, one slice after the
+other, every contour node factored in one buffer.  Both must agree bit
+for bit.
 ellipse_filter sums a slice contour's trapezoid filter at one real
 point directly, the weight that eigen._contour_nodes bounds.
 
@@ -393,8 +394,8 @@ def ellipse_filter(lam, c, r, beta, nodes):
 def serial_window(A, B, win):
     """The window eigenvalues of the banded cpg pencil (A, B) (None when
     the window is given up) and the window record, as solve_generalized
-    builds them, from f2py gbtrf/gbtrs with the guesses and slices in
-    order."""
+    builds them: the values of the shared window finder, then the slice
+    moments from f2py gbtrf/gbtrs with the slices in order."""
     rec = {"lo": 0.0, "hi": win.hi, "slice_edges": None, "slice_counts": None,
            "slice_nodes": None, "contour_aspect": None, "fallback": None}
 
@@ -405,27 +406,7 @@ def serial_window(A, B, win):
     d = 1.0 / np.sqrt(B.diagonal())
     Ab, Bb, k = eigen._interleaved_bands(A, B, d)
     n = len(d)
-    rng = np.random.default_rng(eigen.PROBE_SEED)
-    x0 = rng.standard_normal(n)
-    found = []
-    for i, g in enumerate(win.guesses, start=1):
-        lu, piv, info = _serial_factor(Ab, Bb, k, g, np.empty((3 * k + 1, n), order="F"))
-        lam = est = None
-        x = x0
-        for _ in range(0 if info else eigen.INVIT_MAXIT):
-            y, _ = sla.lapack.dgbtrs(lu, k, k, eigen._band_matvec(Bb, k, x), piv)
-            est = g - (x @ x) / (x @ y)
-            x = y / np.linalg.norm(y)
-            if lam is not None and abs(est - lam) <= eigen.INVIT_TOL * abs(est):
-                break
-            lam = est
-        else:
-            return doubt(f"inverse iteration from guess {i} did not settle")
-        if 0.0 < est <= win.hi:
-            found.append(est)
-    found = np.sort(found)
-    if np.any(np.diff(found) <= eigen.DISTINCT_TOL * np.abs(found[1:])):
-        return doubt("two guesses found the same eigenvalue")
+    found = eigen._find_window_eigenvalues(Ab, Bb, win)
     reason = eigen._match_doubt(found, win)
     if reason is not None:
         return doubt(reason)
@@ -433,6 +414,8 @@ def serial_window(A, B, win):
     counts = [int(np.sum((found > a) & (found <= b)))
               for a, b in zip(edges[:-1], edges[1:])]
     nodes = eigen._slice_nodes(edges, found, win.hi)
+    rng = np.random.default_rng(eigen.PROBE_SEED)
+    rng.standard_normal(n)  # the finder's start vector
     BV = eigen._band_matvec(Bb, k, rng.standard_normal((n, eigen.PROBES))).astype(
         complex, order="F")
     ab = np.empty((3 * k + 1, n), dtype=complex, order="F")
