@@ -4,11 +4,12 @@ Matrix convention: (M_rst^q)_{ij} = int psi_j^{(s)} psi_i^{(r)} x^{-t} q dx,
 i.e. r counts derivatives on the test function (rows), s on the trial
 function (columns), t the power of 1/x, and q an optional weight (the
 potential V for the _V variants).  Everything is assembled on the
-Dirichlet-retained index set 1..n-1 in one pass over fixed-size chunks
-of quadrature points: the shapes of a chunk come from one batched
-evaluation, and every (row, column) product of shapes sharing a point
-is scatter-added into the blocks' bands (see band.Band): compact cloud
-supports give half-bandwidth 4 on the production grids.  The pencil is
+Dirichlet-retained index set 1..n-1, element by element: each nodal
+interval sums its quadrature points into small local matrices over the
+nodes whose clouds reach it, and the local matrices are added into the
+blocks' bands (see band.Band) in interval order.  Chunks of whole
+intervals share one batched shape evaluation.  Compact cloud supports
+give half-bandwidth 4 on the production grids.  The pencil is
 written straight into interleaved bands, half-bandwidth 9; dense
 matrices are formed only on read (the dump, the dense eigen fallbacks
 and the tests).
@@ -30,7 +31,7 @@ from .grid import Grid
 from .physics import PhysicalSystem, potential
 
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss-Legendre on a unit cell
-_CHUNK = 512  # quadrature points per batched shape evaluation
+_CHUNK = 64  # nodal intervals per batched shape evaluation
 
 METHODS = ("galerkin", "cpg", "cpg_fem_tau")
 
@@ -112,44 +113,85 @@ class WeakFormMatrices:
 
 def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
                        quad: QuadratureRule) -> WeakFormMatrices:
-    """The weak-form blocks from batched shape evaluations over chunks of
-    quadrature points.  Each chunk forms every (row, column) pair of
-    retained shapes sharing a point, in point-major order, so every entry
-    receives its contributions in quadrature-point order.  The pairs of
-    a point lie within its candidate window, which bounds the band
-    before the first chunk; it is trimmed to the outermost nonzero
-    diagonal of the seven blocks afterwards.  Raises SingularMoment when
-    a block holds inf or NaN (shapes that overflow without tripping a
-    moment check)."""
+    """The weak-form blocks, assembled nodal interval by nodal interval.
+
+    The quadrature points are grouped by interval: a group is a run of
+    consecutive points in one interval, and build_quadrature lays every
+    interval out as one run, of any length.  A group's frame is the
+    union of its points' candidate windows, cut to the retained nodes
+    and widened to the widest frame, W nodes.  Each group gives seven
+    W x W local matrices (q psi^(r))^T psi^(s), one matrix product over
+    its points (OpenBLAS sums it in point order).  The four symmetric
+    blocks (M_000, M_001, M_110, M_000_V) copy their local upper
+    triangle from the lower one, so they are exactly symmetric.  A
+    chunk of _CHUNK groups shares one batched shape evaluation, and its
+    local matrices go into the bands with one np.add.at, group after
+    group: every entry receives its contributions in interval order,
+    whatever the chunk.  The widest point window bounds the band, which
+    is trimmed to the outermost nonzero diagonal of the seven blocks
+    afterwards.  Raises SingularMoment when a block holds inf or NaN
+    (shapes that overflow without tripping a moment check)."""
     n = cb.grid.n_intervals
-    nd = n - 1
-    retained_lo, retained_hi = 1, n - 1
-    lo, hi, _ = candidate_windows(cb, quad.points)
+    nd = n - 1  # the retained nodes 1..n-1 are rows 0..nd-1 of the blocks
+    xq, wq = quad.points, quad.weights
+    cell = np.searchsorted(cb.grid.nodes, xq, side="right")
+    bounds = np.append(np.flatnonzero(np.diff(cell, prepend=-1)), len(xq))
+    counts = np.diff(bounds)
+    lo, hi = candidate_windows(cb, xq)[:2]
+    # two shapes that share a point lie in its window: no entry of a
+    # block lies farther than kb from the diagonal
     kb = int(np.max(hi - lo, initial=1)) - 1
-    names = [name for name in WeakFormMatrices.NAMES if name != "M_010"]
-    M = {name: np.zeros((2 * kb + 1, nd)) for name in names}
-    flat = {name: m.reshape(-1) for name, m in M.items()}
-    for start in range(0, quad.total_points, _CHUNK):
-        x = quad.points[start:start + _CHUNK]
-        w = quad.weights[start:start + _CHUNK]
+    first = np.maximum(np.minimum.reduceat(lo, bounds[:-1]), 1) - 1
+    stop = np.minimum(np.maximum.reduceat(hi, bounds[:-1]), n) - 1
+    del cell, lo, hi  # one entry per point: not kept through the chunks
+    W = int(np.max(stop - first, initial=1))
+    base = np.minimum(first, nd - W)  # every frame lies inside the blocks
+    # the first six blocks are (q psi^(r))^T psi for q = w, w/x, w V and
+    # r = 0, 1, in that order, then M_110 = (w psi')^T psi'; the four
+    # symmetric blocks are every other one
+    names = ["M_000", "M_100", "M_001", "M_101", "M_000_V", "M_100_V", "M_110"]
+    size = (2 * kb + 1) * nd  # one block's band
+    bands = np.zeros(len(names) * size + nd)  # the seven bands, then a spare row
+    r, c = np.arange(W)[:, None], np.arange(W)
+    upper = np.triu_indices(W, 1)
+    # the flat slot of local entry (r, c) of block b for a frame at row 0;
+    # the local entries farther than kb from the diagonal, zero since no
+    # point holds both shapes, go to the spare row
+    local = np.where(abs(r - c) <= kb,
+                     np.arange(len(names))[:, None, None] * size + (kb + r - c) * nd + c,
+                     len(names) * size + c)
+    for g0 in range(0, len(counts), _CHUNK):
+        g1 = min(g0 + _CHUNK, len(counts))
+        ng, K = g1 - g0, int(counts[g0:g1].max())
+        p0, p1 = bounds[g0], bounds[g1]
+        x, w = xq[p0:p1], wq[p0:p1]
         st = evaluate_shapes(cb, x)
         V = potential(sys, x)
-        keep = st.active & (st.indices >= retained_lo) & (st.indices <= retained_hi)
-        pt, r, c = np.nonzero(keep[:, :, None] & keep[:, None, :])
-        idx = st.indices - retained_lo
-        lin = (kb + idx[pt, r] - idx[pt, c]) * nd + idx[pt, c]
-        v, dv = st.values, st.derivs
-        ov = v[pt, r] * v[pt, c]
-        odv = dv[pt, r] * v[pt, c]
-        wp, wx, wV = w[pt], (w / x)[pt], (w * V)[pt]
-        np.add.at(flat["M_000"], lin, wp * ov)
-        np.add.at(flat["M_100"], lin, wp * odv)
-        np.add.at(flat["M_001"], lin, wx * ov)
-        np.add.at(flat["M_110"], lin, wp * (dv[pt, r] * dv[pt, c]))
-        np.add.at(flat["M_101"], lin, wx * odv)
-        np.add.at(flat["M_000_V"], lin, wV * ov)
-        np.add.at(flat["M_100_V"], lin, wV * odv)
-    bands = {name: Band(m) for name, m in M.items()}
+        # point p is row s[p] of group g[p]; every group gets K rows, the
+        # rows past its own points zero.  The shapes outside the frame
+        # (the boundary nodes, inactive slots) go to a spare column W
+        g = np.repeat(np.arange(ng), counts[g0:g1])
+        s = np.arange(p1 - p0) - (bounds[g0:g1] - p0)[g]
+        keep = st.active & (st.indices >= 1) & (st.indices <= nd)
+        col = np.where(keep, st.indices - 1 - base[g0 + g][:, None], W)
+        at = ((2 * g * K + s) * (W + 1))[:, None] + col
+        fn = np.zeros((ng, 2, K, W + 1))  # (group, psi or psi', point, column)
+        fn.reshape(-1)[at] = st.values
+        fn.reshape(-1)[at + K * (W + 1)] = st.derivs
+        fn = np.ascontiguousarray(fn[..., :W])
+        q = np.zeros((ng * K, 3))
+        q[g * K + s] = np.stack((w, w / x, w * V), axis=-1)
+        q = np.repeat(q.reshape(ng, K, 3).swapaxes(1, 2), W, axis=2)  # (group, q, K W)
+        left = (q[:, :, None] * fn.reshape(ng, 1, 2, K * W)).reshape(ng, 6, K, W)
+        acc = np.empty((ng, len(names), W, W))
+        np.matmul(left.swapaxes(-1, -2), fn[:, None, 0], out=acc[:, :6])
+        np.matmul(left[:, 1].swapaxes(-1, -2), fn[:, 1], out=acc[:, 6])
+        sym = acc[:, ::2]
+        sym[..., upper[0], upper[1]] = sym[..., upper[1], upper[0]]
+        lin = local + base[g0:g1, None, None, None]
+        np.add.at(bands, lin.reshape(-1), acc.reshape(-1))
+    bands = bands[:-nd].reshape(len(names), 2 * kb + 1, nd)
+    bands = {name: Band(m) for name, m in zip(names, bands)}
     k = bandwidth(*bands.values())
     bands = {name: b.trimmed(k) for name, b in bands.items()}
     stored = dict(bands, M_010=bands["M_100"])  # M_010 is M_100's transpose

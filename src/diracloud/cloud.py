@@ -18,7 +18,10 @@ M^{-1} M_x M^{-1} B_i is evaluated by two solves.
 All of this runs over an array of points in one vectorised pass
 (evaluate_shapes): the clouds covering each point are gathered into a
 padded (npts, W) stack in ascending node order, the moment matrices form
-an (npts, m, m) stack, and one batched eigh factorizes them all.
+an (npts, m, m) stack, and one batched eigh factorizes them all.  The
+padding slots add exact zeros, so a point's row comes out the same in
+any chunk of points (the weak form takes whole nodal intervals), and a
+boundary hat is evaluated only for a chunk that reaches its support.
 evaluate_coupled is its one-point view.
 
 Essential boundary conditions use FEM coupling: linear hats at the two
@@ -139,7 +142,11 @@ def candidate_windows(cb: CloudBasis, x):
     left_end = np.minimum.accumulate((nodes - rho - slack)[::-1])[::-1]
     lo = np.searchsorted(right_end, x, side="right")
     hi = np.searchsorted(left_end, x, side="left")
-    hats = [(k,) + _hat(x, k, nodes) for k in cb.fem_nodes]
+    # a hat is evaluated only when some point lies in its support
+    n = len(nodes) - 1
+    xmin, xmax = np.min(x, initial=np.inf), np.max(x, initial=-np.inf)
+    hats = [(k,) + _hat(x, k, nodes) for k in cb.fem_nodes
+            if not (xmax < nodes[max(k - 1, 0)] or xmin > nodes[min(k + 1, n)])]
     hats = [h for h in hats if h[3].any()]
     for k, _, _, on in hats:  # a hat may reach past its own cloud
         lo = np.where(on, np.minimum(lo, k), lo)

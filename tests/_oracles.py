@@ -11,10 +11,10 @@ implementations (an m x m eigh per point, an np.ix_ scatter per point)
 that the batched kernel in diracloud.cloud replaced.
 
 The dense-pencil oracles are the dense implementations the band storage
-replaced: the weak form scatter-added into zero-filled dense blocks, the
-row-by-row stability parameter, and the 2x2-block pencil formulas.  The
-bands must densify to their arrays bit for bit.  band_from_dense gathers
-the bands of matrices a test builds dense.
+replaced: the weak form added interval by interval into zero-filled
+dense blocks, the row-by-row stability parameter, and the 2x2-block
+pencil formulas.  The bands must densify to their arrays bit for bit.
+band_from_dense gathers the bands of matrices a test builds dense.
 
 reference_quadrature is the per-interval np.linspace rule that the
 broadcast in build_quadrature replaced, and serial_window the window
@@ -221,34 +221,42 @@ def _dense_blocks(M):
 # ------------------------------------------- the dense pencil, bit for bit
 
 def dense_weak_form(cb: CloudBasis, sys, quad):
-    """The weak-form blocks scatter-added into dense zero-filled blocks,
-    chunk by chunk in the order assemble_weak_form uses: its bands must
+    """The weak-form blocks summed in the order assemble_weak_form uses,
+    one nodal interval at a time: the interval's local matrices
+    (q psi^(r))^T psi^(s) over its points as one matrix product, on the
+    retained nodes active at any of them; the upper triangle of the
+    symmetric blocks copied from the lower; the local matrices added
+    into dense zero-filled blocks in interval order.  Its bands must
     densify to these bit for bit."""
     n = cb.grid.n_intervals
     nd = n - 1
     keys = ("000", "100", "001", "110", "101", "000V", "100V")
     M = {k: np.zeros((nd, nd)) for k in keys}
-    flat = {k: m.reshape(-1) for k, m in M.items()}
-    for start in range(0, quad.total_points, 512):
-        x = quad.points[start:start + 512]
-        w = quad.weights[start:start + 512]
+    cell = np.searchsorted(cb.grid.nodes, quad.points, side="right")
+    for j in np.unique(cell):
+        on = cell == j
+        x, w = quad.points[on], quad.weights[on]
         st = evaluate_shapes(cb, x)
         V = potential(sys, x)
         keep = st.active & (st.indices >= 1) & (st.indices <= n - 1)
-        pt, r, c = np.nonzero(keep[:, :, None] & keep[:, None, :])
-        idx = st.indices - 1
-        lin = idx[pt, r] * nd + idx[pt, c]
-        v, dv = st.values, st.derivs
-        ov = v[pt, r] * v[pt, c]
-        odv = dv[pt, r] * v[pt, c]
-        wp, wx, wV = w[pt], (w / x)[pt], (w * V)[pt]
-        np.add.at(flat["000"], lin, wp * ov)
-        np.add.at(flat["100"], lin, wp * odv)
-        np.add.at(flat["001"], lin, wx * ov)
-        np.add.at(flat["110"], lin, wp * (dv[pt, r] * dv[pt, c]))
-        np.add.at(flat["101"], lin, wx * odv)
-        np.add.at(flat["000V"], lin, wV * ov)
-        np.add.at(flat["100V"], lin, wV * odv)
+        nodes = np.unique(st.indices[keep])
+        v = np.zeros((len(x), len(nodes)))
+        dv = np.zeros((len(x), len(nodes)))
+        for p in range(len(x)):
+            cols = np.searchsorted(nodes, st.indices[p, keep[p]])
+            v[p, cols] = st.values[p, keep[p]]
+            dv[p, cols] = st.derivs[p, keep[p]]
+        wx, wV = w / x, w * V
+        local = {"000": (w[:, None] * v).T @ v, "100": (w[:, None] * dv).T @ v,
+                 "001": (wx[:, None] * v).T @ v, "110": (w[:, None] * dv).T @ dv,
+                 "101": (wx[:, None] * dv).T @ v, "000V": (wV[:, None] * v).T @ v,
+                 "100V": (wV[:, None] * dv).T @ v}
+        upper = np.triu_indices(len(nodes), 1)
+        for k in ("000", "001", "110", "000V"):
+            local[k][upper] = local[k].T[upper]
+        ix = np.ix_(nodes - 1, nodes - 1)
+        for k in keys:
+            M[k][ix] += local[k]
     return _dense_blocks(M)
 
 

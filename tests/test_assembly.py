@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from scipy import integrate
 
 from _oracles import (band_from_dense, banded_weak_form, dense_weak_form, reference_dump,
-                      reference_pencil, reference_quadrature, reference_tau)
+                      reference_pencil, reference_quadrature, reference_tau,
+                      reference_weak_form)
+from diracloud import assembly
 from diracloud.assembly import (METHODS, DegenerateTau, assemble_system,
                                 assemble_weak_form, build_quadrature, dump_matrix,
                                 stability_tau, stability_tau_fem)
+from diracloud.cli import RunConfig, run_solve
 from diracloud.cloud import build_cloud_basis, evaluate_coupled
 from diracloud.eigen import bound_window, solve_generalized
 from diracloud.enrichment import shepard_basis
@@ -211,6 +215,48 @@ def test_bands_densify_to_the_dense_formulas_bit_for_bit(kappa, method, n):
     gathered = solve_generalized(*band_from_dense(ref.A, ref.B, interleaved=True),
                                  symmetric_definite=symmetric, window=win)
     np.testing.assert_array_equal(banded, gathered)
+
+
+# an extended nucleus puts a cell edge at its radius: at factor 2 the
+# interval holding it gets 4 points and every other interval 2, at
+# factor 10 every interval holds 10
+EXTENDED = RunConfig(Z=118.0, A=294.0, kappa=-2, nucleus="extended_uniform",
+                     n_intervals=200)
+
+
+def _extended_rule(factor):
+    cfg = replace(EXTENDED, quadrature_factor=factor)
+    grid, sys = generate_grid(cfg.grid_config()), cfg.physical_system()
+    quad = build_quadrature(grid, factor, split_at=sys.nucleus_radius)
+    return cfg, build_cloud_basis(grid), sys, quad
+
+
+@pytest.mark.parametrize("factor", [2, 10])
+def test_bands_do_not_depend_on_the_interval_chunk(monkeypatch, factor):
+    # each entry receives its contributions interval after interval, so
+    # the number of intervals sharing a shape evaluation moves no bit
+    _, cb, sys, quad = _extended_rule(factor)
+    ref = assemble_weak_form(cb, sys, quad)
+    for chunk in (1, 7, cb.grid.n_intervals):
+        monkeypatch.setattr(assembly, "_CHUNK", chunk)
+        got = assemble_weak_form(cb, sys, quad)
+        for name, band in ref.bands.items():
+            assert got.bands[name].data.tobytes() == band.data.tobytes(), (chunk, name)
+
+
+@pytest.mark.parametrize("factor", [2, 10])
+def test_intervals_with_different_point_counts(factor):
+    cfg, cb, sys, quad = _extended_rule(factor)
+    counts = np.bincount(np.searchsorted(cb.grid.nodes, quad.points) - 1)
+    assert sorted(set(counts.tolist())) == ([2, 4] if factor == 2 else [10])
+    got = assemble_weak_form(cb, sys, quad)
+    ref = reference_weak_form(cb, sys, quad)
+    for block in got.NAMES:
+        a, b = getattr(got, block), getattr(ref, block)
+        assert np.array_equal(a != 0.0, b != 0.0), block
+        assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b), block
+    for method in METHODS:
+        assert run_solve(replace(cfg, method=method)).eigen_path in ("inertia", "window")
 
 
 def test_method_validation(uuo_wfm_200, uuo_system, uuo_grid_200):
