@@ -105,7 +105,8 @@ def assemble_pencil(cfg: RunConfig):
 def run_solve(cfg: RunConfig) -> RunResult:
     """Pencil -> eigensolve -> classification."""
     sys = cfg.physical_system()
-    grid, _, system = assemble_pencil(cfg)
+    grid, wfm, system = assemble_pencil(cfg)
+    del wfm  # the weak form is not read again: free it before the solve
     # the unperturbed pencil is symmetric with B SPD (the window counted
     # by inertia on the band, or eigh for everything); the row-scaled
     # variants are not (the window certified by contour moments, or LU +

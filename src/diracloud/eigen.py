@@ -59,8 +59,12 @@ The window finder, one for both window paths: banded inverse iteration
 from the closed-form levels finds the eigenvalues, and where the signs
 of banded LU determinants at two shifts (which give the parity of the
 count of real eigenvalues between them, for either pencil) disagree
-with the values found, it locates the ones missed.  Each path then
-certifies what it found its own way.
+with the values found, it locates the ones missed.  The shifts are the
+levels themselves, whose signs come from the LUs their inverse
+iterations ran on, and the window's edges; no shift is factored twice.
+Both windows store d(A, B)d once, in the layout dgbtrf factors, so a
+factorization fills its buffer with whole-array operations.  Each path
+then certifies what it found its own way.
 Classification pairs the computed bound states against the closed-form
 relativistic levels with a greedy monotone matcher and flags the two
 spuriosity patterns separately: values instilled between genuine
@@ -246,16 +250,19 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
 
 
 def _interleaved_bands(A, B, d):
-    """dAd and dBd (A, B interleaved Bands, d in block order) in LAPACK
-    band storage, entry (i, j) in row k + i - j, as Fortran arrays cut to
-    their common half-bandwidth k, the outermost diagonal on which A or
-    B holds a nonzero, and k.  Each entry is scaled by d_i d_j."""
+    """dAd and dBd (A, B interleaved Bands, d in block order) in the
+    layout dgbtrf factors (see _factor_band), cut to their common
+    half-bandwidth k, the outermost diagonal on which A or B holds a
+    nonzero, and k: (3k + 1, n) Fortran arrays, entry (i, j) in row
+    2k + i - j, the top k rows zero.  Each entry is scaled by d_i d_j."""
     k = bandwidth(A, B)
     rows, inside = slots(A.n, -k, k)
     dI = d[A.order()]
     scale = np.where(inside, dI[rows] * dI, 0.0)
-    return (np.multiply(A.trimmed(k).data, scale, order="F"),
-            np.multiply(B.trimmed(k).data, scale, order="F"), k)
+    Ab, Bb = (np.zeros((3 * k + 1, A.n), order="F") for _ in range(2))
+    np.multiply(A.trimmed(k).data, scale, out=Ab[k:])
+    np.multiply(B.trimmed(k).data, scale, out=Bb[k:])
+    return Ab, Bb, k
 
 
 def _lower_bands(A, B, d):
@@ -329,60 +336,80 @@ def _match_doubt(found, win: BoundWindow):
     return None
 
 
-def _band_matvec(Mb, k, X):
-    """M X for M in band storage (half-bandwidth k) and X of n rows.
-    (BLAS dgbmv does the same, but a threaded OpenBLAS spends
-    milliseconds per call on it.)"""
-    n = Mb.shape[1]
-    X2 = X.reshape(n, -1)
-    Y = np.zeros(X2.shape)
-    for r in range(2 * k + 1):
-        o = r - k  # row index minus column index
-        lo, hi = max(0, -o), min(n, n - o)
-        Y[lo + o:hi + o] += Mb[r, lo:hi, None] * X2[lo:hi]
-    return Y.reshape(X.shape)
+def _band_matvec(Mb, X):
+    """M X for M in the factor layout of _factor_band ((3k + 1, n), entry
+    (i, j) in row 2k + i - j) and X of n rows.  Each y_i adds its
+    products m_ij x_j in the order of the rows, j falling.  (BLAS dgbmv
+    does the same, but a threaded OpenBLAS spends milliseconds per call
+    on it.)"""
+    k, n = (Mb.shape[0] - 1) // 3, Mb.shape[1]
+    rows, w = 2 * k + 1, n + 2 * k
+    columns = np.ascontiguousarray(X.reshape(n, -1).T)
+    Y = np.empty(columns.shape)
+    # row r of the products is one longer than a row of the sum, so that
+    # product (r, j) lands in column j + r of sum row r, over y_{j + r - k};
+    # products of slots outside the matrix land in the zero margins
+    buf = np.zeros(rows * (w + 1))
+    products, sums = buf.reshape(rows, w + 1)[:, :n], buf[:rows * w].reshape(rows, w)
+    for x, y in zip(columns, Y):  # one column at a time: the buffer stays small
+        np.multiply(Mb[k:], x, out=products)
+        np.sum(sums[:, k:k + n], axis=0, out=y)
+    return Y.T.reshape(X.shape)
 
 
 def _factor_band(Ab, Bb, z, ab):
-    """Banded LU (dgbtrf, or zgbtrf for a complex z) of z B - A, for Ab
-    and Bb of half-bandwidth k, in `ab`, a (3k+1, n) Fortran array of
-    z's type that the factors overwrite: the pivots and the LAPACK info
-    (> 0: exactly singular).  Rows k.. are filled from Ab and Bb; gbtrf
-    clears the top k rows (the fill-in) itself before it writes them,
-    so a buffer can be reused."""
-    k, n = Ab.shape[0] // 2, Ab.shape[1]
-    if ab.shape != (3 * k + 1, n) or not ab.flags.f_contiguous or ab.dtype not in (
+    """Banded LU (dgbtrf, or zgbtrf for a complex z) of z B - A in `ab`,
+    for Ab, Bb and ab in the layout gbtrf factors: (3k + 1, n) Fortran
+    arrays, entry (i, j) in row 2k + i - j, the top k rows left to the
+    fill-in, zero in Ab and Bb.  ab, of z's type, is overwritten, and
+    gbtrf clears its top k rows itself before it writes them, so a buffer
+    can be reused.  The pivots and the LAPACK info (> 0: exactly
+    singular)."""
+    k, n = (Ab.shape[0] - 1) // 3, Ab.shape[1]
+    if ab.shape != Ab.shape or not ab.flags.f_contiguous or ab.dtype not in (
             np.float64, np.complex128):
-        raise ValueError("gbtrf needs a Fortran-ordered (3k+1, n) float or complex buffer")
-    re = ab.real[k:]
-    np.multiply(Bb, z.real, out=re)
-    re -= Ab
+        raise ValueError("gbtrf needs a Fortran-ordered float or complex buffer of the "
+                         "bands' (3k+1, n) shape")
+    np.multiply(Bb, z.real, out=ab.real)
+    ab.real -= Ab
     if np.iscomplexobj(ab):
-        np.multiply(Bb, z.imag, out=ab.imag[k:])
+        np.multiply(Bb, z.imag, out=ab.imag)
     piv = np.empty(n, dtype=np.intc)
     return piv, _call("zgbtrf" if np.iscomplexobj(ab) else "dgbtrf",
                       n, n, k, k, ab, 3 * k + 1, piv)
 
 
+def _parity(lu, piv):
+    """The parity of the count of real eigenvalues above s, up to that of
+    det B, from the real LU of s B - A (see _factor_band): the sign of
+    the determinant, (#U diagonal < 0 + #row swaps) mod 2.  An exactly
+    singular U leaves a wrong parity: it only locates."""
+    k = (lu.shape[0] - 1) // 3
+    swaps = np.count_nonzero(piv != np.arange(1, len(piv) + 1))
+    return (np.count_nonzero(lu[2 * k] < 0.0) + swaps) % 2
+
+
 def _inverse_iteration(Ab, Bb, shift, x):
     """The eigenvalue nearest the real `shift`, from inverse iteration
     with that fixed shift, or None when the estimate does not settle
-    within INVIT_MAXIT steps or A - shift B is exactly singular."""
-    k, n = Ab.shape[0] // 2, Ab.shape[1]
-    lu = np.empty((3 * k + 1, n), order="F")
+    within INVIT_MAXIT steps or A - shift B is exactly singular; and the
+    parity at the shift (see _parity), from the same factorization."""
+    k, n = (Ab.shape[0] - 1) // 3, Ab.shape[1]
+    lu = np.empty(Ab.shape, order="F")
     piv, info = _factor_band(Ab, Bb, shift, lu)
+    parity = _parity(lu, piv)
     if info:
-        return None
+        return None, parity
     lam = None
     for _ in range(INVIT_MAXIT):
-        y = _band_matvec(Bb, k, x)
+        y = _band_matvec(Bb, x)
         _call("dgbtrs", b"N", n, k, k, 1, lu, 3 * k + 1, piv, y, n)
         est = shift - (x @ x) / (x @ y)  # y = x / (shift - lambda) at an eigenvector
         x = y / np.linalg.norm(y)
         if lam is not None and abs(est - lam) <= INVIT_TOL * abs(est):
-            return est
+            return est, parity
         lam = est
-    return None
+    return None, parity
 
 
 def _negative_counts(Ml):
@@ -431,8 +458,8 @@ def _negative_counts(Ml):
 
 
 def _find_window_eigenvalues(Ab, Bb, win: BoundWindow):
-    """Distinct real eigenvalues in (0, win.hi] of the pencil whose full
-    bands (LAPACK storage, see _interleaved_bands) are Ab and Bb, B
+    """Distinct real eigenvalues in (0, win.hi] of the pencil whose bands
+    (the factor layout, see _interleaved_bands) are Ab and Bb, B
     nonsingular, ascending.  Found, not certified: more may lie inside,
     and nothing is said of complex ones.
 
@@ -445,40 +472,36 @@ def _find_window_eigenvalues(Ab, Bb, win: BoundWindow):
     complex pair contributes |s - lambda|^2 > 0.  The sign of det B is
     the same at every s, so it cancels between a slice's edges, and
     their parities give the parity of its count, whether or not B is
-    definite.  The slices from 0 to hi with edges midway between the
-    found values, and at each guess that found nothing inside the window
-    (one that does not settle has two eigenvalues about as near it,
-    often one on each side), are searched.  One whose
-    parity disagrees with the found values inside is cut in two by one
-    more factorization: one holding a found value in the middle of the
-    wider side of it, an empty one at its centre.  An empty one first
-    takes inverse iteration from its centre when it is isolated, its
-    half-width at most a quarter of the distance from its centre to
-    every found value, so that the iteration converges fast; a landing
-    inside is a new found value.  Slices narrower than DISTINCT_TOL of
-    their top are not cut, so each missed eigenvalue costs a few
-    factorizations, however large n.  An even number missed in one
-    slice is not seen."""
-    k, n = Ab.shape[0] // 2, Ab.shape[1]
-    x = np.random.default_rng(PROBE_SEED).standard_normal(n)
-    lu = np.empty((3 * k + 1, n), order="F")
-    unswapped = np.arange(1, n + 1, dtype=np.intc)
-
-    def parity(s):  # an exactly singular U leaves a wrong parity: it only locates
-        piv, _ = _factor_band(Ab, Bb, s, lu)
-        return (np.count_nonzero(lu[2 * k] < 0.0)
-                + np.count_nonzero(piv != unswapped)) % 2
-
-    lams = [_inverse_iteration(Ab, Bb, g, x) for g in win.guesses]
-    hit = [lam is not None and 0.0 < lam <= win.hi for lam in lams]
-    found = np.sort([lam for lam, h in zip(lams, hit) if h])
+    definite (see _parity).  The slices from 0 to hi with edges at the
+    guesses are searched, each guess's parity read from the LU its
+    inverse iteration ran on, so that beyond the guesses only 0 and hi
+    are factored; a slice may hold any number of found values.  One
+    whose parity disagrees with the found values inside is cut in two by
+    one more factorization: holding found values, in the middle of the
+    wider side of the lowest of them; empty, at its centre.  An empty
+    one first takes inverse iteration from its centre when it is
+    isolated, its half-width at most a quarter of the distance from its
+    centre to every found value, so that the iteration converges fast; a
+    landing inside is a new found value, and a miss cuts the slice with
+    the parity of that iteration's LU.  Slices narrower than DISTINCT_TOL
+    of their top are not cut, so each missed eigenvalue costs a few
+    factorizations, however large n, and no shift is factored twice.  An
+    even number missed in one slice is not seen."""
+    x = np.random.default_rng(PROBE_SEED).standard_normal(Ab.shape[1])
+    lu = np.empty(Ab.shape, order="F")
+    guesses = sorted(set(win.guesses))
+    lams, pars = zip(*(_inverse_iteration(Ab, Bb, g, x) for g in guesses))
+    par = dict(zip(guesses, pars))
+    found = np.sort([lam for lam in lams if lam is not None and 0.0 < lam <= win.hi])
     found = list(found[np.diff(found, prepend=-np.inf) > DISTINCT_TOL * found])
-    edges = sorted({0.0, win.hi, *(0.5 * (f + g) for f, g in zip(found[:-1], found[1:])),
-                    *(g for g, h in zip(win.guesses, hit) if not h)})
-    par = {e: parity(e) for e in edges}
+    edges = sorted({0.0, win.hi, *(g for g in guesses if 0.0 < g < win.hi)})
     todo = list(zip(edges[:-1], edges[1:]))
     while todo:
         a, b = todo.pop()
+        for s in (a, b):  # an edge no inverse iteration has factored
+            if s not in par:
+                piv, _ = _factor_band(Ab, Bb, s, lu)
+                par[s] = _parity(lu, piv)
         inside = [f for f in found if a < f <= b]
         if (par[a] + par[b] + len(inside)) % 2 == 0 or b - a <= DISTINCT_TOL * b:
             continue
@@ -487,11 +510,10 @@ def _find_window_eigenvalues(Ab, Bb, win: BoundWindow):
             f = inside[0]
             c = 0.5 * (a + f) if f - a >= b - f else 0.5 * (f + b)
         elif 2.0 * (b - a) <= min((abs(f - c) for f in found), default=np.inf):
-            lam = _inverse_iteration(Ab, Bb, c, x)
+            lam, par[c] = _inverse_iteration(Ab, Bb, c, x)
             if lam is not None and a < lam <= b:
                 found.append(lam)
                 continue
-        par[c] = parity(c)
         todo += [(a, c), (c, b)]
     return np.sort(found)
 
@@ -505,7 +527,7 @@ def _solve_window_inertia(A, B, d, win: BoundWindow, rec):
        Cholesky factor (dpbtrf).
     2. Inverse iteration and the parity of slice counts find the
        eigenvalues (see _find_window_eigenvalues), on the lower bands
-       mirrored into full ones.
+       mirrored into the factor layout.
     3. They must pass step 2 of _solve_window (see _match_doubt), and
        their number must be the count of eigenvalues in [0, hi), which
        is exact: the negative eigenvalues of d(A - hi B)d less those of
@@ -520,12 +542,13 @@ def _solve_window_inertia(A, B, d, win: BoundWindow, rec):
         rec["fallback"] = (f"dpbtrf returned info {lapack_info}: the equilibrated B "
                            "is not positive definite")
         return None
-    full = np.zeros((2, 2 * k + 1, n))
-    for F, L in zip(full, (Al, Bl)):  # entry (i, j) in row k + i - j, both triangles
-        F[k:] = L
+    Ab, Bb = (np.zeros((3 * k + 1, n), order="F") for _ in range(2))
+    for F, L in zip((Ab, Bb), (Al, Bl)):  # the factor layout, both triangles
+        F[2 * k:] = L
         for o in range(1, k + 1):
-            F[k - o, o:] = L[o, :n - o]
-    found = _find_window_eigenvalues(*full, win)
+            F[2 * k - o, o:] = L[o, :n - o]
+    found = _find_window_eigenvalues(Ab, Bb, win)
+    del Ab, Bb  # not read again: freed before the counts, whose blocks peak
     rec["fallback"] = _match_doubt(found, win)
     if rec["fallback"] is not None:
         return None
@@ -607,9 +630,9 @@ def _moment_singular_values(Ab, Bb, BV, a, b, nodes):
     None when a node is exactly singular.  Only the upper half is
     solved: the pencil is real, so the lower nodes give the complex
     conjugates."""
-    k, n = Ab.shape[0] // 2, Ab.shape[1]
+    k, n = (Ab.shape[0] - 1) // 3, Ab.shape[1]
     c, r, beta = 0.5 * (a + b), 0.5 * (b - a), CONTOUR_ASPECT
-    lu = np.empty((3 * k + 1, n), dtype=complex, order="F")
+    lu = np.empty(Ab.shape, dtype=complex, order="F")
     X = np.empty(BV.shape, dtype=complex, order="F")
     S = np.zeros(BV.shape, dtype=complex)
     for t in np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes):
@@ -619,7 +642,8 @@ def _moment_singular_values(Ab, Bb, BV, a, b, nodes):
             return None
         X[...] = BV
         _call("zgbtrs", b"N", n, k, k, BV.shape[1], lu, 3 * k + 1, piv, X, n)
-        S += r * complex(beta * cos, sin) * X
+        X *= r * complex(beta * cos, sin)  # in place: no node-sized temporary
+        S += X
     return np.linalg.svd(S.real / nodes, compute_uv=False)
 
 
@@ -656,7 +680,7 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     slice_counts, slice_nodes, fallback) receives the slice edges, the
     certified per-slice counts and the per-slice node counts, or under
     "fallback" why the window was given up."""
-    Ab, Bb, k = _interleaved_bands(A, B, d)
+    Ab, Bb, _ = _interleaved_bands(A, B, d)
     n = len(d)
     found = _find_window_eigenvalues(Ab, Bb, win)
     rec["fallback"] = _match_doubt(found, win)
@@ -668,7 +692,7 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     nodes = _slice_nodes(edges, found, win.hi)
     rng = np.random.default_rng(PROBE_SEED)
     rng.standard_normal(n)  # the finder's start vector: the probes are the next draw
-    BV = _band_matvec(Bb, k, rng.standard_normal((n, PROBES))).astype(complex, order="F")
+    BV = _band_matvec(Bb, rng.standard_normal((n, PROBES))).astype(complex, order="F")
     svals = _pooled([functools.partial(_moment_singular_values, Ab, Bb, BV, a, b, m)
                      for a, b, m in zip(edges[:-1], edges[1:], nodes)])
     for i, s in enumerate(svals, start=1):

@@ -20,8 +20,11 @@ reference_quadrature is the per-interval np.linspace rule that the
 broadcast in build_quadrature replaced, and serial_window the window
 solve before its slices ran on a thread pool: the eigenvalues of the
 window finder, then the f2py LAPACK wrappers, one slice after the
-other, every contour node factored in one buffer.  Both must agree bit
-for bit.
+other, every contour node factored in one buffer filled row slice by row
+slice, the probes multiplied by band_matvec.  Both must agree bit for
+bit.  band_matvec is the banded product one slice-add per diagonal,
+which the shifted-row product of eigen._band_matvec replaced: the same
+products summed in the same order, so equal bit for bit.
 ellipse_filter sums a slice contour's trapezoid filter at one real
 point directly, the weight that eigen._contour_nodes bounds.
 
@@ -368,12 +371,27 @@ def reference_quadrature(grid, factor, split_at=None):
     return QuadratureRule(cells=cells, points=pts, weights=wts)
 
 
+def band_matvec(Mb, k, X):
+    """M X for M in general band storage (2k + 1 rows, entry (i, j) in
+    row k + i - j) and X of n rows, one slice-add per diagonal, in row
+    order: the loop eigen._band_matvec replaced."""
+    n = Mb.shape[1]
+    X2 = X.reshape(n, -1)
+    Y = np.zeros(X2.shape)
+    for r in range(2 * k + 1):
+        o = r - k  # row index minus column index
+        lo, hi = max(0, -o), min(n, n - o)
+        Y[lo + o:hi + o] += Mb[r, lo:hi, None] * X2[lo:hi]
+    return Y.reshape(X.shape)
+
+
 def _serial_factor(Ab, Bb, k, z, ab):
+    # the band rows filled through strided views of the buffer
     re = ab.real[k:]
-    np.multiply(Bb, z.real, out=re)
-    re -= Ab
+    np.multiply(Bb[k:], z.real, out=re)
+    re -= Ab[k:]
     if np.iscomplexobj(ab):
-        np.multiply(Bb, z.imag, out=ab.imag[k:])
+        np.multiply(Bb[k:], z.imag, out=ab.imag[k:])
     gbtrf, = sla.get_lapack_funcs(("gbtrf",), (ab,))
     return gbtrf(ab, k, k, overwrite_ab=True)
 
@@ -424,7 +442,7 @@ def serial_window(A, B, win):
     nodes = eigen._slice_nodes(edges, found, win.hi)
     rng = np.random.default_rng(eigen.PROBE_SEED)
     rng.standard_normal(n)  # the finder's start vector
-    BV = eigen._band_matvec(Bb, k, rng.standard_normal((n, eigen.PROBES))).astype(
+    BV = band_matvec(Bb[k:], k, rng.standard_normal((n, eigen.PROBES))).astype(
         complex, order="F")
     ab = np.empty((3 * k + 1, n), dtype=complex, order="F")
     svals = []

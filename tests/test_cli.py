@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -348,6 +350,31 @@ def test_solve_writes_csv_and_json(tmp_path, monkeypatch):
 
 CPG_WINDOW_ARGS = ["--Z", "118", "--kappa", "-2", "--n-intervals", "200",
                    "--method", "cpg"]
+
+
+def test_the_weak_form_is_freed_before_the_solve(monkeypatch):
+    # nothing holds the weak-form blocks once the pencil is built
+    refs, alive = [], []
+
+    def assemble(*args):
+        wfm = assemble_weak_form(*args)
+        refs.append(weakref.ref(wfm))
+        return wfm
+
+    def solve(*args, **kwargs):
+        gc.collect()
+        alive.append(refs[0]() is not None)
+        return solve_generalized(*args, **kwargs)
+
+    assemble_weak_form, solve_generalized = cli.assemble_weak_form, cli.solve_generalized
+    monkeypatch.setattr(cli, "assemble_weak_form", assemble)
+    monkeypatch.setattr(cli, "solve_generalized", solve)
+    for method in ("galerkin", "cpg"):
+        refs.clear()
+        res = cli.run_solve(cli.RunConfig(Z=118.0, kappa=-2, method=method,
+                                          n_intervals=60))
+        assert len(refs) == 1 and res.report.matches
+    assert alive == [False, False]
 
 
 def test_solve_output_is_deterministic(tmp_path, monkeypatch):

@@ -21,8 +21,9 @@ from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
                              convergence_rate, exact_levels, solve_generalized)
 from diracloud.physics import PhysicalSystem, exact_eigenvalue
 
-from _oracles import (band_from_dense, charpoly_eigenvalues, ellipse_filter,
-                      max_pairing_distance, random_pencil, serial_window)
+from _oracles import (band_from_dense, band_matvec, charpoly_eigenvalues,
+                      ellipse_filter, max_pairing_distance, random_pencil,
+                      serial_window)
 
 
 # ----------------------------------------------------------------- the solver
@@ -683,6 +684,54 @@ def test_the_galerkin_window_factors_as_often_at_any_n(monkeypatch):
     assert "dsbgvx" not in names and "dpbtrf" in names
 
 
+@pytest.mark.parametrize("method,n,real_max", [
+    ("cpg", 600, 17), ("cpg", 2000, 17), ("galerkin", 600, 21)])
+def test_no_window_shift_is_factored_twice(method, n, real_max, monkeypatch):
+    # the finder reads each guess's parity off its inverse iteration's LU
+    # and factors only 0 and hi besides (and the galerkin window's
+    # instilled state costs a few more); the contour takes one complex
+    # LU per node
+    shifts = {False: [], True: []}
+    factor = eigen._factor_band
+
+    def spy(Ab, Bb, z, ab):
+        shifts[np.iscomplexobj(ab)].append(z)
+        return factor(Ab, Bb, z, ab)
+
+    monkeypatch.setattr(eigen, "_factor_band", spy)
+    res = run_solve(RunConfig(Z=118.0, kappa=-2, method=method, n_intervals=n))
+    assert res.eigen_path == ("window" if method == "cpg" else "inertia")
+    real, cplx = shifts[False], shifts[True]
+    assert len(set(real)) == len(real) <= real_max
+    assert len(set(cplx)) == len(cplx) == sum(res.eigen_window["slice_nodes"] or [0])
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_band_matvec_matches_the_diagonal_loop(k):
+    # the same products, added in the same order: equal bit for bit
+    rng = np.random.default_rng(k)
+    n = int(rng.integers(2 * k + 1, 200))
+    Mb = np.zeros((3 * k + 1, n), order="F")  # the factor layout
+    Mb[k:] = rng.standard_normal((2 * k + 1, n)) * 10.0 ** rng.uniform(-6, 6, (2 * k + 1, n))
+    for x in (rng.standard_normal(n), rng.standard_normal((n, eigen.PROBES))):
+        y = eigen._band_matvec(Mb, x)
+        assert y.shape == x.shape
+        np.testing.assert_array_equal(y, band_matvec(Mb[k:], k, x))
+
+
+def test_band_matvec_matches_the_diagonal_loop_on_the_flagship_band(solve_cached):
+    res = solve_cached(Z=118.0, kappa=-2, method="cpg")
+    bands = res.system.bands
+    d = 1.0 / np.sqrt(bands["B"].diagonal())
+    Ab, Bb, k = eigen._interleaved_bands(bands["A"], bands["B"], d)
+    rng = np.random.default_rng(41)
+    for Mb in (Ab, Bb):
+        for x in (rng.standard_normal(Mb.shape[1]),
+                  rng.standard_normal((Mb.shape[1], eigen.PROBES))):
+            np.testing.assert_array_equal(eigen._band_matvec(Mb, x),
+                                          band_matvec(Mb[k:], k, x))
+
+
 def test_contour_nodes_grow_with_the_ratio_up_to_the_cap():
     ratios = np.linspace(0.0, 1.5, 301)
     nodes = [eigen._contour_nodes(q) for q in ratios]
@@ -773,9 +822,9 @@ def test_contour_nodes_factor_in_one_shared_buffer(uuo_wfm_200, uuo_system,
             piv, info = eigen._factor_band(Ab, Bb, z, ab)
             assert info == 0
             fresh = np.zeros(ab.shape, dtype=dtype, order="F")
-            fresh.real[k:] = z.real * Bb - Ab
+            fresh.real[k:] = z.real * Bb[k:] - Ab[k:]
             if dtype is complex:
-                fresh.imag[k:] = z.imag * Bb
+                fresh.imag[k:] = z.imag * Bb[k:]
             ref_lu, ref_piv, ref_info = getattr(sla.lapack, name + "trf")(fresh, k, k)
             assert ref_info == 0
             np.testing.assert_array_equal(ab[inside], ref_lu[inside])
@@ -943,10 +992,12 @@ def test_interleaved_bands_hold_the_whole_pencil(uuo_wfm_200, uuo_system, uuo_gr
     x = np.random.default_rng(23).normal(size=(n, 3))
     for M, Mb in ((out.A, Ab), (out.B, Bb)):
         dense = (d[:, None] * M * d[None, :])[np.ix_(perm, perm)]
-        np.testing.assert_allclose(eigen._band_matvec(Mb, k, x), dense @ x,
+        np.testing.assert_allclose(eigen._band_matvec(Mb, x), dense @ x,
                                    rtol=0, atol=1e-12 * np.abs(dense).max())
+        # the factor layout: entry (i, j) in row 2k + i - j, k zero rows on top
+        assert Mb.shape == (3 * k + 1, n) and Mb.flags.f_contiguous and not Mb[:k].any()
         i, j = np.nonzero(dense)
-        np.testing.assert_allclose(Mb[k + i - j, j], dense[i, j], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(Mb[2 * k + i - j, j], dense[i, j], rtol=1e-15, atol=0)
 
 
 def _cpg_200(wfm, system, grid):
