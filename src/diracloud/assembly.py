@@ -60,17 +60,14 @@ def build_quadrature(grid: Grid, factor: int = 10, split_at: float = None) -> Qu
     if factor < 2 or factor % 2 != 0:
         raise ValueError(f"quadrature factor must be even and >= 2, got {factor}")
     ncell = factor // 2
-    a, b = grid.nodes[:-1, None], grid.nodes[1:, None]
-    # np.linspace(a, b, ncell + 1) of every interval at once, in its own
-    # arithmetic: start + i * ((stop - start) / (num - 1)), the last edge stop
-    edges = np.arange(ncell + 1) * ((b - a) / ncell) + a
-    edges[:, -1] = b[:, 0]
+    a, b = grid.nodes[:-1], grid.nodes[1:]
+    edges = np.linspace(a, b, ncell + 1, axis=-1)
     cells = np.stack((edges[:, :-1], edges[:, 1:]), axis=-1).reshape(-1, 2)
     split = [] if split_at is None else np.flatnonzero((a < split_at) & (split_at < b))
     if len(split):  # one interval at most holds the split
         # distribute the cells over the two pieces, at least one each
         j = split[0]
-        lo, hi = a[j, 0], b[j, 0]
+        lo, hi = a[j], b[j]
         left = max(1, min(ncell - 1, round(ncell * (split_at - lo) / (hi - lo))))
         right = max(1, ncell - left)
         piece = np.concatenate([np.linspace(lo, split_at, left + 1),
@@ -194,9 +191,8 @@ def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
     bands = {name: Band(m) for name, m in zip(names, bands)}
     k = bandwidth(*bands.values())
     bands = {name: b.trimmed(k) for name, b in bands.items()}
-    stored = dict(bands, M_010=bands["M_100"])  # M_010 is M_100's transpose
-    for name in WeakFormMatrices.NAMES:
-        if not np.isfinite(stored[name].data).all():
+    for name, band in bands.items():  # the seven stored blocks; M_010 is M_100's transpose
+        if not np.isfinite(band.data).all():
             raise SingularMoment(f"weak-form block {name} has non-finite entries")
     return WeakFormMatrices(bands)
 

@@ -66,7 +66,6 @@ class CloudBasis:
 
 @dataclass(frozen=True, eq=False)
 class ShapeEval:
-    x: float
     active_indices: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
@@ -75,11 +74,10 @@ class ShapeEval:
 
 @dataclass(frozen=True, eq=False)
 class ShapeStack:
-    """Shapes at an array of points, padded to a common width W.  Row p
+    """Shapes at an array of points x, padded to a common width W.  Row p
     holds candidate nodes in ascending order; `active` marks the shapes
     that are part of the evaluation at x[p] (clouds covering x[p], and
     boundary hats nonzero there), and values/derivs are zero elsewhere."""
-    x: np.ndarray          # (npts,)
     indices: np.ndarray    # (npts, W) node index per slot
     active: np.ndarray     # (npts, W) bool
     values: np.ndarray     # (npts, W)
@@ -236,13 +234,12 @@ def evaluate_shapes(cb: CloudBasis, x) -> ShapeStack:
         vals[rows, cols] += g[rows]
         ders[rows, cols] += dg[rows]
         active[rows, cols] = True
-    return ShapeStack(x=x, indices=idx, active=active, values=vals,
-                      derivs=ders, cond=cond)
+    return ShapeStack(indices=idx, active=active, values=vals, derivs=ders, cond=cond)
 
 
 def evaluate_coupled(cb: CloudBasis, x: float) -> ShapeEval:
     """The shapes at one point: the active slots of evaluate_shapes."""
     st = evaluate_shapes(cb, x)
     a = st.active[0]
-    return ShapeEval(x=x, active_indices=st.indices[0, a], values=st.values[0, a],
+    return ShapeEval(active_indices=st.indices[0, a], values=st.values[0, a],
                      derivs=st.derivs[0, a], cond=st.cond[0])

@@ -62,9 +62,10 @@ count of real eigenvalues between them, for either pencil) disagree
 with the values found, it locates the ones missed.  The shifts are the
 levels themselves, whose signs come from the LUs their inverse
 iterations ran on, and the window's edges; no shift is factored twice.
-Both windows store d(A, B)d once, in the layout dgbtrf factors, so a
-factorization fills its buffer with whole-array operations.  Each path
-then certifies what it found its own way.
+Each window builds one scaled pair d(A, B)d, with the pencil's own k,
+in the layout dgbtrf factors, so a factorization fills its buffer with
+whole-array operations.  Each path then certifies what it found its own
+way.
 Classification pairs the computed bound states against the closed-form
 relativistic levels with a greedy monotone matcher and flags the two
 spuriosity patterns separately: values instilled between genuine
@@ -80,7 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .band import Band, bandwidth, slots
+from .band import Band, slots
 from .physics import PhysicalSystem, exact_eigenvalue
 
 FLAG_GENUINE = "genuine"
@@ -250,40 +251,44 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
 
 
 def _interleaved_bands(A, B, d):
-    """dAd and dBd (A, B interleaved Bands, d in block order) in the
-    layout dgbtrf factors (see _factor_band), cut to their common
-    half-bandwidth k, the outermost diagonal on which A or B holds a
-    nonzero, and k: (3k + 1, n) Fortran arrays, entry (i, j) in row
-    2k + i - j, the top k rows zero.  Each entry is scaled by d_i d_j."""
-    k = bandwidth(A, B)
+    """dAd and dBd (A, B interleaved Bands, d in block order) in the layout
+    dgbtrf factors (see _factor_band), and k, the pencil's half-bandwidth:
+    (3k + 1, n) Fortran arrays, entry (i, j) in row 2k + i - j, the top k
+    rows zero.  Each entry is scaled by d_i d_j."""
+    k = A.k
     rows, inside = slots(A.n, -k, k)
     dI = d[A.order()]
     scale = np.where(inside, dI[rows] * dI, 0.0)
     Ab, Bb = (np.zeros((3 * k + 1, A.n), order="F") for _ in range(2))
-    np.multiply(A.trimmed(k).data, scale, out=Ab[k:])
-    np.multiply(B.trimmed(k).data, scale, out=Bb[k:])
+    np.multiply(A.data, scale, out=Ab[k:])
+    np.multiply(B.data, scale, out=Bb[k:])
     return Ab, Bb, k
 
 
-def _lower_bands(A, B, d):
-    """The lower bands (k + 1 rows, entry (i, j) in row i - j) of dAd and
-    dBd, interleaved and cut as in _interleaved_bands, as Fortran arrays,
-    and k.  Each entry is read from the block-order lower triangle, the
-    one eigh reads: the entry itself or its mirror across the diagonal,
-    and scaled as _equilibrate scales it."""
-    k = bandwidth(A, B)
-    rows, inside = slots(A.n, 0, k)
-    cols = np.arange(A.n)
-    perm, K, o = A.order(), A.k, np.arange(k + 1)[:, None]
-    p, q = perm[rows], perm[cols]
-    lower = p >= q
-    p, q = np.maximum(p, q), np.minimum(p, q)
+def _symmetric_bands(A, B, d):
+    """dAd and dBd as symmetric matrices, as _interleaved_bands lays them
+    out (rows 2k.. are the lower bands dpbtrf reads).  Each entry is read
+    from the block-order lower triangle, the one eigh reads: the entry
+    itself or its mirror, scaled (v d_p) d_q, p >= q its block-order
+    indices, as _equilibrate scales it."""
+    k, n = A.k, A.n
+    rows, inside = slots(n, -k, k)
+    perm, o = A.order(), np.arange(-k, k + 1)[:, None]
+    p = perm[rows]  # the block-order index of each slot's row; perm is its column's
+    # each entry's flat slot: its own in the block-order lower triangle, else (j, i)'s
+    src = np.where(p >= perm, (k + o) * n + np.arange(n), (k - o) * n + rows)
+    dp, dq = d[np.maximum(p, perm)], d[np.minimum(p, perm)]
+    del rows, p  # not read again: freed before the bands are filled
 
-    def gather(M):  # entry (i, j) in slot (K + o, j), its mirror in (K - o, i)
-        v = np.where(lower, M.data[K + o, cols], M.data[K - o, rows])
-        return np.asfortranarray(np.where(inside, v * d[p] * d[q], 0.0))
+    def scaled(M):
+        F = np.zeros((3 * k + 1, n), order="F")
+        v = M.data.take(src)
+        v *= dp
+        v *= dq
+        np.copyto(F[k:], v, where=inside)
+        return F
 
-    return gather(A), gather(B), k
+    return scaled(A), scaled(B), k
 
 
 @functools.cache
@@ -522,37 +527,31 @@ def _solve_window_inertia(A, B, d, win: BoundWindow, rec):
     """The eigenvalues in (0, win.hi] of the symmetric-definite pencil,
     or None when the window is given up.
 
-    1. d(A, B)d is read from its block-order lower triangle, the one
-       eigh reads (see _lower_bands), and dBd must have a banded
-       Cholesky factor (dpbtrf).
+    1. d(A, B)d is read from its block-order lower triangle into one
+       scaled pair (see _symmetric_bands), and dBd must have a banded
+       Cholesky factor (dpbtrf, on a copy of its lower bands).
     2. Inverse iteration and the parity of slice counts find the
-       eigenvalues (see _find_window_eigenvalues), on the lower bands
-       mirrored into the factor layout.
+       eigenvalues on that pair (see _find_window_eigenvalues).
     3. They must pass step 2 of _solve_window (see _match_doubt), and
        their number must be the count of eigenvalues in [0, hi), which
        is exact: the negative eigenvalues of d(A - hi B)d less those of
-       dAd (see _negative_counts).
+       dAd (see _negative_counts), from the lower bands of the pair.
     rec (the window record of solve_generalized) receives the one slice
     [0, hi] and its count, or under "fallback" why the window was given
     up."""
-    Al, Bl, k = _lower_bands(A, B, d)
-    n = len(d)
-    lapack_info = _call("dpbtrf", b"L", n, k, Bl.copy(order="F"), k + 1)
+    Ab, Bb, k = _symmetric_bands(A, B, d)
+    lapack_info = _call("dpbtrf", b"L", len(d), k, Bb[2 * k:].copy(order="F"), k + 1)
     if lapack_info:
         rec["fallback"] = (f"dpbtrf returned info {lapack_info}: the equilibrated B "
                            "is not positive definite")
         return None
-    Ab, Bb = (np.zeros((3 * k + 1, n), order="F") for _ in range(2))
-    for F, L in zip((Ab, Bb), (Al, Bl)):  # the factor layout, both triangles
-        F[2 * k:] = L
-        for o in range(1, k + 1):
-            F[2 * k - o, o:] = L[o, :n - o]
     found = _find_window_eigenvalues(Ab, Bb, win)
+    shifted = Ab[2 * k:] - np.array([0.0, win.hi])[:, None, None] * Bb[2 * k:]
     del Ab, Bb  # not read again: freed before the counts, whose blocks peak
     rec["fallback"] = _match_doubt(found, win)
     if rec["fallback"] is not None:
         return None
-    counts = _negative_counts(Al - np.array([0.0, win.hi])[:, None, None] * Bl)
+    counts = _negative_counts(shifted)
     if counts is None:
         rec["fallback"] = ("a Schur complement of d(A - s B)d, s = 0 or hi, is "
                            "numerically singular")

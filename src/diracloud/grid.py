@@ -32,7 +32,6 @@ class GridConfig:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    config: GridConfig
     nodes: np.ndarray      # x_0 .. x_n
     spacings: np.ndarray   # h_k = x_k - x_{k-1}, k = 1..n
     dilations: np.ndarray  # rho_j per node
@@ -57,4 +56,4 @@ def generate_grid(cfg: GridConfig) -> Grid:
     rho[0] = cfg.nu * h[0]
     rho[-1] = cfg.nu * h[-1]
     rho[1:-1] = cfg.nu * np.maximum(h[:-1], h[1:])
-    return Grid(config=cfg, nodes=x, spacings=h, dilations=rho)
+    return Grid(nodes=x, spacings=h, dilations=rho)

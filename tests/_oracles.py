@@ -27,6 +27,9 @@ which the shifted-row product of eigen._band_matvec replaced: the same
 products summed in the same order, so equal bit for bit.
 ellipse_filter sums a slice contour's trapezoid filter at one real
 point directly, the weight that eigen._contour_nodes bounds.
+symmetric_bands is the inertia window's read of the galerkin pencil
+before eigen._symmetric_bands: lower bands cut to the pencil's
+outermost nonzero diagonal, mirrored into the factor layout.
 
 exp_basis is a test-only enrichment that drives the kernel into its
 ill-conditioned and overflowing regimes on purpose.
@@ -39,7 +42,7 @@ from scipy.optimize import linear_sum_assignment
 
 from diracloud import eigen
 from diracloud.assembly import _GAUSS_OFFSET, DegenerateTau, QuadratureRule, WeakFormMatrices
-from diracloud.band import Band, interleaving, slots
+from diracloud.band import Band, bandwidth, interleaving, slots
 from diracloud.cloud import CloudBasis, ShapeEval, SingularMoment, evaluate_shapes
 from diracloud.enrichment import EnrichmentBasis
 from diracloud.physics import potential
@@ -183,7 +186,7 @@ def reference_shapes(cb: CloudBasis, x: float, coupled: bool) -> ShapeEval:
                     act = np.insert(act, j, k)
                     vals = np.insert(vals, j, hat_v[k])
                     ders = np.insert(ders, j, hat_s[k])
-    return ShapeEval(x=x, active_indices=act, values=vals, derivs=ders, cond=cond)
+    return ShapeEval(active_indices=act, values=vals, derivs=ders, cond=cond)
 
 
 def reference_weak_form(cb: CloudBasis, sys, quad):
@@ -467,3 +470,32 @@ def serial_window(A, B, win):
     rec.update(slice_edges=edges.tolist(), slice_counts=counts, slice_nodes=nodes,
                contour_aspect=eigen.CONTOUR_ASPECT)
     return found.astype(complex), rec
+
+
+def symmetric_bands(A, B, d):
+    """d(A, B)d of the symmetric galerkin pencil as the inertia window
+    read it before it built one scaled pair: the lower bands (k + 1
+    rows, entry (i, j) in row i - j, k the outermost diagonal on which A
+    or B holds a nonzero), each entry read from the block-order lower
+    triangle and scaled (v d_p) d_q, then mirrored, one diagonal at a
+    time, into both triangles of the factor layout ((3k + 1, n), entry
+    (i, j) in row 2k + i - j).  eigen._symmetric_bands must equal it bit
+    for bit."""
+    k = bandwidth(A, B)
+    n = A.n
+    rows, inside = slots(n, 0, k)
+    cols = np.arange(n)
+    perm, K, o = A.order(), A.k, np.arange(k + 1)[:, None]
+    p, q = perm[rows], perm[cols]
+    lower = p >= q
+    p, q = np.maximum(p, q), np.minimum(p, q)
+    out = []
+    for M in (A, B):  # entry (i, j) in slot (K + o, j), its mirror in (K - o, i)
+        v = np.where(lower, M.data[K + o, cols], M.data[K - o, rows])
+        L = np.where(inside, v * d[p] * d[q], 0.0)
+        F = np.zeros((3 * k + 1, n), order="F")
+        F[2 * k:] = L
+        for r in range(1, k + 1):
+            F[2 * k - r, r:] = L[r, :n - r]
+        out.append(F)
+    return out[0], out[1], k

@@ -80,10 +80,8 @@ def test_quadrature_split_point_becomes_a_cell_edge(uuo_grid_200):
 @pytest.fixture(scope="module")
 def toy_problem():
     """3-interval Shepard discretization small enough to integrate adaptively."""
-    cfg = GridConfig(n_intervals=3, I_a=0.5, I_b=3.5, eps=1.0, nu=1.2)
     nodes = np.array([0.5, 1.5, 2.5, 3.5])
-    g = Grid(config=cfg, nodes=nodes, spacings=np.ones(3),
-             dilations=1.2 * np.ones(4))
+    g = Grid(nodes=nodes, spacings=np.ones(3), dilations=1.2 * np.ones(4))
     cb = build_cloud_basis(g, basis=shepard_basis())
     sys = PhysicalSystem(Z=1.0, kappa=-1)
     quad = build_quadrature(g, factor=40)

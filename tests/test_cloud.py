@@ -14,10 +14,8 @@ from diracloud.physics import PhysicalSystem
 
 def uniform_grid(n, nu=1.2, h=1.0):
     """Hand-built uniform grid (the generator only makes graded ones)."""
-    cfg = GridConfig(n_intervals=n, I_a=0.0, I_b=n * h, eps=1.0, nu=nu)
     nodes = h * np.arange(n + 1, dtype=float)
-    return Grid(config=cfg, nodes=nodes, spacings=np.full(n, h),
-                dilations=np.full(n + 1, nu * h))
+    return Grid(nodes=nodes, spacings=np.full(n, h), dilations=np.full(n + 1, nu * h))
 
 
 def test_shepard_midpoint_splits_evenly():
@@ -111,8 +109,7 @@ def test_evaluation_outside_domain_rejected(uuo_cloud_200):
 def test_uncovered_point_raises():
     g = uniform_grid(6, nu=1.2)
     # shrink every cloud so interval midpoints lose coverage
-    starved = Grid(config=g.config, nodes=g.nodes, spacings=g.spacings,
-                   dilations=np.full(7, 0.3))
+    starved = Grid(nodes=g.nodes, spacings=g.spacings, dilations=np.full(7, 0.3))
     cb = build_cloud_basis(starved, basis=shepard_basis())
     # the boundary hat of node 1 reaches x=1.5 but is no cloud
     with pytest.raises(SingularMoment, match="only 0 clouds cover x=1.5"):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from diracloud import eigen
 from diracloud.assembly import METHODS, assemble_system
-from diracloud.band import Band
+from diracloud.band import Band, bandwidth
 from diracloud.cli import RunConfig, run_solve, solve_rows
 from diracloud.eigen import (EmptySpectrum, FLAG_COINCIDENCE, FLAG_GENUINE,
                              FLAG_INSTILLED, FLAG_TAIL, BoundWindow, bound_window,
@@ -23,7 +23,7 @@ from diracloud.physics import PhysicalSystem, exact_eigenvalue
 
 from _oracles import (band_from_dense, band_matvec, charpoly_eigenvalues,
                       ellipse_filter, max_pairing_distance, random_pencil,
-                      serial_window)
+                      serial_window, symmetric_bands)
 
 
 # ----------------------------------------------------------------- the solver
@@ -529,6 +529,13 @@ def test_coarse_galerkin_window_falls_back_to_eigh(solve_cached):
     assert res.report.flags == ref.flags
 
 
+def _garbage_above(sym):
+    """galerkin's A with random values on its nonzero pattern strictly
+    above the block-order diagonal."""
+    upper = np.triu(sym.A != 0.0, 1)
+    return sym.A + upper * np.random.default_rng(31).normal(size=sym.A.shape)
+
+
 def test_inertia_window_reads_the_block_order_lower_triangle(uuo_wfm_200, uuo_system):
     # galerkin's A is symmetric only up to quadrature error; both
     # symmetric paths read the lower triangle in block order, so garbage
@@ -537,8 +544,7 @@ def test_inertia_window_reads_the_block_order_lower_triangle(uuo_wfm_200, uuo_sy
     # in block order.
     sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
     win = bound_window(uuo_system, 15)
-    upper = np.triu(sym.A != 0.0, 1)
-    garbage = sym.A + upper * np.random.default_rng(31).normal(size=sym.A.shape)
+    garbage = _garbage_above(sym)
     got = {}
     for name, A in (("clean", sym.A), ("garbage", garbage)):
         info = {}
@@ -555,17 +561,50 @@ def test_lower_bands_hold_the_block_order_lower_triangle(uuo_wfm_200, uuo_system
     sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
     n = sym.A.shape[0]
     d = 1.0 / np.sqrt(np.diag(sym.B))
-    Ab, Bb, k = eigen._lower_bands(sym.bands["A"], sym.bands["B"], d)
-    assert k == 9 and Ab.shape == Bb.shape == (k + 1, n)
+    Ab, Bb, k = eigen._symmetric_bands(sym.bands["A"], sym.bands["B"], d)
     assert Ab.flags.f_contiguous and Bb.flags.f_contiguous
+    Al, Bl = Ab[2 * k:], Bb[2 * k:]
+    assert k == 9 and Al.shape == Bl.shape == (k + 1, n)
     perm = np.concatenate([np.arange(n // 2)[:, None],
                            np.arange(n // 2, n)[:, None]], axis=1).ravel()
-    for M, Mb in ((sym.A, Ab), (sym.B, Bb)):
+    for M, Ml in ((sym.A, Al), (sym.B, Bl)):
         low = np.tril(eigen._equilibrate(M, d))
         dense = (low + np.tril(low, -1).T)[np.ix_(perm, perm)]
         i, j = np.nonzero(np.tril(dense))
-        np.testing.assert_array_equal(Mb[i - j, j], dense[i, j])
-        assert np.count_nonzero(Mb) == len(i)
+        np.testing.assert_array_equal(Ml[i - j, j], dense[i, j])
+        assert np.count_nonzero(Ml) == len(i)
+
+
+def test_symmetric_bands_equal_the_mirrored_lower_bands_bit_for_bit(
+        solve_cached, uuo_wfm_200, uuo_system):
+    # one pair in the factor layout, both triangles filled in one pass,
+    # against the lower bands cut to the outermost nonzero diagonal and
+    # mirrored one diagonal at a time: on the flagship pencil, and on one
+    # with garbage above the block-order diagonal, which neither reads
+    flagship = solve_cached(Z=118.0, kappa=-2, method="galerkin").system.bands
+    sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
+    garbage = band_from_dense(_garbage_above(sym), sym.B, interleaved=True)
+    for A, B in ((flagship["A"], flagship["B"]), garbage):
+        d = 1.0 / np.sqrt(B.diagonal())
+        Ab, Bb, k = eigen._symmetric_bands(A, B, d)
+        rAb, rBb, rk = symmetric_bands(A, B, d)
+        assert k == rk == A.k == 9
+        assert Ab.flags.f_contiguous and Bb.flags.f_contiguous
+        for got, ref in ((Ab, rAb), (Bb, rBb)):
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_window_bands_take_the_half_bandwidth_of_the_assembled_pencil(
+        method, uuo_wfm_200, uuo_system, uuo_grid_200):
+    # assembled bands are tight: their outermost diagonal holds a nonzero,
+    # so the windows read k off the pencil without trimming it
+    out = assemble_system(uuo_wfm_200, uuo_system, method, grid=uuo_grid_200)
+    A, B = out.bands["A"], out.bands["B"]
+    assert A.k == B.k == bandwidth(A, B)
+    d = 1.0 / np.sqrt(B.diagonal())
+    assert eigen._interleaved_bands(A, B, d)[2] == A.k
+    assert eigen._symmetric_bands(A, B, d)[2] == A.k
 
 
 def test_non_positive_definite_mass_falls_back_to_eigh_and_raises(uuo_wfm_200,
@@ -600,7 +639,8 @@ def test_inertia_counts_match_eigvalsh_on_the_galerkin_pencil(uuo_wfm_200, uuo_s
     sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
     win = bound_window(uuo_system, 15)
     d = 1.0 / np.sqrt(np.diag(sym.B))
-    Al, Bl, k = eigen._lower_bands(sym.bands["A"], sym.bands["B"], d)
+    Ab, Bb, k = eigen._symmetric_bands(sym.bands["A"], sym.bands["B"], d)
+    Al, Bl = Ab[2 * k:], Bb[2 * k:]
     lam = solve_generalized(sym.A, sym.B, symmetric_definite=True).real
     inside = lam[(lam > 0.0) & (lam <= win.hi)]
     assert len(inside) >= 15

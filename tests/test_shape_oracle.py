@@ -8,7 +8,7 @@ from diracloud.assembly import assemble_weak_form, build_quadrature
 from diracloud.cloud import (CloudBasis, SingularMoment, build_cloud_basis,
                              evaluate_coupled, evaluate_shapes)
 from diracloud.enrichment import shepard_basis, sto_default_basis
-from diracloud.grid import Grid, GridConfig
+from diracloud.grid import Grid
 
 EPS = np.finfo(float).eps
 
@@ -72,10 +72,8 @@ def test_single_point_calls_are_rows_of_the_batch(uuo_cloud_200, uuo_quad_200):
 def starved_cloud():
     """Uniform 6-interval grid whose clouds leave interval midpoints bare."""
     n = 6
-    cfg = GridConfig(n_intervals=n, I_a=0.0, I_b=float(n), eps=1.0, nu=1.2)
     nodes = np.arange(n + 1, dtype=float)
-    g = Grid(config=cfg, nodes=nodes, spacings=np.ones(n),
-             dilations=np.full(n + 1, 0.3))
+    g = Grid(nodes=nodes, spacings=np.ones(n), dilations=np.full(n + 1, 0.3))
     return build_cloud_basis(g, basis=shepard_basis())
 
 
