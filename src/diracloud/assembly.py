@@ -9,10 +9,10 @@ interval sums its quadrature points into small local matrices over the
 nodes whose clouds reach it, and the local matrices are added into the
 blocks' bands (see band.Band) in interval order.  Chunks of whole
 intervals share one batched shape evaluation.  Compact cloud supports
-give half-bandwidth 4 on the production grids.  The pencil is
-written straight into interleaved bands, half-bandwidth 9; dense
-matrices are formed only on read (the dump, the dense eigen fallbacks
-and the tests).
+give half-bandwidth 4 on the production grids.  The pencil's blocks are
+written as their formulas in the band arrays and placed into interleaved
+bands, half-bandwidth 9, a zero block left as zeros; dense matrices are
+formed only on read (the dump, the dense eigen fallbacks and the tests).
 
 The stabilized variant perturbs the Galerkin blocks row-wise: row j of
 the residual blocks gets scaled by a stability parameter tau_j computed
@@ -244,25 +244,26 @@ class AssembledSystem:
     script_B = _densified("script_B")
 
 
-def _interleave(terms):
-    """The 2x2-block matrix whose block (a, b) is coef X + Y for
-    terms[a][b] = (coef, X, Y) (bands of one k) as an interleaved Band
-    of half-bandwidth 2k + 1.  Each block is written in place into its
-    slots, rows 1 + a - b, 3 + a - b, ... of the columns of parity b, of
-    a zero-filled buffer."""
-    k, nd = terms[0][0][1].k, terms[0][0][1].n
-    data = np.zeros((4 * k + 3, 2 * nd))
-    for a, row in enumerate(terms):
-        for b, (coef, X, Y) in enumerate(row):
-            block = data[1 + a - b:4 * k + 2 + a - b:2, b::2]
-            np.multiply(coef, X.data, out=block)
-            block += Y.data
+def _interleave(blocks):
+    """The 2x2-block matrix with block (a, b) blocks[a][b], as an
+    interleaved Band of half-bandwidth 2k + 1.  Each block arrives
+    finished, the data of a band of half-bandwidth k (one k for all), or
+    None for a zero block.  It is only placed: into rows 1 + a - b,
+    3 + a - b, ... of the columns of parity b of a zero-filled buffer."""
+    m, nd = next(X.shape for row in blocks for X in row if X is not None)
+    data = np.zeros((2 * m + 1, 2 * nd))
+    for a, row in enumerate(blocks):
+        for b, X in enumerate(row):
+            if X is not None:
+                data[1 + a - b:2 * m + a - b:2, b::2] = X
     return Band(data, interleaved=True)
 
 
 def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
                     grid: Grid = None) -> AssembledSystem:
-    """Build the 2x2-block generalized eigenproblem as interleaved bands.
+    """Build the 2x2-block generalized eigenproblem as interleaved bands,
+    each block written as its formula in the weak-form band arrays and
+    the zero blocks of B and script_B left empty (None to _interleave).
     galerkin leaves the blocks alone (tau = 0); the cpg variants add the
     residual blocks with row j scaled by tau_j (same tau for both
     block-rows of a node).  Every entry inside the weak-form band is the
@@ -280,27 +281,20 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method != "galerkin" and grid is None:
         raise ValueError(f"{method} needs the grid for the stability parameter")
-    W = wfm.bands
-    M010 = W["M_100"].T
+    W = {name: band.data for name, band in wfm.bands.items()}
+    M000, M100, M010 = W["M_000"], W["M_100"], wfm.bands["M_100"].T.data
     c, k, mc2 = sys.c, sys.kappa, sys.mc2
-    # block by block in place; (c k) M is formed once per pair of blocks
-    # that add it, each product rounded as in the written-out formula
-    ck = Band((c * k) * W["M_001"].data)
-    A = _interleave([[(mc2, W["M_000"], W["M_000_V"]), (-c, M010, ck)],
-                     [(c, M010, ck), (-mc2, W["M_000"], W["M_000_V"])]])
-    ck = Band((c * k) * W["M_101"].data)
-    sA = _interleave([[(c, W["M_110"], ck), (-mc2, W["M_100"], W["M_100_V"])],
-                      [(mc2, W["M_100"], W["M_100_V"]), (-c, W["M_110"], ck)]])
-    # the weak-form sums start from +0.0, so no entry is -0.0 and the
-    # copies 1 X + 0 are X bit for bit
-    zero = Band(np.zeros_like(W["M_000"].data))
-    B = _interleave([[(1.0, W["M_000"], zero), (1.0, zero, zero)],
-                     [(1.0, zero, zero), (1.0, W["M_000"], zero)]])
-    sB = _interleave([[(1.0, zero, zero), (1.0, W["M_100"], zero)],
-                      [(1.0, W["M_100"], zero), (1.0, zero, zero)]])
+    ck = (c * k) * W["M_001"]  # formed once for the two blocks that add it
+    A = _interleave([[mc2 * M000 + W["M_000_V"], -c * M010 + ck],
+                     [c * M010 + ck, -mc2 * M000 + W["M_000_V"]]])
+    ck = (c * k) * W["M_101"]
+    sA = _interleave([[c * W["M_110"] + ck, -mc2 * M100 + W["M_100_V"]],
+                      [mc2 * M100 + W["M_100_V"], -c * W["M_110"] + ck]])
+    B = _interleave([[M000, None], [None, M000]])
+    sB = _interleave([[None, M100], [M100, None]])
 
     if method == "galerkin":
-        tau = np.zeros(W["M_000"].n)
+        tau = np.zeros(wfm.bands["M_000"].n)
     elif method == "cpg":
         tau = stability_tau(wfm, grid.nodes[1:-1])
     else:  # cpg_fem_tau

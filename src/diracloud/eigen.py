@@ -445,8 +445,9 @@ def _negative_counts(Ml):
     below = k + a[:, None] - a
     D = M[:, hi - lo, cols + lo]
     C = np.where(below <= k, M[:, np.minimum(below, k), cols[:-1] + a], 0.0)
-    D, C = (np.ascontiguousarray(X.swapaxes(0, 1)) for X in (D, C))  # block J first
-    Ct = np.ascontiguousarray(C.swapaxes(2, 3))
+    # block J first, as views: solve and eigvalsh copy their operands
+    D, C = D.swapaxes(0, 1), C.swapaxes(0, 1)
+    Ct = C.swapaxes(2, 3)
     mu = np.empty((nb, s, k))
     try:
         S = D[0]

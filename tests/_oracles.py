@@ -15,6 +15,11 @@ replaced: the weak form added interval by interval into zero-filled
 dense blocks, the row-by-row stability parameter, and the 2x2-block
 pencil formulas.  The bands must densify to their arrays bit for bit.
 band_from_dense gathers the bands of matrices a test builds dense.
+reference_system is the interleaved pencil as it was built before
+assemble_system wrote each block as its formula: every block a
+coefficient triplet coef X + Y, the zero blocks 1 0 + 0 from a zero
+band.  Its bands and tau must equal assemble_system's bit for bit,
+signed zeros included.
 
 reference_quadrature is the per-interval np.linspace rule that the
 broadcast in build_quadrature replaced, and serial_window the window
@@ -41,7 +46,8 @@ import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
 from diracloud import eigen
-from diracloud.assembly import _GAUSS_OFFSET, DegenerateTau, QuadratureRule, WeakFormMatrices
+from diracloud.assembly import (_GAUSS_OFFSET, DegenerateTau, QuadratureRule, WeakFormMatrices,
+                                stability_tau, stability_tau_fem)
 from diracloud.band import Band, bandwidth, interleaving, slots
 from diracloud.cloud import CloudBasis, ShapeEval, SingularMoment, evaluate_shapes
 from diracloud.enrichment import EnrichmentBasis
@@ -314,6 +320,53 @@ def reference_pencil(wfm, sys, tau):
         A += T * sA
         B += T * sB
     return SimpleNamespace(A=A, B=B, script_A=sA, script_B=sB)
+
+
+def _interleave_terms(terms):
+    """The 2x2-block matrix whose block (a, b) is coef X + Y for
+    terms[a][b] = (coef, X, Y) (bands of one k) as an interleaved Band
+    of half-bandwidth 2k + 1, each block computed in place in its slots
+    of a zero-filled buffer."""
+    k, nd = terms[0][0][1].k, terms[0][0][1].n
+    data = np.zeros((4 * k + 3, 2 * nd))
+    for a, row in enumerate(terms):
+        for b, (coef, X, Y) in enumerate(row):
+            block = data[1 + a - b:4 * k + 2 + a - b:2, b::2]
+            np.multiply(coef, X.data, out=block)
+            block += Y.data
+    return Band(data, interleaved=True)
+
+
+def reference_system(wfm, sys, method, grid=None):
+    """The interleaved bands of A, B, script_A and script_B, and tau, as
+    assemble_system built them from coefficient triplets: every block
+    coef X + Y, the zero blocks 1 0 + 0 from a zero band."""
+    W = wfm.bands
+    M010 = W["M_100"].T
+    c, k, mc2 = sys.c, sys.kappa, sys.mc2
+    ck = Band((c * k) * W["M_001"].data)
+    A = _interleave_terms([[(mc2, W["M_000"], W["M_000_V"]), (-c, M010, ck)],
+                           [(c, M010, ck), (-mc2, W["M_000"], W["M_000_V"])]])
+    ck = Band((c * k) * W["M_101"].data)
+    sA = _interleave_terms([[(c, W["M_110"], ck), (-mc2, W["M_100"], W["M_100_V"])],
+                            [(mc2, W["M_100"], W["M_100_V"]), (-c, W["M_110"], ck)]])
+    zero = Band(np.zeros_like(W["M_000"].data))
+    B = _interleave_terms([[(1.0, W["M_000"], zero), (1.0, zero, zero)],
+                           [(1.0, zero, zero), (1.0, W["M_000"], zero)]])
+    sB = _interleave_terms([[(1.0, zero, zero), (1.0, W["M_100"], zero)],
+                            [(1.0, W["M_100"], zero), (1.0, zero, zero)]])
+    if method == "galerkin":
+        tau = np.zeros(W["M_000"].n)
+    elif method == "cpg":
+        tau = stability_tau(wfm, grid.nodes[1:-1])
+    else:
+        tau = stability_tau_fem(grid)
+    if np.any(tau != 0.0):
+        T = np.repeat(tau, 2)
+        rows, _ = slots(len(T), -A.k, A.k)
+        for M, S in ((A, sA), (B, sB)):
+            M.data[...] += T[rows] * S.data
+    return SimpleNamespace(bands={"A": A, "B": B, "script_A": sA, "script_B": sB}, tau=tau)
 
 
 def band_from_dense(*mats, interleaved=False):

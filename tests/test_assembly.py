@@ -6,13 +6,13 @@ import pytest
 from scipy import integrate
 
 from _oracles import (band_from_dense, banded_weak_form, dense_weak_form, reference_dump,
-                      reference_pencil, reference_quadrature, reference_tau,
-                      reference_weak_form)
+                      reference_pencil, reference_quadrature, reference_system,
+                      reference_tau, reference_weak_form)
 from diracloud import assembly
 from diracloud.assembly import (METHODS, DegenerateTau, assemble_system,
                                 assemble_weak_form, build_quadrature, dump_matrix,
                                 stability_tau, stability_tau_fem)
-from diracloud.cli import RunConfig, run_solve
+from diracloud.cli import RunConfig, assemble_pencil, run_solve
 from diracloud.cloud import build_cloud_basis, evaluate_coupled
 from diracloud.eigen import bound_window, solve_generalized
 from diracloud.enrichment import shepard_basis
@@ -213,6 +213,32 @@ def test_bands_densify_to_the_dense_formulas_bit_for_bit(kappa, method, n):
     gathered = solve_generalized(*band_from_dense(ref.A, ref.B, interleaved=True),
                                  symmetric_definite=symmetric, window=win)
     np.testing.assert_array_equal(banded, gathered)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("nucleus", ["point", "extended_uniform"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kappa", [-2, 2])
+def test_pencil_bands_equal_the_triplet_oracle_bit_for_bit(kappa, method, nucleus, n):
+    # every slot of the four bands, signed zeros included, and tau
+    cfg = RunConfig(Z=118.0, A=294.0, kappa=kappa, nucleus=nucleus, method=method,
+                    n_intervals=n)
+    grid, wfm, out = assemble_pencil(cfg)
+    ref = reference_system(wfm, cfg.physical_system(), method, grid=grid)
+    assert out.tau.view(np.uint64).tolist() == ref.tau.view(np.uint64).tolist()
+    for name in out.NAMES:
+        got, want = out.bands[name], ref.bands[name]
+        assert (got.k, got.interleaved) == (want.k, True), name
+        np.testing.assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64),
+                                      err_msg=name)
+    # the zero blocks are the buffer's +0.0: the diagonal blocks of
+    # script_B (odd rows) and, with tau = 0, the off-diagonal blocks of B
+    # (even rows, the padding slots among them)
+    assert not out.bands["script_B"].data[1::2].view(np.uint64).any()
+    if method == "galerkin":
+        assert not out.bands["B"].data[0::2].view(np.uint64).any()
+    else:
+        assert out.bands["B"].data[0::2].any()
 
 
 # an extended nucleus puts a cell edge at its radius: at factor 2 the
