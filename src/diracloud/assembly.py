@@ -310,26 +310,26 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
 
 
 def dump_matrix(path, M, name: str = ""):
-    """Text dump of every entry as 'row col value' triplets (1-based
-    indices, value as '{:.17g}'), after an optional '# name RxC' line.
-
-    Each row starts from per-column ' col 0' templates, and only its
-    entries that are not +0.0 are patched in: -0.0 from a ' col -0'
-    template, nonzeros, NaN and inf formatted one by one.  A row is one
-    write of the row number joined between its column suffixes, so
-    memory stays at the size of a row."""
+    """Every entry as a 'row col value' line (1-based, '%.17g') after an
+    optional '# name RxC' line.  One scan per matrix finds the entries that
+    are not +0.0; each row patches them from per-column templates into one
+    list of ' col 0' suffixes.  Memory: nonzero positions and values, a row."""
     M = np.asarray(M)
     nr, nc = M.shape
     zero = [f" {j} 0\n" for j in range(1, nc + 1)]
-    negzero = [f" {j} -0\n" for j in range(1, nc + 1)]
-    special = (M != 0) | np.signbit(M)
+    fmt = [f" {j} %.17g\n" for j in range(1, nc + 1)]
+    line = zero.copy()
+    ii, jj = np.nonzero((M != 0) | np.signbit(M))
+    vals = M[ii, jj]
+    ends = np.searchsorted(ii, np.arange(nr + 1)).tolist()
     with open(path, "w") as f:
         if name:
             f.write(f"# {name} {nr}x{nc}\n")
         for i in range(nr if nc else 0):
-            line = zero.copy()
-            js = np.flatnonzero(special[i])
-            for j, v in zip(js.tolist(), M[i, js].tolist()):
-                line[j] = f" {j + 1} {v:.17g}\n" if v else negzero[j]
+            js = jj[ends[i]:ends[i + 1]].tolist()
+            for j, v in zip(js, vals[ends[i]:ends[i + 1]].tolist()):
+                line[j] = fmt[j] % v
             r = str(i + 1)
             f.write(r + r.join(line))
+            for j in js:
+                line[j] = zero[j]

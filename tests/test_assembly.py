@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -371,7 +372,7 @@ def test_dump_matrix_matches_per_entry_writer(tmp_path, name):
     m[1, :4] = [1.7976931348623157e308, -1.7976931348623157e308, -3.0, 1e22]
     m[2, :2] = [0.1, -123456789.125]
     # mostly +0.0, as the assembled blocks are: runs of the entries the
-    # writer formats (nonzeros, NaN, inf) or takes from a template (-0.0)
+    # writer patches into a row (nonzeros, -0.0, NaN, inf)
     sparse = np.zeros((8, 13))
     sparse[0, 2:6] = -0.0
     sparse[1, :] = rng.normal(size=13)                # fully nonzero row
@@ -380,9 +381,30 @@ def test_dump_matrix_matches_per_entry_writer(tmp_path, name):
     sparse[4, 3:9] = [-0.0, np.nan, -0.0, 1e-320, -np.nan, -0.0]
     sparse[6, 12] = -0.0                              # sparse[5] stays all +0.0
     sparse[7, 0] = np.inf
+    last_row = np.zeros((4, 5))
+    last_row[3, [1, 4]] = [2.5, -0.0]                 # nonzeros in the last row only
     cases = [m, sparse, sparse[:1], sparse[:, 4:5], sparse[4:5, 3:4],
-             np.zeros((3, 0)), np.zeros((0, 4))]
+             np.zeros((3, 0)), np.zeros((0, 4)),
+             sparse.T,                                # non-contiguous, as M_010 is M_100.T
+             sparse[4:6],                             # ends on an all +0.0 row
+             last_row]
     for k, case in enumerate(cases):
         dump_matrix(tmp_path / "fast.txt", case, name=name)
         reference_dump(tmp_path / "ref.txt", case, name=name)
         assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), k
+
+
+def test_dump_matrix_memory_stays_below_half_the_matrix(tmp_path):
+    # the benchmark's n=300 cpg A block, 598x598: the writer holds the
+    # nonzero positions and values and one row, never a table of strings
+    _, _, system = assemble_pencil(RunConfig(Z=118.0, kappa=-2, n_intervals=300,
+                                             method="cpg"))
+    M = system.A
+    tracemalloc.start()
+    try:
+        dump_matrix(tmp_path / "A.txt", M, name="A")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (598, 598)
+    assert peak < M.nbytes / 2

@@ -533,12 +533,15 @@ def test_dump_matrices_writes_every_block(tmp_path):
     assert np.array_equal(tau, system.tau)
 
 
-@pytest.mark.parametrize("n", [20, 100])
-def test_dump_matrices_files_match_per_entry_writer(tmp_path, n):
+@pytest.mark.parametrize("method, n", [("cpg", 20), ("cpg", 100), ("galerkin", 20),
+                                       ("cpg_fem_tau", 20)],
+                         ids=["20", "100", "galerkin-20", "cpg_fem_tau-20"])
+def test_dump_matrices_files_match_per_entry_writer(tmp_path, method, n):
+    # galerkin is the tau = 0 pencil, whose residual blocks stay unscaled
     out = tmp_path / "mats"
-    assert cli.main(["dump-matrices", "--n-intervals", str(n), "--method", "cpg",
+    assert cli.main(["dump-matrices", "--n-intervals", str(n), "--method", method,
                      "--output", str(out)]) == 0
-    _, wfm, system = cli.assemble_pencil(cli.RunConfig(n_intervals=n, method="cpg"))
+    _, wfm, system = cli.assemble_pencil(cli.RunConfig(n_intervals=n, method=method))
     blocks = {name: getattr(wfm, name) for name in wfm.NAMES}
     blocks.update(A=system.A, B=system.B,
                   script_A=system.script_A, script_B=system.script_B)
