@@ -1,15 +1,19 @@
 """Generalized eigensolve and spectrum classification.
 
-The solve takes one of five paths.  All but QZ work on the pencil
-scaled by d = diag(B)^{-1/2} on both sides, which leaves the spectrum
-alone (exponential grids give B nodal masses spanning many decades, and
-every reduction loses digits without it).  The two window paths read
-the pencil as interleaved bands (band.Band, unknowns ordered G1, F1,
-G2, F2, ...), the form assemble_system builds; the three dense paths
-are the fallbacks, and densify a banded pencil.  Both symmetric paths
-read the lower triangle of A and B in block order, as eigh does:
-galerkin's A is symmetric only up to quadrature error (see
-assemble_system):
+The solve takes one of five paths, picked by one dispatch: a window
+path when a window is given, a dense one without or once it is given
+up.  All but QZ work on the pencil scaled by d = diag(B)^{-1/2} on both
+sides, which leaves the spectrum alone (exponential grids give B nodal
+masses spanning many decades, and every reduction loses digits without
+it).  The window paths read the interleaved bands (band.Band, unknowns
+G1, F1, G2, F2, ...) that assemble_system builds.  The dense paths
+densify each matrix where it is read, once DENSE_COPIES n x n float64
+arrays fit the physical memory (the peak of QZ on a band: two dense
+matrices, ggev's copies of both and the two eigenvector arrays of its
+workspace query).  Past that bound they raise LinAlgError (exit 3)
+before anything is densified.  Both symmetric paths read the lower
+triangle of A and B in block order, as eigh does: galerkin's A is
+symmetric only up to quadrature error (see assemble_system):
 - galerkin's symmetric pencil, whose B is positive definite, when a
   bound window is given: only the eigenvalues inside it, on the banded
   pencil, with no reduction.  The window finder (below) finds them, and
@@ -48,9 +52,9 @@ assemble_system):
   LAPACK as scipy.linalg's f2py wrappers, which hold the GIL while
   LAPACK runs, where a ctypes call releases it and lets the workers
   overlap;
-- the same pencil without a window, or after such a doubt: an LU
-  reduction to the standard problem (dBd)^-1 (dAd), solved by LAPACK
-  dgeev (scipy.linalg.eigvals), every eigenvalue;
+- the same pencil without a window, or after such a doubt: dBd
+  factored in place by LAPACK dgetrf, the standard problem (dBd)^-1
+  (dAd) formed in place by dgetrs and solved by dgeev, every eigenvalue;
 - a QZ iteration (scipy.linalg.eigvals) on the unscaled pencil: the
   fallback of the dense nonsymmetric path when the scaling or the
   reduction is unsafe, and the reference the faster paths are tested
@@ -93,6 +97,7 @@ IMAG_TOL = 1e-8         # |im| / max(|re|, 1) above which a value is complex
 MATCH_TOL = 1e-3        # relative distance within which a value hugs an exact level
 COINCIDENCE_TOL = 1e-6  # relative distance that coincides with the mirror level
 RCOND_FLOOR = 1e-6      # rcond of the equilibrated B below which the nonsymmetric solve takes QZ
+DENSE_COPIES = 6        # live n x n float64 arrays on the largest dense path (QZ on a band)
 # the bound-window path
 INVIT_TOL = 1e-14       # relative change at which an inverse iteration has settled
 INVIT_MAXIT = 10        # inverse-iteration steps before the level counts as not found
@@ -148,40 +153,39 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
 
     A and B are both interleaved Bands of one half-bandwidth (a 2x2
     block pencil, see band.Band) or both dense arrays; a window needs
-    the Bands, which the window paths read directly.  The dense paths
-    read dense arrays: a banded pencil that takes one is densified.
+    the Bands.  A pencil of any other form, a NaN or inf in A or B, and
+    a window given with a dense pencil raise ValueError, checked once
+    before a path is picked: `info` receives nothing, and no path (the
+    raw LAPACK calls included) sees them.
 
-    Every path but QZ equilibrates the pencil by d = diag(B)^{-1/2}
-    first, a congruence that leaves the spectrum untouched and takes
-    cond(B) on the flagship grid from about 1e9 to about 1e2.
+    symmetric_definite (A symmetric, B SPD, both read from their lower
+    triangles) raises ValueError on a diagonal entry of B that is not
+    positive, where the default takes QZ on the unscaled (A, B).
+    Otherwise the pencil is equilibrated by d = diag(B)^{-1/2}, which
+    takes cond(B) on the flagship grid from about 1e9 to about 1e2, and
+    a window (a BoundWindow) gets the eigenvalues in (0, window.hi],
+    above the -mc^2 threshold, from the bands: counted by inertia when
+    symmetric_definite (see _solve_window_inertia), else certified by
+    contour moments (see _solve_window).  Without a window, or once it
+    is given up, the dense block checks the memory bound (see the module
+    docstring) and forms dBd.  symmetric_definite solves it with dAd by
+    eigh, an exactly real spectrum.  The default factors it in place
+    (dgetrf) and, at an rcond estimate (dgecon) of at least RCOND_FLOOR,
+    overwrites dAd with C = (dBd)^-1 (dAd) (dgetrs) for dgeev; the
+    backward error grows like eps / rcond(dBd), so a lower rcond takes
+    QZ, which densifies the unscaled pencil only then.
 
-    symmetric_definite=True takes the Cholesky-reduction path (A
-    symmetric, B SPD; both read from their lower triangles), which
-    returns an exactly real spectrum.  The default path LU-factors dBd
-    and solves the standard problem C = (dBd)^-1 (dAd) with dgeev.  Its
-    backward error in the pencil grows like eps / rcond(dBd), so it
-    falls back to a QZ iteration on the unscaled (A, B) when a diagonal
-    entry of B is not positive, or when the rcond estimate of dBd is
-    below RCOND_FLOOR.
-
-    window (a BoundWindow; a banded pencil) returns the eigenvalues
-    in (0, window.hi], above the -mc^2 threshold, found and certified on
-    the banded pencil: on the symmetric path by an inertia count (see
-    _solve_window_inertia), on the nonsymmetric path by contour moments
-    (see _solve_window); and everything the path's dense solve returns
-    when the window is given up.  A dict passed as `info` receives the
-    path that ran under "path" (inertia, window, lu_dgeev, qz or eigh)
-    and, when a window was given, its record under "window": lo (always
-    0) and hi, the slice edges, per-slice counts and per-slice contour
-    nodes (upper half of each slice's ellipse) of the certificate, the
-    ellipses' contour_aspect (CONTOUR_ASPECT: the region certified, see
-    the module docstring); inertia: the one slice [0, hi], its count, no
-    nodes and no aspect; and under "fallback" why the window was given
-    up (None when it was not; the slice entries and the aspect are None
-    then).  A pencil of any other form, a NaN or
-    inf in A or B, and a window given with a dense pencil raise
-    ValueError, checked once before a path is picked: `info` receives
-    nothing, and no path (the raw LAPACK calls included) sees them."""
+    A dict passed as `info` receives the path that ran under "path"
+    (inertia, window, lu_dgeev, qz or eigh) and, when a window was
+    given, its record under "window": lo (always 0) and hi, the slice
+    edges, per-slice counts and per-slice contour nodes (upper half of
+    each slice's ellipse) of the certificate, the ellipses'
+    contour_aspect (CONTOUR_ASPECT: the region certified, see the module
+    docstring); inertia: the one slice [0, hi], its count, no nodes and
+    no aspect; and under "fallback" why the window was given up (None
+    when it was not; the slice entries and the aspect are None then).
+    A dense block past the bound raises np.linalg.LinAlgError naming
+    the stage, n, the bytes needed and installed and the fallback."""
     banded = isinstance(A, Band), isinstance(B, Band)
     if all(banded):
         if not (A.interleaved and B.interleaved and A.data.shape == B.data.shape):
@@ -205,46 +209,42 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
         rec = info["window"] = {"lo": 0.0, "hi": window.hi, "slice_edges": None,
                                 "slice_counts": None, "slice_nodes": None,
                                 "contour_aspect": None, "fallback": None}
-    if symmetric_definite:
-        if np.any(db <= 0.0):
-            raise ValueError("symmetric_definite needs positive diagonal in B")
-        d = 1.0 / np.sqrt(db)
-        if window is not None:
-            w = _solve_window_inertia(A, B, d, window, rec)
-            if w is not None:
-                info["path"] = "inertia"
-                return w
-        info["path"] = "eigh"
-        return sla.eigh(_equilibrate(_dense(A), d), _equilibrate(_dense(B), d),
-                        eigvals_only=True, overwrite_a=True,
-                        overwrite_b=True).astype(complex)
-    if not np.all(db > 0.0):
-        if window is not None:
-            rec["fallback"] = "a diagonal entry of B is not positive"
-        info["path"] = "qz"
-        return sla.eigvals(_dense(A), _dense(B))
-    d = 1.0 / np.sqrt(db)
-    if window is not None:
-        w = _solve_window(A, B, d, window, rec)
+    d = 1.0 / np.sqrt(db) if np.all(db > 0.0) else None
+    if d is None and symmetric_definite:
+        raise ValueError("symmetric_definite needs positive diagonal in B")
+    if window is not None and d is None:
+        rec["fallback"] = "a diagonal entry of B is not positive"
+    elif window is not None:
+        path, solve = (("inertia", _solve_window_inertia) if symmetric_definite
+                       else ("window", _solve_window))
+        w = solve(A, B, d, window, rec)
         if w is not None:
-            info["path"] = "window"
+            info["path"] = path
             return w
-    A, B = _dense(A), _dense(B)
-    # two buffers in all: dBd becomes its LU factors, dAd becomes C
-    Be = _equilibrate(B, d)
-    lange, gecon = sla.get_lapack_funcs(("lange", "gecon"), (Be,))
-    anorm = lange("1", Be)
-    with warnings.catch_warnings():
-        # an exactly singular dBd is caught by its rcond below
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(Be, overwrite_a=True)
-    rcond, _ = gecon(lu, anorm, norm="1")
-    if not rcond >= RCOND_FLOOR:
-        info["path"] = "qz"
-        return sla.eigvals(A, B)
-    info["path"] = "lu_dgeev"
-    C = sla.lu_solve((lu, piv), _equilibrate(A, d), overwrite_b=True)
-    return sla.eigvals(C, overwrite_a=True)
+    need = DENSE_COPIES * 8 * len(db) ** 2
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise np.linalg.LinAlgError(
+            f"dense fallback: order {len(db)} needs {need} bytes, {have} are installed"
+            + ("" if window is None else f"; the window was given up: {rec['fallback']}"))
+    if d is not None:
+        Be = _equilibrate(_dense(B), d)
+        if symmetric_definite:
+            info["path"] = "eigh"
+            return sla.eigh(_equilibrate(_dense(A), d), Be, eigvals_only=True,
+                            overwrite_a=True, overwrite_b=True).astype(complex)
+        lange, gecon, getrf, getrs = sla.get_lapack_funcs(
+            ("lange", "gecon", "getrf", "getrs"), (Be,))
+        anorm = lange("1", Be)
+        lu, piv, _ = getrf(Be, overwrite_a=True)  # dBd becomes its LU factors
+        rcond, _ = gecon(lu, anorm, norm="1")  # 0 for an exactly singular dBd
+        if rcond >= RCOND_FLOOR:
+            info["path"] = "lu_dgeev"
+            C, _ = getrs(lu, piv, _equilibrate(_dense(A), d), overwrite_b=True)
+            return sla.eigvals(C, overwrite_a=True)
+        del Be, lu  # not read by QZ, which takes the unscaled pencil
+    info["path"] = "qz"
+    return sla.eigvals(_dense(A), _dense(B))
 
 
 # ------------------------------------------------------ the bound window

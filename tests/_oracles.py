@@ -35,6 +35,11 @@ point directly, the weight that eigen._contour_nodes bounds.
 symmetric_bands is the inertia window's read of the galerkin pencil
 before eigen._symmetric_bands: lower bands cut to the pencil's
 outermost nonzero diagonal, mirrored into the factor layout.
+reference_dense_solve is the dense fallback of eigen.solve_generalized
+as scipy.linalg's wrappers composed it before the solve called getrf,
+gecon and getrs itself: lu_factor, gecon, lu_solve and eigvals, or
+eigh of the two equilibrated copies.  The eigenvalues must agree bit
+for bit.
 
 exp_basis is a test-only enrichment that drives the kernel into its
 ill-conditioned and overflowing regimes on purpose.
@@ -552,3 +557,22 @@ def symmetric_bands(A, B, d):
             F[2 * k - r, r:] = L[r, :n - r]
         out.append(F)
     return out[0], out[1], k
+
+
+def reference_dense_solve(A, B, symmetric_definite=False):
+    """The path ("eigh", "lu_dgeev" or "qz") and the eigenvalues of the
+    dense fallback of the pencil (A, B), dense arrays or Bands, diag(B)
+    positive, as lu_factor, gecon, lu_solve and eigvals, or eigh, gave
+    them."""
+    A, B = (M.dense() if isinstance(M, Band) else np.asarray(M, dtype=float)
+            for M in (A, B))
+    d = 1.0 / np.sqrt(np.diag(B))
+    Ae, Be = (d[:, None] * M * d[None, :] for M in (A, B))
+    if symmetric_definite:
+        return "eigh", sla.eigh(Ae, Be, eigvals_only=True).astype(complex)
+    lange, gecon = sla.get_lapack_funcs(("lange", "gecon"), (Be,))
+    lu, piv = sla.lu_factor(Be)
+    rcond, _ = gecon(lu, lange("1", Be), norm="1")
+    if not rcond >= eigen.RCOND_FLOOR:
+        return "qz", sla.eigvals(A, B)
+    return "lu_dgeev", sla.eigvals(sla.lu_solve((lu, piv), Ae))

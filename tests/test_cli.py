@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from _oracles import exp_basis, reference_dump
-from diracloud import assembly, cli
+from diracloud import assembly, cli, eigen
 from diracloud.assembly import dump_matrix
 from diracloud.cloud import SingularMoment
 
@@ -192,6 +193,36 @@ def test_non_positive_definite_galerkin_mass_is_a_numerical_error(monkeypatch, c
     rc = cli.main(["solve"] + HYDROGEN_ARGS)
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_dense_fallback_past_memory_is_a_numerical_error(monkeypatch, capsys, tmp_path):
+    # with no levels the solve goes dense; past the bound it stops with
+    # exit 3 before any matrix is densified: the traced peak from the
+    # solve's start on stays less than one dense copy above what was
+    # held there, and no output is written
+    monkeypatch.setattr(eigen, "DENSE_COPIES", 10 ** 12)
+    solve, held = cli.solve_generalized, []
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_generalized", traced)
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["solve", "--Z", "118", "--kappa", "-2", "--levels", "0",
+                       "--n-intervals", "40"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    n = 78  # the pencil's order at 40 intervals
+    assert (f"numerical failure: dense fallback: order {n} needs {10 ** 12 * 8 * n * n} "
+            "bytes") in capsys.readouterr().err
+    assert peak - held[0] < 8 * n * n
     assert list(tmp_path.iterdir()) == []
 
 

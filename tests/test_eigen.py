@@ -1,3 +1,5 @@
+import math
+import os
 import sys
 import threading
 import time
@@ -23,7 +25,7 @@ from diracloud.physics import PhysicalSystem, exact_eigenvalue
 
 from _oracles import (band_from_dense, band_matvec, charpoly_eigenvalues,
                       ellipse_filter, max_pairing_distance, random_pencil,
-                      serial_window, symmetric_bands)
+                      reference_dense_solve, serial_window, symmetric_bands)
 
 
 # ----------------------------------------------------------------- the solver
@@ -77,6 +79,11 @@ def _forbid_qz(monkeypatch):
         return real_eigvals(a, **kwargs)
 
     monkeypatch.setattr(eigen.sla, "eigvals", eigvals)
+
+
+def _refuse_dense(self):
+    """Band.dense, for a test that no band is densified."""
+    raise AssertionError("a band was densified")
 
 
 def _graded_pencil(rng, dim):
@@ -133,6 +140,74 @@ def test_singular_mass_falls_back_to_qz():
     np.testing.assert_array_equal(solve_generalized(A, B), sla.eig(A, B)[0])
     B[:, 4] = B[:, 3] * (1.0 + 1e-9)  # nonsingular, rcond far below the floor
     np.testing.assert_array_equal(solve_generalized(A, B), sla.eig(A, B)[0])
+
+
+@pytest.mark.parametrize("method,symmetric", [("cpg", False), ("cpg_fem_tau", False),
+                                              ("galerkin", False), ("galerkin", True),
+                                              (None, False)])
+def test_dense_paths_equal_the_scipy_composition_bit_for_bit(
+        method, symmetric, uuo_wfm_200, uuo_system, uuo_grid_200):
+    # getrf, gecon and getrs called straight from LAPACK give what
+    # lu_factor, gecon, lu_solve and eigvals gave, and eigh what it gave
+    # on two equilibrated copies, banded or dense (dump_matrices' read-back
+    # solves the dumped dense pencil this way)
+    if method is None:
+        pencils = [_graded_pencil(np.random.default_rng(5), 12)]
+    else:
+        out = assemble_system(uuo_wfm_200, uuo_system, method, grid=uuo_grid_200)
+        pencils = [(out.bands["A"], out.bands["B"]), (out.A, out.B)]
+    for pencil in pencils:
+        info = {}
+        w = solve_generalized(*pencil, symmetric_definite=symmetric, info=info)
+        path, ref = reference_dense_solve(*pencil, symmetric_definite=symmetric)
+        assert info["path"] == path == ("eigh" if symmetric else "lu_dgeev")
+        np.testing.assert_array_equal(w.view(np.uint64), ref.view(np.uint64))
+
+
+def test_the_dense_fallback_peaks_below_four_copies(uuo_wfm_200, uuo_system, uuo_grid_200):
+    # each dense matrix is made where it is read: dBd, factored in place,
+    # then dAd, overwritten by C for dgeev.  3.0 copies of 8 n^2 bytes at
+    # the peak; keeping both densified matrices alive took 4.1
+    out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    A, B = out.bands["A"], out.bands["B"]
+    info = {}
+    tracemalloc.start()
+    try:
+        solve_generalized(A, B, info=info)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info["path"] == "lu_dgeev" and A.n == 398
+    assert peak <= 3.5 * 8 * A.n ** 2
+
+
+def test_a_dense_block_past_physical_memory_raises_before_densifying(monkeypatch):
+    # the bound is DENSE_COPIES n x n float64 arrays against the machine's
+    # physical memory: a pencil of the first even order past it, stored
+    # as three diagonals, raises LinAlgError on every dense path, and no
+    # band is densified
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    n = 2 * (math.isqrt(have // (8 * eigen.DENSE_COPIES)) // 2 + 1)
+    data = np.zeros((3, n))
+    data[1] = 1.0
+    monkeypatch.setattr(Band, "dense", _refuse_dense)
+    for symmetric in (False, True):
+        info = {}
+        with pytest.raises(np.linalg.LinAlgError, match=(
+                f"^dense fallback: order {n} needs {eigen.DENSE_COPIES * 8 * n * n} "
+                f"bytes, {have} are installed$")):
+            solve_generalized(Band(data, True), Band(data, True),
+                              symmetric_definite=symmetric, info=info)
+        assert info == {}
+    # a window given up names its reason
+    A, B = random_pencil(np.random.default_rng(29), 6)
+    B[3, 3] = 0.0
+    monkeypatch.setattr(eigen, "DENSE_COPIES", have)
+    with pytest.raises(np.linalg.LinAlgError, match=(
+            "^dense fallback: order 6 needs .* installed; the window was given up: "
+            "a diagonal entry of B is not positive$")):
+        solve_generalized(*band_from_dense(A, B, interleaved=True),
+                          window=BoundWindow(hi=10.0, guesses=(0.0,)))
 
 
 @pytest.mark.parametrize("where", ["A", "B"])
@@ -488,10 +563,7 @@ def test_galerkin_window_matches_the_dense_spectrum(kwargs, kappa, solve_cached)
 
 @pytest.mark.parametrize("method,path", [("cpg", "window"), ("galerkin", "inertia")])
 def test_window_paths_never_densify(method, path, monkeypatch):
-    def refuse(self):
-        raise AssertionError("a band was densified")
-
-    monkeypatch.setattr(Band, "dense", refuse)
+    monkeypatch.setattr(Band, "dense", _refuse_dense)
     res = run_solve(RunConfig(Z=118.0, kappa=-2, method=method))
     assert res.eigen_path == path
     assert len(res.report.matches) == 15
