@@ -57,9 +57,10 @@ class Band:
         return interleaving(self.n) if self.interleaved else np.arange(self.n)
 
     def dense(self):
-        """The matrix as a new dense array, in block order."""
+        """The matrix as a new dense array, in block order and in Fortran
+        order, the layout LAPACK overwrites in place."""
         n, k, perm = self.n, self.k, self.order()
-        out = np.zeros((n, n))
+        out = np.zeros((n, n), order="F")
         i, inside = slots(n, -k, k)
         j = np.broadcast_to(np.arange(n), i.shape)
         out[perm[i[inside]], perm[j[inside]]] = self.data[inside]

@@ -18,11 +18,16 @@ M^{-1} M_x M^{-1} B_i is evaluated by two solves.
 All of this runs over an array of points in one vectorised pass
 (evaluate_shapes): the clouds covering each point are gathered into a
 padded (npts, W) stack in ascending node order, the moment matrices form
-an (npts, m, m) stack, and one batched eigh factorizes them all.  The
-padding slots add exact zeros, so a point's row comes out the same in
-any chunk of points (the weak form takes whole nodal intervals), and a
-boundary hat is evaluated only for a chunk that reaches its support.
-evaluate_coupled is its one-point view.
+an (npts, m, m) stack, m <= 2, and LAPACK's own steps for a symmetric
+matrix that small, replayed elementwise over the stack (_eigh),
+factorize them all, bit for bit as np.linalg.eigh does, at about a
+third of its cost.  The weight and its slope share one pass, and so do
+the basis and its slope; the running support ends and P(0) are computed
+once per CloudBasis.  The padding slots add exact zeros, so a point's
+row comes out the same in any chunk of points (the weak form takes
+whole nodal intervals), and a boundary hat is evaluated only for a
+chunk that reaches its support.  evaluate_coupled is its one-point
+view.
 
 Essential boundary conditions use FEM coupling: linear hats at the two
 first and two last nodes, with the reproducing-condition correction
@@ -34,6 +39,7 @@ combined set keeps partition of unity/nullity and is interpolating at
 the boundary, so omitting the two boundary rows imposes homogeneous
 Dirichlet conditions exactly.
 """
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,19 +55,40 @@ class SingularMoment(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class CloudBasis:
-    """A grid plus the enrichment basis of its clouds.  The weight and
-    the moment condition cap are the same for every run (class
-    attributes, not fields)."""
+    """A grid plus the enrichment basis of its clouds, m <= 2 members.
+    The weight and the moment condition cap are the same for every run
+    (class attributes, not fields).  The running support ends and P(0)
+    are computed on first use and kept with the basis."""
     grid: Grid
     basis: EnrichmentBasis
     weight = QUARTIC_WEIGHT
     cond_cap = 1e12
+
+    def __post_init__(self):
+        if self.basis.m > 2:
+            raise ValueError(f"the moment solve takes at most 2 enrichment members; "
+                             f"{self.basis.name!r} has {self.basis.m}")
 
     @property
     def fem_nodes(self):
         """Nodes carrying FEM hats: the first two and the last two."""
         n = self.grid.n_intervals
         return tuple(sorted({0, 1, n - 1, n}))
+
+    @functools.cached_property
+    def support_ends(self):
+        """The running min of the left and the running max of the right
+        cloud support ends, widened by round-off slack (see
+        candidate_windows)."""
+        nodes, rho = self.grid.nodes, self.grid.dilations
+        slack = 1e-12 * (np.abs(nodes) + rho)
+        left = np.minimum.accumulate((nodes - rho - slack)[::-1])[::-1]
+        return left, np.maximum.accumulate(nodes + rho + slack)
+
+    @functools.cached_property
+    def p0(self):
+        """P(0), the basis at the evaluation point in the shifted frame."""
+        return self.basis.eval(np.zeros(1))[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +161,8 @@ def candidate_windows(cb: CloudBasis, x):
     slack, contains x.  Running max/min make the support ends monotone,
     so it is a superset of the covering clouds on any grid; the exact
     test |x - x_i|/rho_i < 1 is left to the caller."""
-    nodes, rho = cb.grid.nodes, cb.grid.dilations
-    slack = 1e-12 * (np.abs(nodes) + rho)
-    right_end = np.maximum.accumulate(nodes + rho + slack)
-    left_end = np.minimum.accumulate((nodes - rho - slack)[::-1])[::-1]
+    nodes = cb.grid.nodes
+    left_end, right_end = cb.support_ends
     lo = np.searchsorted(right_end, x, side="right")
     hi = np.searchsorted(left_end, x, side="left")
     # a hat is evaluated only when some point lies in its support
@@ -150,6 +175,76 @@ def candidate_windows(cb: CloudBasis, x):
         lo = np.where(on, np.minimum(lo, k), lo)
         hi = np.where(on, np.maximum(hi, k + 1), hi)
     return lo, hi, hats
+
+
+# dsteqr's constants: dlamch('E') (half the spacing of doubles at 1) and
+# dlamch('S')
+_EPS = np.finfo(float).eps / 2
+_SAFMIN = np.finfo(float).tiny
+
+
+def _eigh(Me):
+    """np.linalg.eigh of a stack of symmetric 1 x 1 or 2 x 2 matrices,
+    read from the lower triangle, bit for bit: LAPACK's own steps for
+    that size, replayed elementwise.  For m = 1 dsyevd returns the
+    entry and the eigenvector 1.  For m = 2 dsytrd leaves the matrix as
+    it is (d = diagonal, e = the entry below it) and dstedc hands it to
+    dsteqr, which starts from Z = I.  If either of dsteqr's two tests
+    finds e negligible, the diagonal is the spectrum; otherwise dlaev2
+    gives the eigenvalue rt1 of larger modulus, the other rt2 and the
+    rotation (c, s), which turns Z into [[c, -s], [s, c]].  A selection
+    sort then puts the smaller value first, swapping Z's columns.  The
+    moment matrices are equilibrated (unit diagonal, |e| <= 1), so the
+    scalings dsyevd and dsteqr apply to entries near overflow or
+    underflow never run."""
+    if Me.shape[1] == 1:
+        return Me[:, :, 0].copy(), np.ones(Me.shape)
+    a, b, c = Me[:, 0, 0], Me[:, 1, 0], Me[:, 1, 1]
+    aa, ac, tst = np.abs(a), np.abs(c), np.abs(b)
+    # dsteqr's split test, then that of its QL sweep (|c| >= |a|) or of
+    # its QR sweep, with the operands in that sweep's order
+    split = (tst == 0.0) | (tst <= (np.sqrt(aa) * np.sqrt(ac)) * _EPS)
+    split |= tst * tst <= np.where(ac < aa, (_EPS**2 * ac) * aa, (_EPS**2 * aa) * ac) + _SAFMIN
+    with np.errstate(divide="ignore", invalid="ignore"):  # in rows a split discards
+        # dlaev2(a, b, c); its three cases of rt are one formula here, as
+        # |a - c| = |2b| gives ab * sqrt(1 + 1)
+        sm, df, tb = a + c, a - c, b + b
+        adf, ab = np.abs(df), np.abs(tb)
+        big = aa > ac
+        acmx, acmn = np.where(big, a, c), np.where(big, c, a)
+        hi, lo = np.maximum(adf, ab), np.minimum(adf, ab)
+        rt = hi * np.sqrt(1.0 + (lo / hi)**2)
+        rt1 = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+        if not sm.all():
+            rt2[sm == 0.0] = -0.5 * rt[sm == 0.0]
+        cs = df + np.where(df >= 0.0, rt, -rt)
+        big = np.abs(cs) > ab
+        t = np.where(big, -tb / cs, -cs / tb)
+        u = 1.0 / np.sqrt(1.0 + t * t)
+    tu = t * u
+    # (cs1, sn1) = (tu, u) when big, else (u, tu); when sgn1 == sgn2 the
+    # pair becomes (-sn1, cs1)
+    flip = (sm < 0.0) == (df < 0.0)
+    turn = big != flip
+    cs1, sn1 = np.where(turn, tu, u), np.where(turn, u, tu)
+    np.negative(cs1, out=cs1, where=flip)
+    # the ascending sort swaps rt1 and rt2 (and Z's columns) when rt2 < rt1:
+    # written swapped here, and put back in the rows it leaves alone
+    lam = np.empty((len(Me), 2))
+    lam[:, 0], lam[:, 1] = rt2, rt1
+    V = np.empty((len(Me), 2, 2))
+    V[:, 0, 1] = V[:, 1, 0] = cs1
+    V[:, 1, 1] = sn1
+    np.negative(sn1, out=V[:, 0, 0])
+    if split.any():
+        lam[split, 0], lam[split, 1] = c[split], a[split]
+        V[split] = [[0.0, 1.0], [1.0, 0.0]]
+    keep = ~(lam[:, 0] < lam[:, 1])
+    if keep.any():
+        lam[keep] = lam[keep, ::-1]
+        V[keep] = V[keep, :, ::-1]
+    return lam, V
 
 
 def evaluate_shapes(cb: CloudBasis, x) -> ShapeStack:
@@ -168,28 +263,30 @@ def evaluate_shapes(cb: CloudBasis, x) -> ShapeStack:
     in_window = idx < hi[:, None]
     idx = np.minimum(idx, n)
 
-    u = (x[:, None] - nodes[idx]) / rho[idx]
+    xs, rs = nodes[idx], rho[idx]
+    u = (x[:, None] - xs) / rs
     r = np.abs(u)
     cover = in_window & (r < 1.0)
-    r = np.where(cover, r, 0.0)
-    phi = np.where(cover, cb.weight.evaluate(r), 0.0)
-    dphi = np.where(cover, cb.weight.derivative(r) * np.sign(u) / rho[idx], 0.0)
-    s = np.where(cover, nodes[idx] - x[:, None], 0.0)
-    p = P.eval(s)          # (m, npts, W)
-    pd = -P.eval_deriv(s)  # d/dx of P(x_i - x)
-    M = _moments(phi * p, p)
-    Mx = _moments(dphi * p, p) + _moments(phi * pd, p) + _moments(phi * p, pd)
+    w, dw = cb.weight.on_support(np.where(cover, r, 0.0))
+    phi = np.where(cover, w, 0.0)
+    dphi = np.where(cover, dw * np.sign(u) / rs, 0.0)
+    p, pd = P.pair(np.where(cover, xs - x[:, None], 0.0))  # (m, npts, W) each
+    np.negative(pd, out=pd)  # d/dx of P(x_i - x)
+    phi_p = phi * p
+    M = _moments(phi_p, p)
+    Mx = _moments(dphi * p, p) + _moments(phi * pd, p) + _moments(phi_p, pd)
 
     # symmetric Jacobi equilibration + eigendecomposition of each moment
-    # matrix; points that already failed get the identity so eigh runs
+    # matrix; points that already failed get the identity
     diag = np.diagonal(M, axis1=1, axis2=2)
     count = cover.sum(axis=1)
     diag_ok = np.all(diag > 0.0, axis=1) & np.all(np.isfinite(diag), axis=1)
     ok = inside & (count >= P.m) & diag_ok
     d = 1.0 / np.sqrt(np.where(ok[:, None], diag, 1.0))
     Me = M * d[:, :, None] * d[:, None, :]
-    Me[~ok] = np.eye(P.m)
-    lam, V = np.linalg.eigh(Me)
+    if not ok.all():
+        Me[~ok] = np.eye(P.m)
+    lam, V = _eigh(Me)
     cond = np.full(len(x), np.inf)
     np.divide(lam[:, -1], lam[:, 0], out=cond, where=lam[:, 0] > 0.0)
     ok &= np.isfinite(cond) & (cond <= cb.cond_cap)
@@ -209,13 +306,11 @@ def evaluate_shapes(cb: CloudBasis, x) -> ShapeStack:
     def solve(rhs):  # M^{-1} rhs per point, never forming the inverse
         return d * _apply(V, _apply(Vt, d * rhs) / lam)
 
-    p0 = P.eval(np.zeros(1))[:, 0]
-    pt = np.broadcast_to(p0, (len(x), P.m))
+    pt = np.broadcast_to(cb.p0, (len(x), P.m))
     dpt = np.zeros_like(pt)
     for k, g, dg, on in hats:
-        sk = np.where(on, nodes[k] - x, 0.0)
-        pk = P.eval(sk).T
-        dpk = -P.eval_deriv(sk).T
+        pk, dpk = P.pair(np.where(on, nodes[k] - x, 0.0))
+        pk, dpk = pk.T, -dpk.T
         pt = pt - g[:, None] * pk
         dpt = dpt - dg[:, None] * pk - g[:, None] * dpk
 

@@ -7,11 +7,11 @@ sides, which leaves the spectrum alone (exponential grids give B nodal
 masses spanning many decades, and every reduction loses digits without
 it).  The window paths read the interleaved bands (band.Band, unknowns
 G1, F1, G2, F2, ...) that assemble_system builds.  The dense paths
-densify each matrix where it is read, once DENSE_COPIES n x n float64
-arrays fit the physical memory (the peak of QZ on a band: two dense
-matrices, ggev's copies of both and the two eigenvector arrays of its
-workspace query).  Past that bound they raise LinAlgError (exit 3)
-before anything is densified.  Both symmetric paths read the lower
+densify each matrix where it is read, straight into the Fortran order
+LAPACK overwrites in place, once DENSE_COPIES n x n float64 arrays fit
+the physical memory (the peak of every dense path: its two matrices,
+which LAPACK works in).  Past that bound they raise LinAlgError (exit
+3) before anything is densified.  Both symmetric paths read the lower
 triangle of A and B in block order, as eigh does: galerkin's A is
 symmetric only up to quadrature error (see assemble_system):
 - galerkin's symmetric pencil, whose B is positive definite, when a
@@ -38,12 +38,14 @@ symmetric only up to quadrature error (see assemble_system):
   slice lies outside every contour whenever its imaginary part exceeds
   r/2.  The ellipse takes fewer nodes than the circle of radius r to
   tell a slice from its nearest outside level (112 complex LUs on the
-  flagship against 151), at the price of the pairs with imaginary parts
-  between r/2 and r, which a circle would see.  Each slice gets as many
-  contour nodes as the distance to its nearest outside level asks for;
-  that sets how sharply an ellipse is told from its outside, not the
-  region.  Any doubt sends the solve to the dense path below.  The slice
-  moments, one per slice, are independent: they run on a thread pool
+  flagship against 151, by that level alone), at the price of the
+  pairs with imaginary parts between r/2 and r, which a circle would
+  see.  Each slice gets as many contour nodes as the distance to its
+  nearest outside level asks for, and as the negative continuum below
+  the window, some n/2 eigenvalues at -mc^2 and under, asks for
+  together; that sets how sharply an ellipse is told from its outside,
+  not the region.  Any doubt sends the solve to the dense path below.
+  The slice moments, one per slice, are independent: they run on a thread pool
   made inside the solve, one worker per usable core, each task with its
   own factor buffer, and the results are read back in slice order, so
   eigenvalues, record and fallback reason are those of the serial loop,
@@ -55,10 +57,10 @@ symmetric only up to quadrature error (see assemble_system):
 - the same pencil without a window, or after such a doubt: dBd
   factored in place by LAPACK dgetrf, the standard problem (dBd)^-1
   (dAd) formed in place by dgetrs and solved by dgeev, every eigenvalue;
-- a QZ iteration (scipy.linalg.eigvals) on the unscaled pencil: the
-  fallback of the dense nonsymmetric path when the scaling or the
-  reduction is unsafe, and the reference the faster paths are tested
-  against.
+- a QZ iteration (LAPACK dggev, no eigenvectors, on Fortran-ordered
+  copies it overwrites) on the unscaled pencil: the fallback of the
+  dense nonsymmetric path when the scaling or the reduction is unsafe,
+  and the reference the faster paths are tested against.
 The window finder, one for both window paths: banded inverse iteration
 from the closed-form levels finds the eigenvalues, and where the signs
 of banded LU determinants at two shifts (which give the parity of the
@@ -97,7 +99,7 @@ IMAG_TOL = 1e-8         # |im| / max(|re|, 1) above which a value is complex
 MATCH_TOL = 1e-3        # relative distance within which a value hugs an exact level
 COINCIDENCE_TOL = 1e-6  # relative distance that coincides with the mirror level
 RCOND_FLOOR = 1e-6      # rcond of the equilibrated B below which the nonsymmetric solve takes QZ
-DENSE_COPIES = 6        # live n x n float64 arrays on the largest dense path (QZ on a band)
+DENSE_COPIES = 2        # live n x n float64 arrays on every dense path (eigh, lu_dgeev, qz)
 # the bound-window path
 INVIT_TOL = 1e-14       # relative change at which an inverse iteration has settled
 INVIT_MAXIT = 10        # inverse-iteration steps before the level counts as not found
@@ -114,22 +116,16 @@ class EmptySpectrum(RuntimeError):
     """Nothing real came back from the solver."""
 
 
-def _equilibrate(M, d):
-    """d M d (d a vector, read as a diagonal) in a new Fortran-ordered
-    array, which LAPACK can overwrite in place."""
-    out = np.empty(M.shape, order="F")
-    np.multiply(M, d[:, None], out=out)
-    out *= d[None, :]
-    return out
-
-
 @dataclass(frozen=True)
 class BoundWindow:
     """Eigenvalues (0, hi] of the pencil, unshifted (0 is the -mc^2
     threshold), and the closed-form levels inside, ascending: the starts
-    of the windowed solve."""
+    of the windowed solve.  continuum is the top of the negative
+    continuum, -mc^2 unshifted, which the contour nodes of the bottom
+    slices must weigh (-inf: none)."""
     hi: float
     guesses: tuple
+    continuum: float = -np.inf
 
 
 def bound_window(sys: PhysicalSystem, levels: int) -> BoundWindow:
@@ -137,12 +133,19 @@ def bound_window(sys: PhysicalSystem, levels: int) -> BoundWindow:
     midway between exact levels `levels` and `levels + 1` (shifted)."""
     ex = exact_levels(sys, levels + 1)
     return BoundWindow(hi=float(sys.mc2 + 0.5 * (ex[-2] + ex[-1])),
-                       guesses=tuple(float(sys.mc2 + e) for e in ex[:-1]))
+                       guesses=tuple(float(sys.mc2 + e) for e in ex[:-1]),
+                       continuum=-float(sys.mc2))
 
 
-def _dense(M):
-    """A pencil matrix as a dense block-order array."""
-    return M.dense() if isinstance(M, Band) else M
+def _dense(M, d=None):
+    """A pencil matrix (a Band or a dense array) as a new Fortran-ordered
+    block-order array, which LAPACK can overwrite in place; with d (a
+    vector, read as a diagonal), d M d, scaled in place."""
+    out = M.dense() if isinstance(M, Band) else np.array(M, order="F")
+    if d is not None:
+        out *= d[:, None]
+        out *= d[None, :]
+    return out
 
 
 def solve_generalized(A, B, symmetric_definite: bool = False,
@@ -228,10 +231,10 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
             f"dense fallback: order {len(db)} needs {need} bytes, {have} are installed"
             + ("" if window is None else f"; the window was given up: {rec['fallback']}"))
     if d is not None:
-        Be = _equilibrate(_dense(B), d)
+        Be = _dense(B, d)
         if symmetric_definite:
             info["path"] = "eigh"
-            return sla.eigh(_equilibrate(_dense(A), d), Be, eigvals_only=True,
+            return sla.eigh(_dense(A, d), Be, eigvals_only=True,
                             overwrite_a=True, overwrite_b=True).astype(complex)
         lange, gecon, getrf, getrs = sla.get_lapack_funcs(
             ("lange", "gecon", "getrf", "getrs"), (Be,))
@@ -240,11 +243,29 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
         rcond, _ = gecon(lu, anorm, norm="1")  # 0 for an exactly singular dBd
         if rcond >= RCOND_FLOOR:
             info["path"] = "lu_dgeev"
-            C, _ = getrs(lu, piv, _equilibrate(_dense(A), d), overwrite_b=True)
+            C, _ = getrs(lu, piv, _dense(A, d), overwrite_b=True)
             return sla.eigvals(C, overwrite_a=True)
         del Be, lu  # not read by QZ, which takes the unscaled pencil
     info["path"] = "qz"
-    return sla.eigvals(_dense(A), _dense(B))
+    # LAPACK dggev without eigenvectors, on copies it overwrites: what
+    # sla.eigvals(A, B) gives, bit for bit, without the two n x n
+    # eigenvector arrays of its workspace query
+    a, b = _dense(A), _dense(B)
+    ggev, = sla.get_lapack_funcs(("ggev",), (a, b))
+    opts = dict(compute_vl=0, compute_vr=0, overwrite_a=1, overwrite_b=1)
+    lwork = int(ggev(a, b, lwork=-1, **opts)[-2][0])
+    alphar, alphai, beta, _, _, _, lapack_info = ggev(a, b, lwork=lwork, **opts)
+    if lapack_info:
+        raise np.linalg.LinAlgError(f"QZ (dggev) returned info {lapack_info}")
+    # alpha / beta, and for beta = 0 inf, or nan where alpha = 0 too, as
+    # scipy forms them
+    alpha = alphar + 1j * alphai
+    w = np.empty_like(alpha)
+    finite = beta != 0.0
+    w[finite] = alpha[finite] / beta[finite]
+    w[~finite & (alpha != 0.0)] = np.inf
+    w[~finite & (alpha == 0.0)] = np.nan if np.all(alphai == 0.0) else complex(np.nan, np.nan)
+    return w
 
 
 # ------------------------------------------------------ the bound window
@@ -270,7 +291,7 @@ def _symmetric_bands(A, B, d):
     out (rows 2k.. are the lower bands dpbtrf reads).  Each entry is read
     from the block-order lower triangle, the one eigh reads: the entry
     itself or its mirror, scaled (v d_p) d_q, p >= q its block-order
-    indices, as _equilibrate scales it."""
+    indices, as _dense scales it."""
     k, n = A.k, A.n
     rows, inside = slots(n, -k, k)
     perm, o = A.order(), np.arange(-k, k + 1)[:, None]
@@ -341,14 +362,17 @@ def _match_doubt(found, win: BoundWindow):
     return None
 
 
-def _band_matvec(Mb, X):
-    """M X for M in the factor layout of _factor_band ((3k + 1, n), entry
-    (i, j) in row 2k + i - j) and X of n rows.  Each y_i adds its
-    products m_ij x_j in the order of the rows, j falling.  (BLAS dgbmv
-    does the same, but a threaded OpenBLAS spends milliseconds per call
-    on it.)"""
-    k, n = (Mb.shape[0] - 1) // 3, Mb.shape[1]
-    rows, w = 2 * k + 1, n + 2 * k
+def _band_matvec(Mr, X):
+    """M X for M's 2k + 1 stored rows in a (2k + 1, n) array Mr, entry
+    (i, j) in row k + i - j (rows k.. of the factor layout of
+    _factor_band), and X of n rows.  Each y_i adds its products m_ij x_j
+    in the order of the rows, j falling.  Mr is read whole for each
+    column of X: row-major, in order, where the factor layout's columns
+    stride (3k + 1) * 8 bytes, so a caller that multiplies often passes
+    a row-major copy.  (BLAS dgbmv does the same, but a threaded
+    OpenBLAS spends milliseconds per call on it.)"""
+    rows, n = Mr.shape
+    k, w = (rows - 1) // 2, n + rows - 1
     columns = np.ascontiguousarray(X.reshape(n, -1).T)
     Y = np.empty(columns.shape)
     # row r of the products is one longer than a row of the sum, so that
@@ -357,7 +381,7 @@ def _band_matvec(Mb, X):
     buf = np.zeros(rows * (w + 1))
     products, sums = buf.reshape(rows, w + 1)[:, :n], buf[:rows * w].reshape(rows, w)
     for x, y in zip(columns, Y):  # one column at a time: the buffer stays small
-        np.multiply(Mb[k:], x, out=products)
+        np.multiply(Mr, x, out=products)
         np.sum(sums[:, k:k + n], axis=0, out=y)
     return Y.T.reshape(X.shape)
 
@@ -392,29 +416,6 @@ def _parity(lu, piv):
     k = (lu.shape[0] - 1) // 3
     swaps = np.count_nonzero(piv != np.arange(1, len(piv) + 1))
     return (np.count_nonzero(lu[2 * k] < 0.0) + swaps) % 2
-
-
-def _inverse_iteration(Ab, Bb, shift, x):
-    """The eigenvalue nearest the real `shift`, from inverse iteration
-    with that fixed shift, or None when the estimate does not settle
-    within INVIT_MAXIT steps or A - shift B is exactly singular; and the
-    parity at the shift (see _parity), from the same factorization."""
-    k, n = (Ab.shape[0] - 1) // 3, Ab.shape[1]
-    lu = np.empty(Ab.shape, order="F")
-    piv, info = _factor_band(Ab, Bb, shift, lu)
-    parity = _parity(lu, piv)
-    if info:
-        return None, parity
-    lam = None
-    for _ in range(INVIT_MAXIT):
-        y = _band_matvec(Bb, x)
-        _call("dgbtrs", b"N", n, k, k, 1, lu, 3 * k + 1, piv, y, n)
-        est = shift - (x @ x) / (x @ y)  # y = x / (shift - lambda) at an eigenvector
-        x = y / np.linalg.norm(y)
-        if lam is not None and abs(est - lam) <= INVIT_TOL * abs(est):
-            return est, parity
-        lam = est
-    return None, parity
 
 
 def _negative_counts(Ml):
@@ -492,11 +493,37 @@ def _find_window_eigenvalues(Ab, Bb, win: BoundWindow):
     the parity of that iteration's LU.  Slices narrower than DISTINCT_TOL
     of their top are not cut, so each missed eigenvalue costs a few
     factorizations, however large n, and no shift is factored twice.  An
-    even number missed in one slice is not seen."""
-    x = np.random.default_rng(PROBE_SEED).standard_normal(Ab.shape[1])
+    even number missed in one slice is not seen.  The products with B
+    read a row-major copy of Bb's stored rows (see _band_matvec), made
+    here, once, and freed on return."""
+    k, n = (Ab.shape[0] - 1) // 3, Ab.shape[1]
+    Br = np.ascontiguousarray(Bb[k:])
+    start = np.random.default_rng(PROBE_SEED).standard_normal(n)
     lu = np.empty(Ab.shape, order="F")
+
+    def iterate(shift):
+        """The eigenvalue nearest the real `shift`, from inverse iteration
+        with that fixed shift, or None when the estimate does not settle
+        within INVIT_MAXIT steps or A - shift B is exactly singular; and
+        the parity at the shift (see _parity), from the same
+        factorization."""
+        piv, info = _factor_band(Ab, Bb, shift, lu)
+        parity = _parity(lu, piv)
+        if info:
+            return None, parity
+        x, lam = start, None
+        for _ in range(INVIT_MAXIT):
+            y = _band_matvec(Br, x)
+            _call("dgbtrs", b"N", n, k, k, 1, lu, 3 * k + 1, piv, y, n)
+            est = shift - (x @ x) / (x @ y)  # y = x / (shift - lambda) at an eigenvector
+            x = y / np.linalg.norm(y)
+            if lam is not None and abs(est - lam) <= INVIT_TOL * abs(est):
+                return est, parity
+            lam = est
+        return None, parity
+
     guesses = sorted(set(win.guesses))
-    lams, pars = zip(*(_inverse_iteration(Ab, Bb, g, x) for g in guesses))
+    lams, pars = zip(*(iterate(g) for g in guesses))
     par = dict(zip(guesses, pars))
     found = np.sort([lam for lam in lams if lam is not None and 0.0 < lam <= win.hi])
     found = list(found[np.diff(found, prepend=-np.inf) > DISTINCT_TOL * found])
@@ -516,7 +543,7 @@ def _find_window_eigenvalues(Ab, Bb, win: BoundWindow):
             f = inside[0]
             c = 0.5 * (a + f) if f - a >= b - f else 0.5 * (f + b)
         elif 2.0 * (b - a) <= min((abs(f - c) for f in found), default=np.inf):
-            lam, par[c] = _inverse_iteration(Ab, Bb, c, x)
+            lam, par[c] = iterate(c)
             if lam is not None and a < lam <= b:
                 found.append(lam)
                 continue
@@ -583,38 +610,41 @@ def _slice_edges(found, hi):
     return np.array(edges)
 
 
-def _contour_nodes(ratio):
+def _contour_nodes(ratio, weight=1.0):
     """Trapezoid nodes on the upper half of a slice's ellipse, semi-axes r
-    and beta r (beta = CONTOUR_ASPECT), for a nearest eigenvalue outside
-    it at distance delta from the centre c, ratio = r / delta.  In the
-    Joukowski variable w of (z - c) / (r f) = (w + 1/w) / 2, f =
-    sqrt(1 - beta^2) (the foci at c -+ r f), the ellipse is the circle
-    |w| = rho = sqrt((1 + beta) / (1 - beta)), and the eigenvalue lies at
-    |w_t| = s + sqrt(s^2 - 1), s = delta / (r f).  With N nodes there, 2N
-    on the whole ellipse, equally spaced on that circle, the filter
-    weighs the eigenvalue by about q^(2N), q = rho / |w_t|: this is the
-    fewest N >= 2 that brings the weight to LEAKAGE, at most
-    CONTOUR_NODES_MAX.  In terms of the ratio, q = (1 + beta) ratio /
+    and beta r (beta = CONTOUR_ASPECT), for `weight` eigenvalues outside
+    it, the nearest at distance delta from the centre c, ratio = r /
+    delta.  In the Joukowski variable w of (z - c) / (r f) = (w + 1/w) /
+    2, f = sqrt(1 - beta^2) (the foci at c -+ r f), the ellipse is the
+    circle |w| = rho = sqrt((1 + beta) / (1 - beta)), and an eigenvalue
+    at delta lies at |w_t| = s + sqrt(s^2 - 1), s = delta / (r f).  With
+    N nodes there, 2N on the whole ellipse, equally spaced on that
+    circle, the filter weighs it by about q^(2N), q = rho / |w_t|, and
+    those farther by less: this is the fewest N >= 2 that brings weight
+    q^(2N) to LEAKAGE, at most CONTOUR_NODES_MAX.  In terms of the ratio, q = (1 + beta) ratio /
     (1 + sqrt(1 - f^2 ratio^2)), which is the ratio itself on a circle
     (beta = 1) and reaches 1 at ratio 1, an eigenvalue on the contour."""
     beta = CONTOUR_ASPECT
     ratio = min(ratio, 1.0)
     q = (1.0 + beta) * ratio / (1.0 + np.sqrt(1.0 - (1.0 - beta * beta) * ratio * ratio))
-    return next((m for m in range(2, CONTOUR_NODES_MAX) if q ** (2 * m) <= LEAKAGE),
+    return next((m for m in range(2, CONTOUR_NODES_MAX) if weight * q ** (2 * m) <= LEAKAGE),
                 CONTOUR_NODES_MAX)
 
 
-def _slice_nodes(edges, found, hi):
-    """The contour nodes of each slice, from its radius over the distance
-    from its centre to the nearest found level outside it.  Above the
-    window that level is 2 hi - found[-1], level `levels + 1` by the
-    definition of hi."""
-    outside = np.append(found, 2.0 * hi - found[-1])
+def _slice_nodes(edges, found, win: BoundWindow, below):
+    """The contour nodes of each slice of win: enough for the nearest
+    found level outside it, and for the `below` eigenvalues at or below
+    win.continuum (the negative continuum) together (see
+    _contour_nodes).  Above the window the nearest level is 2 hi -
+    found[-1], level `levels + 1` by the definition of hi."""
+    outside = np.append(found, 2.0 * win.hi - found[-1])
     nodes = []
     for a, b in zip(edges[:-1], edges[1:]):
         far = outside[(outside <= a) | (outside > b)]
-        delta = np.abs(far - 0.5 * (a + b)).min(initial=np.inf)
-        nodes.append(_contour_nodes(0.5 * (b - a) / delta))
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        delta = np.abs(far - c).min(initial=np.inf)
+        nodes.append(max(_contour_nodes(r / delta),
+                         _contour_nodes(r / (c - win.continuum), below)))
     return nodes
 
 
@@ -668,8 +698,8 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
        to hi, so no value above the window could have won it (see
        _match_doubt).
     3. The window is cut into slices (see _slice_edges), each with as
-       many contour nodes as its nearest outside level asks for (see
-       _slice_nodes).  On each, the rank of the contour moment must
+       many contour nodes as its nearest outside level and the negative
+       continuum ask for (see _slice_nodes).  On each, the rank of the contour moment must
        equal the found values inside, with a gap: every kept singular
        value at least SV_GAP times every dropped one, over all slices.
 
@@ -680,7 +710,7 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     slice_counts, slice_nodes, fallback) receives the slice edges, the
     certified per-slice counts and the per-slice node counts, or under
     "fallback" why the window was given up."""
-    Ab, Bb, _ = _interleaved_bands(A, B, d)
+    Ab, Bb, k = _interleaved_bands(A, B, d)
     n = len(d)
     found = _find_window_eigenvalues(Ab, Bb, win)
     rec["fallback"] = _match_doubt(found, win)
@@ -689,10 +719,10 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     edges = _slice_edges(found, win.hi)
     counts = [int(np.sum((found > a) & (found <= b)))
               for a, b in zip(edges[:-1], edges[1:])]
-    nodes = _slice_nodes(edges, found, win.hi)
+    nodes = _slice_nodes(edges, found, win, n // 2)
     rng = np.random.default_rng(PROBE_SEED)
     rng.standard_normal(n)  # the finder's start vector: the probes are the next draw
-    BV = _band_matvec(Bb, rng.standard_normal((n, PROBES))).astype(complex, order="F")
+    BV = _band_matvec(Bb[k:], rng.standard_normal((n, PROBES))).astype(complex, order="F")
     svals = _pooled([functools.partial(_moment_singular_values, Ab, Bb, BV, a, b, m)
                      for a, b, m in zip(edges[:-1], edges[1:], nodes)])
     for i, s in enumerate(svals, start=1):

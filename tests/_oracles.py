@@ -50,11 +50,11 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from diracloud import eigen
+from diracloud import cloud, eigen
 from diracloud.assembly import (_GAUSS_OFFSET, DegenerateTau, QuadratureRule, WeakFormMatrices,
                                 stability_tau, stability_tau_fem)
 from diracloud.band import Band, bandwidth, interleaving, slots
-from diracloud.cloud import CloudBasis, ShapeEval, SingularMoment, evaluate_shapes
+from diracloud.cloud import CloudBasis, ShapeEval, ShapeStack, SingularMoment, evaluate_shapes
 from diracloud.enrichment import EnrichmentBasis
 from diracloud.physics import potential
 
@@ -98,14 +98,11 @@ def exp_basis(a):
     """[1, exp(-a s)].  On the n=200 uuo grid a=20 drives the worst moment
     condition to ~5e10 next to the origin, and a=118 overflows the moment
     diagonal mid-domain, where a cloud radius exceeds ~709/a."""
-    def p(s):
-        return np.exp(-a * s)
+    def pair(s):
+        e = np.exp(-a * s)
+        return np.stack([np.ones_like(s), e]), np.stack([np.zeros_like(s), -a * e])
 
-    def dp(s):
-        return -a * np.exp(-a * s)
-
-    return EnrichmentBasis(name=f"exp:{a:g}", members=(lambda s: 1.0, p),
-                           derivs=(lambda s: 0.0, dp))
+    return EnrichmentBasis(name=f"exp:{a:g}", m=2, pair=pair)
 
 
 def _hat(x, k, nodes):
@@ -198,6 +195,103 @@ def reference_shapes(cb: CloudBasis, x: float, coupled: bool) -> ShapeEval:
                     vals = np.insert(vals, j, hat_v[k])
                     ders = np.insert(ders, j, hat_s[k])
     return ShapeEval(active_indices=act, values=vals, derivs=ders, cond=cond)
+
+
+def _reference_windows(cb: CloudBasis, x):
+    """cloud.candidate_windows as it was before CloudBasis kept its
+    running support ends: the ends rebuilt on every call."""
+    nodes, rho = cb.grid.nodes, cb.grid.dilations
+    slack = 1e-12 * (np.abs(nodes) + rho)
+    right_end = np.maximum.accumulate(nodes + rho + slack)
+    left_end = np.minimum.accumulate((nodes - rho - slack)[::-1])[::-1]
+    lo = np.searchsorted(right_end, x, side="right")
+    hi = np.searchsorted(left_end, x, side="left")
+    n = len(nodes) - 1
+    xmin, xmax = np.min(x, initial=np.inf), np.max(x, initial=-np.inf)
+    hats = [(k,) + cloud._hat(x, k, nodes) for k in cb.fem_nodes
+            if not (xmax < nodes[max(k - 1, 0)] or xmin > nodes[min(k + 1, n)])]
+    hats = [h for h in hats if h[3].any()]
+    for k, _, _, on in hats:
+        lo = np.where(on, np.minimum(lo, k), lo)
+        hi = np.where(on, np.maximum(hi, k + 1), hi)
+    return lo, hi, hats
+
+
+def reference_batched_shapes(cb: CloudBasis, x) -> ShapeStack:
+    """cloud.evaluate_shapes as it was before the per-basis constants, the
+    shared weight and basis passes and the 2x2 eigen replay: the weight
+    and its slope each in their own pass, the basis values and slopes
+    each in their own pass, P(0) and the support ends rebuilt on every
+    call, and one batched np.linalg.eigh."""
+    P = cb.basis
+    nodes, rho = cb.grid.nodes, cb.grid.dilations
+    n = len(nodes) - 1
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    inside = (nodes[0] <= x) & (x <= nodes[-1])
+    lo, hi, hats = _reference_windows(cb, x)
+    width = int(np.max(hi - lo, initial=1))
+    idx = lo[:, None] + np.arange(width)
+    in_window = idx < hi[:, None]
+    idx = np.minimum(idx, n)
+
+    u = (x[:, None] - nodes[idx]) / rho[idx]
+    r = np.abs(u)
+    cover = in_window & (r < 1.0)
+    r = np.where(cover, r, 0.0)
+    w = np.where(r < 1.0, 1.0 - 6.0 * r**2 + 8.0 * r**3 - 3.0 * r**4, 0.0)
+    dw = np.where(r < 1.0, -12.0 * r + 24.0 * r**2 - 12.0 * r**3, 0.0)
+    phi = np.where(cover, w, 0.0)
+    dphi = np.where(cover, dw * np.sign(u) / rho[idx], 0.0)
+    s = np.where(cover, nodes[idx] - x[:, None], 0.0)
+    p = P.eval(s)
+    pd = -P.eval_deriv(s)
+    M = cloud._moments(phi * p, p)
+    Mx = (cloud._moments(dphi * p, p) + cloud._moments(phi * pd, p)
+          + cloud._moments(phi * p, pd))
+
+    diag = np.diagonal(M, axis1=1, axis2=2)
+    count = cover.sum(axis=1)
+    diag_ok = np.all(diag > 0.0, axis=1) & np.all(np.isfinite(diag), axis=1)
+    ok = inside & (count >= P.m) & diag_ok
+    d = 1.0 / np.sqrt(np.where(ok[:, None], diag, 1.0))
+    Me = M * d[:, :, None] * d[:, None, :]
+    Me[~ok] = np.eye(P.m)
+    lam, V = np.linalg.eigh(Me)
+    cond = np.full(len(x), np.inf)
+    np.divide(lam[:, -1], lam[:, 0], out=cond, where=lam[:, 0] > 0.0)
+    ok &= np.isfinite(cond) & (cond <= cb.cond_cap)
+    if not np.all(ok):
+        raise SingularMoment(f"a moment matrix fails at x={float(x[np.argmin(ok)])}")
+    Vt = V.transpose(0, 2, 1)
+
+    def solve(rhs):
+        return d * cloud._apply(V, cloud._apply(Vt, d * rhs) / lam)
+
+    p0 = P.eval(np.zeros(1))[:, 0]
+    pt = np.broadcast_to(p0, (len(x), P.m))
+    dpt = np.zeros_like(pt)
+    for k, g, dg, on in hats:
+        sk = np.where(on, nodes[k] - x, 0.0)
+        pk = P.eval(sk).T
+        dpk = -P.eval_deriv(sk).T
+        pt = pt - g[:, None] * pk
+        dpt = dpt - dg[:, None] * pk - g[:, None] * dpk
+
+    a = solve(pt)
+    c = solve(cloud._apply(Mx, a))
+    dd = solve(dpt)
+    ap = np.einsum("pk,kpw->pw", a, p)
+    vals = phi * ap
+    ders = (dphi * ap + phi * np.einsum("pk,kpw->pw", a, pd)
+            + phi * np.einsum("pk,kpw->pw", dd - c, p))
+    active = cover
+    for k, g, dg, on in hats:
+        rows = np.flatnonzero(on)
+        cols = k - lo[rows]
+        vals[rows, cols] += g[rows]
+        ders[rows, cols] += dg[rows]
+        active[rows, cols] = True
+    return ShapeStack(indices=idx, active=active, values=vals, derivs=ders, cond=cond)
 
 
 def reference_weak_form(cb: CloudBasis, sys, quad):
@@ -500,7 +594,7 @@ def serial_window(A, B, win):
     edges = eigen._slice_edges(found, win.hi)
     counts = [int(np.sum((found > a) & (found <= b)))
               for a, b in zip(edges[:-1], edges[1:])]
-    nodes = eigen._slice_nodes(edges, found, win.hi)
+    nodes = eigen._slice_nodes(edges, found, win, n // 2)
     rng = np.random.default_rng(eigen.PROBE_SEED)
     rng.standard_normal(n)  # the finder's start vector
     BV = band_matvec(Bb[k:], k, rng.standard_normal((n, eigen.PROBES))).astype(

@@ -71,14 +71,20 @@ def test_symmetric_path_rejects_nonpositive_mass_diagonal():
 
 
 def _forbid_qz(monkeypatch):
-    """Make a QZ call (scipy.linalg.eigvals with a B) fail the test."""
-    real_eigvals = sla.eigvals
+    """Make a QZ call (LAPACK ggev, or scipy.linalg.eigvals with a B) fail
+    the test."""
+    real_eigvals, real_funcs = sla.eigvals, sla.get_lapack_funcs
 
     def eigvals(a, b=None, **kwargs):
         assert b is None, "the solve fell back to QZ"
         return real_eigvals(a, **kwargs)
 
+    def get_lapack_funcs(names, *args, **kwargs):
+        assert "ggev" not in names, "the solve fell back to QZ"
+        return real_funcs(names, *args, **kwargs)
+
     monkeypatch.setattr(eigen.sla, "eigvals", eigvals)
+    monkeypatch.setattr(eigen.sla, "get_lapack_funcs", get_lapack_funcs)
 
 
 def _refuse_dense(self):
@@ -166,8 +172,10 @@ def test_dense_paths_equal_the_scipy_composition_bit_for_bit(
 
 def test_the_dense_fallback_peaks_below_four_copies(uuo_wfm_200, uuo_system, uuo_grid_200):
     # each dense matrix is made where it is read: dBd, factored in place,
-    # then dAd, overwritten by C for dgeev.  3.0 copies of 8 n^2 bytes at
-    # the peak; keeping both densified matrices alive took 4.1
+    # then dAd, overwritten by C for dgeev.  2.2 copies of 8 n^2 bytes at
+    # the peak since both are densified straight into Fortran order and
+    # scaled in place (3.0 before; keeping both densified matrices alive
+    # took 4.1)
     out = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
     A, B = out.bands["A"], out.bands["B"]
     info = {}
@@ -179,6 +187,29 @@ def test_the_dense_fallback_peaks_below_four_copies(uuo_wfm_200, uuo_system, uuo
         tracemalloc.stop()
     assert info["path"] == "lu_dgeev" and A.n == 398
     assert peak <= 3.5 * 8 * A.n ** 2
+
+
+@pytest.mark.parametrize("path", ["eigh", "lu_dgeev", "qz"])
+def test_every_dense_path_peaks_at_dense_copies(path, monkeypatch, uuo_wfm_200, uuo_system,
+                                                uuo_grid_200):
+    # each path densifies its two matrices straight into the Fortran order
+    # LAPACK works in and overwrites, QZ (taken here with a floor no rcond
+    # reaches) without the eigenvector arrays of eigvals' workspace query:
+    # the memory bound holds on every path, up to the O(n k) index arrays
+    out = assemble_system(uuo_wfm_200, uuo_system, "galerkin" if path == "eigh" else "cpg",
+                          grid=uuo_grid_200)
+    if path == "qz":
+        monkeypatch.setattr(eigen, "RCOND_FLOOR", np.inf)
+    A, B = out.bands["A"], out.bands["B"]
+    info = {}
+    tracemalloc.start()
+    try:
+        solve_generalized(A, B, symmetric_definite=path == "eigh", info=info)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info["path"] == path and A.n == 398
+    assert peak <= (eigen.DENSE_COPIES + 0.5) * 8 * A.n ** 2, peak / (8 * A.n ** 2)
 
 
 def test_a_dense_block_past_physical_memory_raises_before_densifying(monkeypatch):
@@ -429,13 +460,14 @@ _VARIANTS = [dict(Z=Z, I_b=I_b) for Z in (117.0, 118.0, 119.0)
 
 
 @pytest.mark.parametrize("kwargs", _VARIANTS + [
-    dict(Z=118.0, n_intervals=200), dict(Z=118.0, n_intervals=2000),
-], ids=[f"Z{v['Z']:g}-Ib{v['I_b']:g}" for v in _VARIANTS] + ["n200", "n2000"])
+    dict(Z=118.0, n_intervals=200), dict(Z=118.0, n_intervals=2000), dict(Z=50.0, kappa=3),
+], ids=[f"Z{v['Z']:g}-Ib{v['I_b']:g}" for v in _VARIANTS] + ["n200", "n2000", "Z50-kappa3"])
 def test_slice_nodes_certify_with_fewer_than_the_cap(kwargs, solve_cached):
-    # the nine variants of Z and domain end at n=600, and the flagship at
-    # n=200 and n=2000: each takes the window with fewer contour nodes
-    # than the cap on every slice would use
-    cfg = RunConfig(kappa=-2, method="cpg", **kwargs)
+    # the nine variants of Z and domain end at n=600, the flagship at
+    # n=200 and n=2000, and Z=50 kappa=3, whose bottom slice holds nothing
+    # but the leak of the negative continuum: each takes the window with
+    # fewer contour nodes than the cap on every slice would use
+    cfg = RunConfig(**{"kappa": -2, "method": "cpg", **kwargs})
     flagship = cfg == RunConfig(Z=118.0, kappa=-2, method="cpg")
     res = solve_cached(**cfg.as_dict()) if flagship else run_solve(cfg)
     assert res.eigen_path == "window"
@@ -640,7 +672,7 @@ def test_lower_bands_hold_the_block_order_lower_triangle(uuo_wfm_200, uuo_system
     perm = np.concatenate([np.arange(n // 2)[:, None],
                            np.arange(n // 2, n)[:, None]], axis=1).ravel()
     for M, Ml in ((sym.A, Al), (sym.B, Bl)):
-        low = np.tril(eigen._equilibrate(M, d))
+        low = np.tril(eigen._dense(M, d))
         dense = (low + np.tril(low, -1).T)[np.ix_(perm, perm)]
         i, j = np.nonzero(np.tril(dense))
         np.testing.assert_array_equal(Ml[i - j, j], dense[i, j])
@@ -826,7 +858,7 @@ def test_band_matvec_matches_the_diagonal_loop(k):
     Mb = np.zeros((3 * k + 1, n), order="F")  # the factor layout
     Mb[k:] = rng.standard_normal((2 * k + 1, n)) * 10.0 ** rng.uniform(-6, 6, (2 * k + 1, n))
     for x in (rng.standard_normal(n), rng.standard_normal((n, eigen.PROBES))):
-        y = eigen._band_matvec(Mb, x)
+        y = eigen._band_matvec(np.ascontiguousarray(Mb[k:]), x)
         assert y.shape == x.shape
         np.testing.assert_array_equal(y, band_matvec(Mb[k:], k, x))
 
@@ -840,8 +872,8 @@ def test_band_matvec_matches_the_diagonal_loop_on_the_flagship_band(solve_cached
     for Mb in (Ab, Bb):
         for x in (rng.standard_normal(Mb.shape[1]),
                   rng.standard_normal((Mb.shape[1], eigen.PROBES))):
-            np.testing.assert_array_equal(eigen._band_matvec(Mb, x),
-                                          band_matvec(Mb[k:], k, x))
+            np.testing.assert_array_equal(
+                eigen._band_matvec(np.ascontiguousarray(Mb[k:]), x), band_matvec(Mb[k:], k, x))
 
 
 def test_contour_nodes_grow_with_the_ratio_up_to_the_cap():
@@ -908,7 +940,12 @@ def test_slice_nodes_follow_the_nearest_outside_level():
     # radius over the distance from the centre to the nearest found level
     # outside: 0.5/3.5, 1/2, 1/2, 0.75/1.25, and for the top slice 0.35/0.55,
     # from 2 hi - 7 = 7.4 above it (6 below it would give 0.35/0.85, 5 nodes)
-    assert eigen._slice_nodes(edges, found, hi) == [3, 5, 5, 7, 8]
+    assert eigen._slice_nodes(edges, found, BoundWindow(hi, ()), 1000) == [3, 5, 5, 7, 8]
+    # 1000 eigenvalues at or below -3 together: the bottom slice, its
+    # centre 7 half-widths above -3, needs 4 nodes to weigh them down to
+    # LEAKAGE; the others ask no more than their nearest level does
+    win = BoundWindow(hi, (), continuum=-3.0)
+    assert eigen._slice_nodes(edges, found, win, 1000) == [4, 5, 5, 7, 8]
 
 
 def test_contour_nodes_factor_in_one_shared_buffer(uuo_wfm_200, uuo_system,
@@ -1104,8 +1141,8 @@ def test_interleaved_bands_hold_the_whole_pencil(uuo_wfm_200, uuo_system, uuo_gr
     x = np.random.default_rng(23).normal(size=(n, 3))
     for M, Mb in ((out.A, Ab), (out.B, Bb)):
         dense = (d[:, None] * M * d[None, :])[np.ix_(perm, perm)]
-        np.testing.assert_allclose(eigen._band_matvec(Mb, x), dense @ x,
-                                   rtol=0, atol=1e-12 * np.abs(dense).max())
+        np.testing.assert_allclose(eigen._band_matvec(np.ascontiguousarray(Mb[k:]), x),
+                                   dense @ x, rtol=0, atol=1e-12 * np.abs(dense).max())
         # the factor layout: entry (i, j) in row 2k + i - j, k zero rows on top
         assert Mb.shape == (3 * k + 1, n) and Mb.flags.f_contiguous and not Mb[:k].any()
         i, j = np.nonzero(dense)

@@ -67,6 +67,26 @@ def test_sto_derivative_matches_finite_difference():
     assert b.eval_deriv(s)[1] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+def test_one_pass_weight_and_basis_equal_their_member_formulas_bit_for_bit():
+    # the weight and its slope from one r**2 and one r**3, and the STO
+    # member and its slope from one exp(-s/2), change no bit of the
+    # per-formula evaluation they replaced, inside the support and out
+    r = np.linspace(0.0, 1.25, 1001)
+    w = np.where(r < 1.0, 1.0 - 6.0 * r**2 + 8.0 * r**3 - 3.0 * r**4, 0.0)
+    dw = np.where(r < 1.0, -12.0 * r + 24.0 * r**2 - 12.0 * r**3, 0.0)
+    assert np.array_equal(quartic_spline(r).view(np.uint64), w.view(np.uint64))
+    assert np.array_equal(quartic_spline_deriv(r).view(np.uint64), dw.view(np.uint64))
+    s = np.random.default_rng(29).uniform(-40.0, 40.0, (7, 13))
+    p, dp = sto_default_basis().pair(s)
+    e = np.exp(-0.5 * s)
+    assert p.shape == dp.shape == (2, 7, 13)
+    assert np.all(p[0] == 1.0) and np.all(dp[0] == 0.0)
+    assert np.array_equal(p[1].view(np.uint64),
+                          (s * (1.0 - 0.5 * s) * np.exp(-0.5 * s)).view(np.uint64))
+    assert np.array_equal(dp[1].view(np.uint64),
+                          (e * (1.0 - 1.5 * s + 0.25 * s * s)).view(np.uint64))
+
+
 def test_first_member_is_always_one():
     for b in (sto_default_basis(), shepard_basis()):
         s = np.linspace(0.0, 5.0, 11)

@@ -3,12 +3,14 @@ per-point implementations they replaced (tests/_oracles.py)."""
 import numpy as np
 import pytest
 
-from _oracles import exp_basis, reference_shapes, reference_weak_form
+from _oracles import exp_basis, reference_batched_shapes, reference_shapes, reference_weak_form
+from diracloud import assembly, cloud
 from diracloud.assembly import assemble_weak_form, build_quadrature
+from diracloud.cli import RunConfig
 from diracloud.cloud import (CloudBasis, SingularMoment, build_cloud_basis,
                              evaluate_coupled, evaluate_shapes)
-from diracloud.enrichment import shepard_basis, sto_default_basis
-from diracloud.grid import Grid
+from diracloud.enrichment import EnrichmentBasis, shepard_basis, sto_default_basis
+from diracloud.grid import Grid, generate_grid
 
 EPS = np.finfo(float).eps
 
@@ -113,3 +115,92 @@ def test_first_offending_point_decides_the_error():
     assert raised(evaluate_shapes, cb, [0.0, bare, outside])[0] is SingularMoment
     assert raised(evaluate_shapes, cb, [0.0, outside, bare]) == \
         (ValueError, "x=-1.0 outside [0.0, 6.0]")
+
+
+# ------------------------------------- the kernel it replaced, bit for bit
+
+def _guard_grids(uuo_grid_200, uuo_quad_200):
+    """The guard grids: the n=600 flagship grid with the production basis,
+    and the n=200 uuo grid with sto, shepard and exp(-20 s)."""
+    grid = generate_grid(RunConfig().grid_config())
+    cases = [(build_cloud_basis(grid), build_quadrature(grid, factor=10))]
+    return cases + [(build_cloud_basis(uuo_grid_200, basis=b), uuo_quad_200)
+                    for b in BASES.values()]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_shapes_and_weak_form_equal_the_replaced_kernel_bit_for_bit(
+        uuo_grid_200, uuo_quad_200, uuo_system, monkeypatch):
+    # the per-basis constants, the shared weight and basis passes and the
+    # 2x2 eigen replay change no bit of any ShapeStack field, nor of the
+    # weak-form bands built from them
+    for cb, quad in _guard_grids(uuo_grid_200, uuo_quad_200):
+        for x in (quad.points, quad.points[:640]):
+            got, ref = evaluate_shapes(cb, x), reference_batched_shapes(cb, x)
+            assert np.array_equal(got.indices, ref.indices), cb.basis.name
+            assert np.array_equal(got.active, ref.active), cb.basis.name
+            for field in ("values", "derivs", "cond"):
+                assert np.array_equal(_bits(getattr(got, field)),
+                                      _bits(getattr(ref, field))), (cb.basis.name, field)
+        got = assemble_weak_form(cb, uuo_system, quad)
+        with monkeypatch.context() as m:
+            m.setattr(assembly, "evaluate_shapes", reference_batched_shapes)
+            ref = assemble_weak_form(cb, uuo_system, quad)
+        for name, band in got.bands.items():
+            assert np.array_equal(_bits(band.data), _bits(ref.bands[name].data)), name
+
+
+def _eigh_mismatch(Me):
+    """The indices of the matrices of the stack Me whose replayed
+    eigenvalues or eigenvectors differ from np.linalg.eigh in any bit."""
+    lam, V = cloud._eigh(Me)
+    ref_lam, ref_V = np.linalg.eigh(Me)
+    assert lam.shape == ref_lam.shape and V.shape == ref_V.shape
+    assert V.flags.c_contiguous and lam.flags.c_contiguous
+    bad = (_bits(lam) != _bits(ref_lam)).any(axis=1)
+    return np.flatnonzero(bad | (_bits(V) != _bits(ref_V)).any(axis=(1, 2)))
+
+
+LAPACK_CHANGED = ("the 2x2 replay of LAPACK's dsyevd path differs from np.linalg.eigh: "
+                  "the bundled LAPACK build changed (numpy.show_config() names it)")
+
+
+def test_the_eigen_replay_is_numpys_eigh_bit_for_bit(uuo_grid_200, uuo_quad_200,
+                                                      monkeypatch):
+    # every moment matrix the guard grids factor, signs included
+    seen, replay = [], cloud._eigh
+
+    def spy(Me):
+        seen.append(Me.copy())
+        return replay(Me)
+
+    with monkeypatch.context() as m:
+        m.setattr(cloud, "_eigh", spy)
+        for cb, quad in _guard_grids(uuo_grid_200, uuo_quad_200):
+            evaluate_shapes(cb, quad.points)
+    assert sum(len(Me) for Me in seen) > 10000
+    for Me in seen:
+        assert len(_eigh_mismatch(Me)) == 0, LAPACK_CHANGED
+    # and every branch of the replay: exact and negligible off-diagonals
+    # under either sweep, a zero trace, |a - c| against |2b| either way,
+    # negative and mixed spectra, unequilibrated scales
+    rng = np.random.default_rng(29)
+    hand = [[1.0, 0.0, 1.0], [1.0, 1e-20, 1.0], [2.0, 1e-17, 1.0], [1.0, 1e-17, 2.0],
+            [0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [2.0, 1.0, -2.0], [1.0, 0.5, 1.0],
+            [3.0, 1.0, 1.0], [1.0, 1.0, 3.0], [-1.0, 0.3, -2.0], [-3.0, 1.0, -1.0],
+            [1.0, -0.7, 0.2], [0.0, 0.0, -1.0], [1e-3, 2e-5, 4e2]]
+    a, b, c = np.concatenate([np.array(hand).T, rng.standard_normal((3, 4000))
+                              * 10.0 ** rng.uniform(-8, 8, (3, 4000))], axis=1)
+    Me = np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=1)
+    assert len(_eigh_mismatch(Me)) == 0, LAPACK_CHANGED
+    one = rng.standard_normal((50, 1, 1))
+    assert len(_eigh_mismatch(one)) == 0, LAPACK_CHANGED
+
+
+def test_a_basis_of_more_than_two_members_is_refused(uuo_grid_200):
+    three = EnrichmentBasis(name="three", m=3, pair=None)
+    with pytest.raises(ValueError, match="at most 2 enrichment members"):
+        build_cloud_basis(uuo_grid_200, basis=three)
