@@ -64,6 +64,10 @@ class RunConfig:
         self.grid_config()
         sys = self.physical_system()
         basis_from_name(self.enrichment)
+        if self.levels > 0 and self.Z == 0:
+            # a free particle has no bound level to match: every relative
+            # error would divide by an exact level of 0
+            raise ValueError("levels > 0 needs Z > 0: set levels = 0 for Z = 0")
         if self.levels > 0 or self.kappa > 0:
             # classification needs the closed-form levels: a supercritical
             # Z/kappa pair fails here

@@ -21,13 +21,14 @@ padded (npts, W) stack in ascending node order, the moment matrices form
 an (npts, m, m) stack, m <= 2, and LAPACK's own steps for a symmetric
 matrix that small, replayed elementwise over the stack (_eigh),
 factorize them all, bit for bit as np.linalg.eigh does, at about a
-third of its cost.  The weight and its slope share one pass, and so do
-the basis and its slope; the running support ends and P(0) are computed
-once per CloudBasis.  The padding slots add exact zeros, so a point's
-row comes out the same in any chunk of points (the weak form takes
-whole nodal intervals), and a boundary hat is evaluated only for a
-chunk that reaches its support.  evaluate_coupled is its one-point
-view.
+third of its cost.  Each formula has one entry point, which gives the
+value and the slope in one pass: the weight's on_support, called only
+where a cloud covers the point, and the basis's pair; the running
+support ends and P(0) are computed once per CloudBasis.  The padding
+slots add exact zeros, so a point's row comes out the same in any chunk
+of points (the weak form takes whole nodal intervals), and a boundary
+hat is evaluated only for a chunk that reaches its support.
+evaluate_coupled is its one-point view.
 
 Essential boundary conditions use FEM coupling: linear hats at the two
 first and two last nodes, with the reproducing-condition correction
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enrichment import EnrichmentBasis, QUARTIC_WEIGHT, sto_default_basis
+from .enrichment import BASES, EnrichmentBasis, QUARTIC_WEIGHT
 from .grid import Grid
 
 
@@ -88,7 +89,7 @@ class CloudBasis:
     @functools.cached_property
     def p0(self):
         """P(0), the basis at the evaluation point in the shifted frame."""
-        return self.basis.eval(np.zeros(1))[:, 0]
+        return self.basis.pair(np.zeros(1))[0][:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +115,7 @@ class ShapeStack:
 
 def build_cloud_basis(grid: Grid, basis: EnrichmentBasis = None) -> CloudBasis:
     return CloudBasis(grid=grid,
-                      basis=basis if basis is not None else sto_default_basis())
+                      basis=basis if basis is not None else BASES["sto"])
 
 
 def _hat(x, k, nodes):

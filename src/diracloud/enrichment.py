@@ -1,10 +1,16 @@
-"""Weight functions and intrinsic enrichment bases.
+"""The weight function and the intrinsic enrichment bases.
 
-The weight is a quartic spline, C^1 with support [0, 1).  Enrichment
-bases are small ordered families P = [p_1, ..., p_m] with p_1 = 1 and
-analytic first derivatives; the default pairs the constant with a
-Slater-type orbital x(1 - x/2)exp(-x/2).  Gaussians are deliberately
-not offered: the moment matrix conditioning degrades too fast with them.
+Each formula has one entry point, the one the shape kernel calls.  The
+weight is the quartic spline 1 - 6r^2 + 8r^3 - 3r^4, C^1 with support
+[0, 1); QUARTIC_WEIGHT.on_support gives its value and slope together,
+unchecked, at r already in [0, 1), because the kernel asks for it only
+where a cloud covers the point.  An enrichment basis is a small ordered
+family P = [p_1, ..., p_m] with p_1 = 1, and its `pair` gives the members
+and their analytic first derivatives together.  BASES names the two the
+package offers: "sto" pairs the constant with a Slater-type orbital
+x(1 - x/2)exp(-x/2), and "shepard" is the constant alone.  Gaussians are
+deliberately not offered: the moment matrix conditioning degrades too
+fast with them.
 """
 from dataclasses import dataclass
 
@@ -18,38 +24,13 @@ def _quartic_on_support(r):
     return 1.0 - 6.0 * r2 + 8.0 * r3 - 3.0 * r**4, -12.0 * r + 24.0 * r2 - 12.0 * r3
 
 
-def _check_nonneg(r):
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("weight argument r must be >= 0")
-    return r
-
-
-def quartic_spline(r):
-    """1 - 6r^2 + 8r^3 - 3r^4 on [0, 1), zero outside."""
-    r = _check_nonneg(r)
-    return np.where(r < 1.0, _quartic_on_support(r)[0], 0.0)
-
-
-def quartic_spline_deriv(r):
-    r = _check_nonneg(r)
-    return np.where(r < 1.0, _quartic_on_support(r)[1], 0.0)
-
-
 @dataclass(frozen=True)
 class WeightFunction:
     kind: str
-    evaluate: callable
-    derivative: callable
     on_support: callable  # (value, slope) at r in [0, 1), unchecked
 
 
-QUARTIC_WEIGHT = WeightFunction(
-    kind="quartic_spline",
-    evaluate=quartic_spline,
-    derivative=quartic_spline_deriv,
-    on_support=_quartic_on_support,
-)
+QUARTIC_WEIGHT = WeightFunction(kind="quartic_spline", on_support=_quartic_on_support)
 
 
 @dataclass(frozen=True)
@@ -60,12 +41,6 @@ class EnrichmentBasis:
     name: str
     m: int
     pair: callable
-
-    def eval(self, s):
-        return self.pair(np.asarray(s, dtype=float))[0]
-
-    def eval_deriv(self, s):
-        return self.pair(np.asarray(s, dtype=float))[1]
 
 
 def _constant(s):
@@ -84,20 +59,12 @@ def _sto(s):
     return p, dp
 
 
-def sto_default_basis() -> EnrichmentBasis:
-    """P(x) = [1, x(1 - x/2) exp(-x/2)], the production enrichment."""
-    return EnrichmentBasis(name="sto", m=2, pair=_sto)
-
-
-def shepard_basis() -> EnrichmentBasis:
-    """Constant-only basis, m=1 (Shepard interpolation)."""
-    return EnrichmentBasis(name="shepard", m=1, pair=_constant)
+BASES = {"sto": EnrichmentBasis(name="sto", m=2, pair=_sto),
+         "shepard": EnrichmentBasis(name="shepard", m=1, pair=_constant)}
 
 
 def basis_from_name(name: str) -> EnrichmentBasis:
-    """Resolve a CLI-style enrichment name: "sto" or "shepard"."""
-    if name == "sto":
-        return sto_default_basis()
-    if name == "shepard":
-        return shepard_basis()
-    raise ValueError(f"unknown enrichment {name!r}")
+    """Resolve a CLI-style enrichment name, a key of BASES."""
+    if name not in BASES:
+        raise ValueError(f"unknown enrichment {name!r}")
+    return BASES[name]

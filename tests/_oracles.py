@@ -8,7 +8,9 @@ dimensions where every step is numerically boring.
 
 The shape and weak-form oracles are the original one-point-at-a-time
 implementations (an m x m eigh per point, an np.ix_ scatter per point)
-that the batched kernel in diracloud.cloud replaced.
+that the batched kernel in diracloud.cloud replaced.  The per-point one
+writes the quartic weight and its slope out itself, so it shares no
+weight code with the kernel it checks.
 
 The dense-pencil oracles are the dense implementations the band storage
 replaced: the weak form added interval by interval into zero-filled
@@ -150,16 +152,16 @@ def reference_shapes(cb: CloudBasis, x: float, coupled: bool) -> ShapeEval:
     if len(act) < P.m:
         raise SingularMoment(f"only {len(act)} clouds cover x={x}, need >= {P.m}")
     ua, ra = u[act], r[act]
-    phi = cb.weight.evaluate(ra)
-    dphi = cb.weight.derivative(ra) * np.sign(ua) / rho[act]
-    s = nodes[act] - x
-    p = P.eval(s)        # (m, n_active)
-    pd = -P.eval_deriv(s)  # d/dx of P(x_i - x)
+    # the quartic spline and its slope written out, not the kernel's pass
+    phi = 1.0 - 6.0 * ra**2 + 8.0 * ra**3 - 3.0 * ra**4
+    dphi = (-12.0 * ra + 24.0 * ra**2 - 12.0 * ra**3) * np.sign(ua) / rho[act]
+    p, pd = P.pair(nodes[act] - x)  # (m, n_active) each
+    pd = -pd  # d/dx of P(x_i - x)
     M = (phi * p) @ p.T
     Mx = (dphi * p) @ p.T + (phi * pd) @ p.T + (phi * p) @ pd.T
     solve, cond = _moment_solve(M, cb.cond_cap, x)
 
-    p0 = P.eval(np.zeros(1))[:, 0]
+    p0 = P.pair(np.zeros(1))[0][:, 0]
     if coupled:
         pt = p0.copy()
         dpt = np.zeros_like(p0)
@@ -168,9 +170,8 @@ def reference_shapes(cb: CloudBasis, x: float, coupled: bool) -> ShapeEval:
             g, dg = _hat(x, k, nodes)
             hat_v[k], hat_s[k] = g, dg
             if g != 0.0 or dg != 0.0:
-                sk = np.array([nodes[k] - x])
-                pk = P.eval(sk)[:, 0]
-                dpk = -P.eval_deriv(sk)[:, 0]
+                pk, dpk = P.pair(np.array([nodes[k] - x]))
+                pk, dpk = pk[:, 0], -dpk[:, 0]
                 pt = pt - g * pk
                 dpt = dpt - dg * pk - g * dpk
     else:
@@ -219,8 +220,7 @@ def _reference_windows(cb: CloudBasis, x):
 
 def reference_batched_shapes(cb: CloudBasis, x) -> ShapeStack:
     """cloud.evaluate_shapes as it was before the per-basis constants, the
-    shared weight and basis passes and the 2x2 eigen replay: the weight
-    and its slope each in their own pass, the basis values and slopes
+    shared weight pass and the 2x2 eigen replay: the weight and its slope
     each in their own pass, P(0) and the support ends rebuilt on every
     call, and one batched np.linalg.eigh."""
     P = cb.basis
@@ -243,8 +243,8 @@ def reference_batched_shapes(cb: CloudBasis, x) -> ShapeStack:
     phi = np.where(cover, w, 0.0)
     dphi = np.where(cover, dw * np.sign(u) / rho[idx], 0.0)
     s = np.where(cover, nodes[idx] - x[:, None], 0.0)
-    p = P.eval(s)
-    pd = -P.eval_deriv(s)
+    p, pd = P.pair(s)
+    pd = -pd
     M = cloud._moments(phi * p, p)
     Mx = (cloud._moments(dphi * p, p) + cloud._moments(phi * pd, p)
           + cloud._moments(phi * p, pd))
@@ -267,13 +267,13 @@ def reference_batched_shapes(cb: CloudBasis, x) -> ShapeStack:
     def solve(rhs):
         return d * cloud._apply(V, cloud._apply(Vt, d * rhs) / lam)
 
-    p0 = P.eval(np.zeros(1))[:, 0]
+    p0 = P.pair(np.zeros(1))[0][:, 0]
     pt = np.broadcast_to(p0, (len(x), P.m))
     dpt = np.zeros_like(pt)
     for k, g, dg, on in hats:
         sk = np.where(on, nodes[k] - x, 0.0)
-        pk = P.eval(sk).T
-        dpk = -P.eval_deriv(sk).T
+        pk, dpk = P.pair(sk)
+        pk, dpk = pk.T, -dpk.T
         pt = pt - g[:, None] * pk
         dpt = dpt - dg[:, None] * pk - g[:, None] * dpk
 

@@ -15,7 +15,7 @@ from diracloud.assembly import assemble_system, stability_tau, stability_tau_fem
 from diracloud.cloud import evaluate_coupled
 from diracloud.eigen import (FLAG_COINCIDENCE, FLAG_INSTILLED, convergence_rate,
                              solve_generalized)
-from diracloud.enrichment import sto_default_basis
+from diracloud.enrichment import BASES
 from diracloud.physics import PhysicalSystem, exact_eigenvalue
 
 from _oracles import (banded_weak_form, charpoly_eigenvalues, max_pairing_distance,
@@ -134,8 +134,8 @@ def test_tau_consistency_oracle():
 # ------------------------------------------------ 5: shape-function invariants
 
 def test_shape_function_invariants(uuo_cloud_200, uuo_grid_200, uuo_quad_200):
-    basis = sto_default_basis()
-    p0 = basis.eval(np.zeros(1))[:, 0]
+    basis = BASES["sto"]
+    p0 = basis.pair(np.zeros(1))[0][:, 0]
     worst = {"pu": 0.0, "pn": 0.0, "rep": 0.0, "fd": 0.0}
     t0 = time.perf_counter()
     for x in uuo_quad_200.points:
@@ -146,7 +146,7 @@ def test_shape_function_invariants(uuo_cloud_200, uuo_grid_200, uuo_quad_200):
         # moving-fit consistency: the evaluation-point-centered frame
         # reproduces every basis member
         shifts = uuo_grid_200.nodes[ev.active_indices] - x
-        P = basis.eval(shifts)
+        P = basis.pair(shifts)[0]
         for k in range(basis.m):
             scale = max(1.0, np.abs(P[k]).max())
             worst["rep"] = max(worst["rep"],

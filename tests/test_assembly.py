@@ -16,7 +16,7 @@ from diracloud.assembly import (METHODS, DegenerateTau, assemble_system,
 from diracloud.cli import RunConfig, assemble_pencil, run_solve
 from diracloud.cloud import build_cloud_basis, evaluate_coupled
 from diracloud.eigen import bound_window, solve_generalized
-from diracloud.enrichment import shepard_basis
+from diracloud.enrichment import BASES
 from diracloud.grid import Grid, GridConfig, generate_grid
 from diracloud.physics import PhysicalSystem
 
@@ -83,7 +83,7 @@ def toy_problem():
     """3-interval Shepard discretization small enough to integrate adaptively."""
     nodes = np.array([0.5, 1.5, 2.5, 3.5])
     g = Grid(nodes=nodes, spacings=np.ones(3), dilations=1.2 * np.ones(4))
-    cb = build_cloud_basis(g, basis=shepard_basis())
+    cb = build_cloud_basis(g, basis=BASES["shepard"])
     sys = PhysicalSystem(Z=1.0, kappa=-1)
     quad = build_quadrature(g, factor=40)
     wfm = assemble_weak_form(cb, sys, quad)

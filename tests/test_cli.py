@@ -98,10 +98,11 @@ def test_invalid_enrichment_is_rejected_by_the_config(name):
     ["solve", "--Ib", "nan"],
     ["solve", "--Ia", "nan"],
     ["sweep", "--vary", "nu", "--values", ","],
+    ["solve", "--Z", "0", "--levels", "2"],
 ], ids=["sweep-n", "sweep-method", "convergence", "enrichment", "levels",
         "quadrature-factor", "hydrogenic", "convergence-one-count", "m-zero",
         "m-negative", "m-nan", "c-nan", "Z-nan", "Z-inf", "A-nan", "nu-nan", "Ib-nan",
-        "Ia-nan", "sweep-empty"])
+        "Ia-nan", "sweep-empty", "Z-zero-levels"])
 def test_bad_values_exit_before_any_assembly(argv, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "assemble_pencil", lambda cfg: calls.append(cfg))
@@ -158,6 +159,20 @@ def test_supercritical_charge_is_a_config_error(monkeypatch, capsys):
         cli.RunConfig(Z=140.0, kappa=-1)
     # with no levels to match, a negative kappa needs no closed form
     cli.RunConfig(Z=140.0, kappa=-1, levels=0)
+
+
+def test_zero_charge_runs_only_without_levels(tmp_path, capsys):
+    # Z = 0 has no bound level to match a computed one against
+    out = tmp_path / "free.csv"
+    argv = ["solve", "--Z", "0", "--n-intervals", "40", "--output", str(out)]
+    assert cli.main(argv + ["--levels", "2"]) == 2
+    assert "set levels = 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main(argv + ["--levels", "0"]) == 0
+    _, cols, rows = parse_solve_csv(out)
+    assert cols is not None and rows == []
+    json.loads(out.with_suffix(".json").read_text(),
+               parse_constant=lambda name: pytest.fail(f"{name} in the JSON twin"))
 
 
 def test_convergence_needs_three_counts(capsys):

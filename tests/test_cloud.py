@@ -7,7 +7,7 @@ from _oracles import reference_shapes
 from diracloud.assembly import assemble_weak_form, build_quadrature
 from diracloud.cloud import (CloudBasis, SingularMoment, build_cloud_basis,
                              evaluate_coupled)
-from diracloud.enrichment import shepard_basis, sto_default_basis
+from diracloud.enrichment import BASES
 from diracloud.grid import Grid, GridConfig, generate_grid
 from diracloud.physics import PhysicalSystem
 
@@ -21,7 +21,7 @@ def uniform_grid(n, nu=1.2, h=1.0):
 def test_shepard_midpoint_splits_evenly():
     # mid-domain, clear of the boundary hats
     g = uniform_grid(10, nu=1.2)
-    cb = build_cloud_basis(g, basis=shepard_basis())
+    cb = build_cloud_basis(g, basis=BASES["shepard"])
     ev = evaluate_coupled(cb, 4.5)
     assert ev.active_indices.tolist() == [4, 5]
     assert ev.values == pytest.approx([0.5, 0.5], abs=1e-15)
@@ -65,12 +65,12 @@ def test_partition_of_unity_and_nullity(uuo_cloud_200, uuo_quad_200):
 def test_shifted_frame_consistency(uuo_cloud_200, uuo_grid_200, uuo_quad_200):
     # the moving fit reproduces the basis members in the shifted frame:
     # sum_i psi_i(x) p(x_i - x) = p(0) for every member p
-    basis = sto_default_basis()
-    p0 = basis.eval(np.zeros(1))[:, 0]
+    basis = BASES["sto"]
+    p0 = basis.pair(np.zeros(1))[0][:, 0]
     for x in uuo_quad_200.points[5::41]:
         ev = evaluate_coupled(uuo_cloud_200, float(x))
         shifts = uuo_grid_200.nodes[ev.active_indices] - x
-        P = basis.eval(shifts)
+        P = basis.pair(shifts)[0]
         for k in range(basis.m):
             scale = max(1.0, np.abs(P[k]).max())
             assert abs(P[k] @ ev.values - p0[k]) <= 1e-12 * scale
@@ -110,7 +110,7 @@ def test_uncovered_point_raises():
     g = uniform_grid(6, nu=1.2)
     # shrink every cloud so interval midpoints lose coverage
     starved = Grid(nodes=g.nodes, spacings=g.spacings, dilations=np.full(7, 0.3))
-    cb = build_cloud_basis(starved, basis=shepard_basis())
+    cb = build_cloud_basis(starved, basis=BASES["shepard"])
     # the boundary hat of node 1 reaches x=1.5 but is no cloud
     with pytest.raises(SingularMoment, match="only 0 clouds cover x=1.5"):
         evaluate_coupled(cb, 1.5)

@@ -9,14 +9,15 @@ from diracloud.assembly import assemble_weak_form, build_quadrature
 from diracloud.cli import RunConfig
 from diracloud.cloud import (CloudBasis, SingularMoment, build_cloud_basis,
                              evaluate_coupled, evaluate_shapes)
-from diracloud.enrichment import EnrichmentBasis, shepard_basis, sto_default_basis
+from diracloud.enrichment import EnrichmentBasis, basis_from_name
 from diracloud.grid import Grid, generate_grid
 
 EPS = np.finfo(float).eps
 
 # every basis is compared on the Z=118 (uuo) grid and system, which the ids
 # name; exp(-20 s) reaches a moment condition of ~5e10 next to the origin
-BASES = {"sto": sto_default_basis(), "shepard": shepard_basis(), "exp20": exp_basis(20.0)}
+BASES = {"sto": basis_from_name("sto"), "shepard": basis_from_name("shepard"),
+         "exp20": exp_basis(20.0)}
 IDS = [f"{name}-118.0" for name in BASES]
 BLOCKS = ("M_000", "M_010", "M_001", "M_100", "M_110", "M_101", "M_000_V", "M_100_V")
 
@@ -76,7 +77,7 @@ def starved_cloud():
     n = 6
     nodes = np.arange(n + 1, dtype=float)
     g = Grid(nodes=nodes, spacings=np.ones(n), dilations=np.full(n + 1, 0.3))
-    return build_cloud_basis(g, basis=shepard_basis())
+    return build_cloud_basis(g, basis=BASES["shepard"])
 
 
 def test_weak_form_refuses_an_uncovered_point(uuo_system):
