@@ -39,10 +39,10 @@ class RunConfig:
     I_b: float = 100.0
     eps: float = 1e-5
     nu: float = 2.2
-    # physics
-    Z: float = 1.0
+    # physics; Z and kappa default to the paper's case
+    Z: float = 118.0
     A: float = 0.0
-    kappa: int = -1
+    kappa: int = -2
     c: float = C_LIGHT
     m: float = 1.0
     nucleus: str = "point"
@@ -196,9 +196,9 @@ def _write_csv(path, cfg, *sections):
         f.write("\n".join(lines) + "\n")
 
 
-def write_solve_csv(path, cfg, report):
-    _write_csv(path, cfg, ("level,computed_shifted,exact_shifted,relative_error,flag",
-                           solve_rows(report)))
+def write_solve_csv(path, res: RunResult):
+    _write_csv(path, res.config, ("level,computed_shifted,exact_shifted,relative_error,flag",
+                                  solve_rows(res.report)))
 
 
 def report_as_dict(res: RunResult):
@@ -218,8 +218,8 @@ def report_as_dict(res: RunResult):
     }
 
 
-def write_solve_json(path, cfg, res: RunResult):
-    payload = {"config": cfg.as_dict(), "report": report_as_dict(res)}
+def write_solve_json(path, res: RunResult):
+    payload = {"config": res.config.as_dict(), "report": report_as_dict(res)}
     with open(path, "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
@@ -233,8 +233,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     root = _resolve_output(base[:-4] if base.endswith(".csv") else base,
                            ".csv", ".json")
     res = run_solve(cfg)
-    write_solve_csv(root + ".csv", cfg, res.report)
-    write_solve_json(root + ".json", cfg, res)
+    write_solve_csv(root + ".csv", res)
+    write_solve_json(root + ".json", res)
     for m in res.report.matches:
         print(f"level {m.level:3d}  {m.computed: .10e}  exact {m.exact: .10e}  "
               f"rel {m.rel_error:.2e}")

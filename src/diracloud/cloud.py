@@ -28,7 +28,7 @@ support ends and P(0) are computed once per CloudBasis.  The padding
 slots add exact zeros, so a point's row comes out the same in any chunk
 of points (the weak form takes whole nodal intervals), and a boundary
 hat is evaluated only for a chunk that reaches its support.
-evaluate_coupled is its one-point view.
+evaluate_shapes is the only evaluator: one point is a one-point array.
 
 Essential boundary conditions use FEM coupling: linear hats at the two
 first and two last nodes, with the reproducing-condition correction
@@ -90,14 +90,6 @@ class CloudBasis:
     def p0(self):
         """P(0), the basis at the evaluation point in the shifted frame."""
         return self.basis.pair(np.zeros(1))[0][:, 0]
-
-
-@dataclass(frozen=True, eq=False)
-class ShapeEval:
-    active_indices: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
-    cond: float = np.nan
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,10 +324,3 @@ def evaluate_shapes(cb: CloudBasis, x) -> ShapeStack:
         active[rows, cols] = True
     return ShapeStack(indices=idx, active=active, values=vals, derivs=ders, cond=cond)
 
-
-def evaluate_coupled(cb: CloudBasis, x: float) -> ShapeEval:
-    """The shapes at one point: the active slots of evaluate_shapes."""
-    st = evaluate_shapes(cb, x)
-    a = st.active[0]
-    return ShapeEval(active_indices=st.indices[0, a], values=st.values[0, a],
-                     derivs=st.derivs[0, a], cond=st.cond[0])

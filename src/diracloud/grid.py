@@ -33,8 +33,12 @@ class GridConfig:
 @dataclass(frozen=True, eq=False)
 class Grid:
     nodes: np.ndarray      # x_0 .. x_n
-    spacings: np.ndarray   # h_k = x_k - x_{k-1}, k = 1..n
     dilations: np.ndarray  # rho_j per node
+
+    @property
+    def spacings(self):
+        """h_k = x_k - x_{k-1}, k = 1..n, read off the nodes."""
+        return np.diff(self.nodes)
 
     @property
     def n_intervals(self):
@@ -56,4 +60,4 @@ def generate_grid(cfg: GridConfig) -> Grid:
     rho[0] = cfg.nu * h[0]
     rho[-1] = cfg.nu * h[-1]
     rho[1:-1] = cfg.nu * np.maximum(h[:-1], h[1:])
-    return Grid(nodes=x, spacings=h, dilations=rho)
+    return Grid(nodes=x, dilations=rho)

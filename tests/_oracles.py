@@ -24,7 +24,8 @@ band.  Its bands and tau must equal assemble_system's bit for bit,
 signed zeros included.
 
 reference_quadrature is the per-interval np.linspace rule that the
-broadcast in build_quadrature replaced, and serial_window the window
+broadcast in build_quadrature replaced, on the cells reference_cells
+gives (the rule keeps no cells of its own), and serial_window the window
 solve before its slices ran on a thread pool: the eigenvalues of the
 window finder, then the f2py LAPACK wrappers, one slice after the
 other, every contour node factored in one buffer filled row slice by row
@@ -46,6 +47,7 @@ for bit.
 exp_basis is a test-only enrichment that drives the kernel into its
 ill-conditioned and overflowing regimes on purpose.
 """
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,7 +58,7 @@ from diracloud import cloud, eigen
 from diracloud.assembly import (_GAUSS_OFFSET, DegenerateTau, QuadratureRule, WeakFormMatrices,
                                 stability_tau, stability_tau_fem)
 from diracloud.band import Band, bandwidth, interleaving, slots
-from diracloud.cloud import CloudBasis, ShapeEval, ShapeStack, SingularMoment, evaluate_shapes
+from diracloud.cloud import CloudBasis, ShapeStack, SingularMoment, evaluate_shapes
 from diracloud.enrichment import EnrichmentBasis
 from diracloud.physics import potential
 
@@ -140,7 +142,12 @@ def _moment_solve(M, cond_cap, x):
     return solve, cond
 
 
-def reference_shapes(cb: CloudBasis, x: float, coupled: bool) -> ShapeEval:
+# one point's shapes: the active nodes in ascending order, their values
+# and slopes, and the equilibrated moment condition number
+PointShapes = namedtuple("PointShapes", "active_indices values derivs cond")
+
+
+def reference_shapes(cb: CloudBasis, x: float, coupled: bool) -> PointShapes:
     """One point's shapes: the per-point body the batched kernel replaced."""
     grid, P = cb.grid, cb.basis
     nodes, rho = grid.nodes, grid.dilations
@@ -195,7 +202,7 @@ def reference_shapes(cb: CloudBasis, x: float, coupled: bool) -> ShapeEval:
                     act = np.insert(act, j, k)
                     vals = np.insert(vals, j, hat_v[k])
                     ders = np.insert(ders, j, hat_s[k])
-    return ShapeEval(active_indices=act, values=vals, derivs=ders, cond=cond)
+    return PointShapes(active_indices=act, values=vals, derivs=ders, cond=cond)
 
 
 def _reference_windows(cb: CloudBasis, x):
@@ -501,8 +508,9 @@ def reference_dump(path, M, name=""):
                 f.write(f"{i + 1} {j + 1} {M[i, j]:.17g}\n")
 
 
-def reference_quadrature(grid, factor, split_at=None):
-    """build_quadrature's rule, one np.linspace per nodal interval."""
+def reference_cells(grid, factor, split_at=None):
+    """build_quadrature's (ncells, 2) cell endpoints, one np.linspace per
+    nodal interval."""
     ncell = factor // 2
     nodes = grid.nodes
     cells = []
@@ -515,7 +523,12 @@ def reference_quadrature(grid, factor, split_at=None):
         else:
             edges = np.linspace(a, b, ncell + 1)
         cells.extend(zip(edges[:-1], edges[1:]))
-    cells = np.array(cells)
+    return np.array(cells)
+
+
+def reference_quadrature(grid, factor, split_at=None):
+    """build_quadrature's rule: 2-point Gauss on each reference cell."""
+    cells = reference_cells(grid, factor, split_at)
     mid = 0.5 * (cells[:, 0] + cells[:, 1])
     width = cells[:, 1] - cells[:, 0]
     pts = np.empty(2 * len(cells))
@@ -523,7 +536,7 @@ def reference_quadrature(grid, factor, split_at=None):
     pts[0::2] = mid - _GAUSS_OFFSET * width
     pts[1::2] = mid + _GAUSS_OFFSET * width
     wts[0::2] = wts[1::2] = 0.5 * width
-    return QuadratureRule(cells=cells, points=pts, weights=wts)
+    return QuadratureRule(points=pts, weights=wts)
 
 
 def band_matvec(Mb, k, X):

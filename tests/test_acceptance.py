@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from diracloud.assembly import assemble_system, stability_tau, stability_tau_fem
-from diracloud.cloud import evaluate_coupled
+from diracloud.cloud import evaluate_shapes
 from diracloud.eigen import (FLAG_COINCIDENCE, FLAG_INSTILLED, convergence_rate,
                              solve_generalized)
 from diracloud.enrichment import BASES
@@ -139,27 +139,27 @@ def test_shape_function_invariants(uuo_cloud_200, uuo_grid_200, uuo_quad_200):
     worst = {"pu": 0.0, "pn": 0.0, "rep": 0.0, "fd": 0.0}
     t0 = time.perf_counter()
     for x in uuo_quad_200.points:
-        ev = evaluate_coupled(uuo_cloud_200, float(x))
-        worst["pu"] = max(worst["pu"], abs(ev.values.sum() - 1.0))
-        dscale = max(np.abs(ev.derivs).max(), 1.0)
-        worst["pn"] = max(worst["pn"], abs(ev.derivs.sum()) / dscale)
+        st = evaluate_shapes(uuo_cloud_200, [x])
+        on = st.active[0]
+        act, vals, ders = st.indices[0, on], st.values[0, on], st.derivs[0, on]
+        worst["pu"] = max(worst["pu"], abs(vals.sum() - 1.0))
+        dscale = max(np.abs(ders).max(), 1.0)
+        worst["pn"] = max(worst["pn"], abs(ders.sum()) / dscale)
         # moving-fit consistency: the evaluation-point-centered frame
         # reproduces every basis member
-        shifts = uuo_grid_200.nodes[ev.active_indices] - x
+        shifts = uuo_grid_200.nodes[act] - x
         P = basis.pair(shifts)[0]
         for k in range(basis.m):
             scale = max(1.0, np.abs(P[k]).max())
             worst["rep"] = max(worst["rep"],
-                               abs(P[k] @ ev.values - p0[k]) / scale)
-        d = 1e-6 * float(uuo_grid_200.dilations[ev.active_indices].min())
-        va = evaluate_coupled(uuo_cloud_200, float(x - d))
-        vb = evaluate_coupled(uuo_cloud_200, float(x + d))
-        a = dict(zip(va.active_indices.tolist(), va.values))
-        b = dict(zip(vb.active_indices.tolist(), vb.values))
-        fd = np.array([(b.get(i, 0.0) - a.get(i, 0.0)) / (2.0 * d)
-                       for i in ev.active_indices.tolist()])
-        worst["fd"] = max(worst["fd"], np.max(np.abs(fd - ev.derivs))
-                          / np.abs(ev.derivs).max())
+                               abs(P[k] @ vals - p0[k]) / scale)
+        d = 1e-6 * float(uuo_grid_200.dilations[act].min())
+        a, b = ({i: v for i, v, o in zip(side.indices[0], side.values[0], side.active[0]) if o}
+                for side in (evaluate_shapes(uuo_cloud_200, [x - d]),
+                          evaluate_shapes(uuo_cloud_200, [x + d])))
+        fd = np.array([(b.get(i, 0.0) - a.get(i, 0.0)) / (2.0 * d) for i in act])
+        worst["fd"] = max(worst["fd"], np.max(np.abs(fd - ders))
+                          / np.abs(ders).max())
     elapsed = time.perf_counter() - t0
     assert worst["pu"] <= 1e-10, worst
     assert worst["pn"] <= 1e-8, worst

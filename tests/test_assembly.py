@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from _oracles import (band_from_dense, banded_weak_form, dense_weak_form, reference_dump,
-                      reference_pencil, reference_quadrature, reference_system,
-                      reference_tau, reference_weak_form)
+from _oracles import (band_from_dense, banded_weak_form, dense_weak_form, reference_cells,
+                      reference_dump, reference_pencil, reference_quadrature,
+                      reference_system, reference_tau, reference_weak_form)
 from diracloud import assembly
 from diracloud.assembly import (METHODS, DegenerateTau, assemble_system,
                                 assemble_weak_form, build_quadrature, dump_matrix,
                                 stability_tau, stability_tau_fem)
 from diracloud.cli import RunConfig, assemble_pencil, run_solve
-from diracloud.cloud import build_cloud_basis, evaluate_coupled
+from diracloud.cloud import build_cloud_basis, evaluate_shapes
 from diracloud.eigen import bound_window, solve_generalized
 from diracloud.enrichment import BASES
 from diracloud.grid import Grid, GridConfig, generate_grid
@@ -62,7 +62,7 @@ def test_quadrature_matches_the_per_interval_rule(n):
         for split in (None, 0.5 * (x[3] + x[4]), x[7] + 1e-3 * (x[8] - x[7]), x[5], 1e9):
             q = build_quadrature(g, factor=factor, split_at=split)
             ref = reference_quadrature(g, factor, split_at=split)
-            for name in ("cells", "points", "weights"):
+            for name in ("points", "weights"):
                 assert getattr(q, name).tobytes() == getattr(ref, name).tobytes(), \
                     (factor, split, name)
 
@@ -70,10 +70,15 @@ def test_quadrature_matches_the_per_interval_rule(n):
 def test_quadrature_split_point_becomes_a_cell_edge(uuo_grid_200):
     r = 0.0123456
     for factor in (10, 2):  # at factor 2 the split interval gets two cells
+        # the rule is Gauss on the oracle's cells, bit for bit
         q = build_quadrature(uuo_grid_200, factor=factor, split_at=r)
-        edges = np.concatenate([q.cells[:, 0], q.cells[-1:, 1]])
+        ref = reference_quadrature(uuo_grid_200, factor, split_at=r)
+        for name in ("points", "weights"):
+            assert getattr(q, name).tobytes() == getattr(ref, name).tobytes(), factor
+        cells = reference_cells(uuo_grid_200, factor, split_at=r)
+        edges = np.concatenate([cells[:, 0], cells[-1:, 1]])
         assert np.min(np.abs(edges - r)) < 1e-15 * max(1.0, r), factor
-        assert np.array_equal(q.cells[1:, 0], q.cells[:-1, 1]), factor
+        assert np.array_equal(cells[1:, 0], cells[:-1, 1]), factor
 
 
 # ---------------------------------------------------- weak-form block oracle
@@ -82,7 +87,7 @@ def test_quadrature_split_point_becomes_a_cell_edge(uuo_grid_200):
 def toy_problem():
     """3-interval Shepard discretization small enough to integrate adaptively."""
     nodes = np.array([0.5, 1.5, 2.5, 3.5])
-    g = Grid(nodes=nodes, spacings=np.ones(3), dilations=1.2 * np.ones(4))
+    g = Grid(nodes=nodes, dilations=1.2 * np.ones(4))
     cb = build_cloud_basis(g, basis=BASES["shepard"])
     sys = PhysicalSystem(Z=1.0, kappa=-1)
     quad = build_quadrature(g, factor=40)
@@ -92,11 +97,12 @@ def toy_problem():
 
 def reference_entry(cb, r, s, t, i, j, lo, hi):
     def f(x):
-        ev = evaluate_coupled(cb, x)
-        row = dict(zip(ev.active_indices.tolist(),
-                       ev.derivs if r else ev.values))
-        col = dict(zip(ev.active_indices.tolist(),
-                       ev.derivs if s else ev.values))
+        st = evaluate_shapes(cb, [x])
+        on = st.active[0]
+        row = dict(zip(st.indices[0, on].tolist(),
+                       (st.derivs if r else st.values)[0, on]))
+        col = dict(zip(st.indices[0, on].tolist(),
+                       (st.derivs if s else st.values)[0, on]))
         return row.get(i, 0.0) * col.get(j, 0.0) * x ** (-t)
 
     val, _ = integrate.quad(f, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-12)

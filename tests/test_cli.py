@@ -164,7 +164,8 @@ def test_supercritical_charge_is_a_config_error(monkeypatch, capsys):
 def test_zero_charge_runs_only_without_levels(tmp_path, capsys):
     # Z = 0 has no bound level to match a computed one against
     out = tmp_path / "free.csv"
-    argv = ["solve", "--Z", "0", "--n-intervals", "40", "--output", str(out)]
+    argv = ["solve", "--Z", "0", "--kappa", "-1", "--n-intervals", "40",
+            "--output", str(out)]
     assert cli.main(argv + ["--levels", "2"]) == 2
     assert "set levels = 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -457,9 +458,24 @@ def test_json_twin_records_the_window(tmp_path, monkeypatch):
     assert max(rep["positive_shifted"]) <= win["hi"]
 
 
+def test_the_default_run_is_the_papers_case_on_its_window(tmp_path, monkeypatch):
+    # solve with no flags is Z=118, kappa=-2: it keeps the certified window
+    # and writes what the same run with those flags given writes
+    for name, flags in (("default", []), ("flagged", ["--Z", "118", "--kappa", "-2"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert cli.main(["solve"] + flags) == 0
+    default, flagged = tmp_path / "default", tmp_path / "flagged"
+    rep = json.loads((default / "solve.json").read_text())["report"]
+    assert rep["eigen_path"] == "window" and rep["eigen_window"]["fallback"] is None
+    assert [m["level"] for m in rep["matches"]] == list(range(1, 16))
+    for out in ("solve.csv", "solve.json"):
+        assert (default / out).read_bytes() == (flagged / out).read_bytes(), out
+
+
 def test_solve_with_zero_levels_writes_header_only(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    argv = ["solve", "--Z", "1", "--n-intervals", "40",
+    argv = ["solve", "--Z", "1", "--kappa", "-1", "--n-intervals", "40",
             "--method", "galerkin", "--levels", "0"]
     assert cli.main(argv) == 0
     _, cols, rows = parse_solve_csv(tmp_path / "solve.csv")
@@ -509,8 +525,8 @@ def test_sweep_varies_one_parameter(tmp_path, monkeypatch):
                                ("method", "galerkin,cpg", ["galerkin", "cpg"]),
                                ("n_intervals", "40,50", [40, 50])):
         out = tmp_path / f"sweep_{vary}.csv"
-        argv = ["sweep", "--Z", "1", "--n-intervals", "40", "--method", "galerkin",
-                "--levels", "2", "--vary", vary, "--values", values,
+        argv = ["sweep", "--Z", "1", "--kappa", "-1", "--n-intervals", "40",
+                "--method", "galerkin", "--levels", "2", "--vary", vary, "--values", values,
                 "--output", str(out)]
         seen.clear()
         assert cli.main(argv) == 0
@@ -530,7 +546,7 @@ def test_rates_from_errors_recovers_quadratic():
 
 def test_convergence_command_writes_rates(tmp_path):
     out = tmp_path / "conv.csv"
-    argv = ["convergence", "--Z", "1", "--method", "galerkin",
+    argv = ["convergence", "--Z", "1", "--kappa", "-1", "--method", "galerkin",
             "--n-values", "30,40,50", "--output", str(out)]
     assert cli.main(argv) == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
@@ -547,7 +563,7 @@ def test_convergence_command_writes_rates(tmp_path):
 
 def test_dump_matrices_writes_every_block(tmp_path):
     out = tmp_path / "mats"
-    argv = ["dump-matrices", "--Z", "1", "--n-intervals", "20",
+    argv = ["dump-matrices", "--Z", "1", "--kappa", "-1", "--n-intervals", "20",
             "--method", "galerkin", "--output", str(out)]
     assert cli.main(argv) == 0
     names = {"M_000", "M_010", "M_001", "M_100", "M_110", "M_101",
@@ -568,7 +584,7 @@ def test_dump_matrices_writes_every_block(tmp_path):
     assert a_header == "# A 38x38"
 
     # the dumped pencil is the one a solve of the same config builds
-    system = cli.run_solve(cli.RunConfig(Z=1.0, n_intervals=20,
+    system = cli.run_solve(cli.RunConfig(Z=1.0, kappa=-1, n_intervals=20,
                                          method="galerkin")).system
     for name in ("A", "B"):
         i, j, v = np.loadtxt(out / f"{name}.txt", unpack=True)
@@ -585,9 +601,10 @@ def test_dump_matrices_writes_every_block(tmp_path):
 def test_dump_matrices_files_match_per_entry_writer(tmp_path, method, n):
     # galerkin is the tau = 0 pencil, whose residual blocks stay unscaled
     out = tmp_path / "mats"
-    assert cli.main(["dump-matrices", "--n-intervals", str(n), "--method", method,
-                     "--output", str(out)]) == 0
-    _, wfm, system = cli.assemble_pencil(cli.RunConfig(n_intervals=n, method=method))
+    assert cli.main(["dump-matrices", "--Z", "1", "--kappa", "-1", "--n-intervals", str(n),
+                     "--method", method, "--output", str(out)]) == 0
+    _, wfm, system = cli.assemble_pencil(cli.RunConfig(Z=1.0, kappa=-1, n_intervals=n,
+                                                       method=method))
     blocks = {name: getattr(wfm, name) for name in wfm.NAMES}
     blocks.update(A=system.A, B=system.B,
                   script_A=system.script_A, script_B=system.script_B)

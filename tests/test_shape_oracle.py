@@ -7,8 +7,7 @@ from _oracles import exp_basis, reference_batched_shapes, reference_shapes, refe
 from diracloud import assembly, cloud
 from diracloud.assembly import assemble_weak_form, build_quadrature
 from diracloud.cli import RunConfig
-from diracloud.cloud import (CloudBasis, SingularMoment, build_cloud_basis,
-                             evaluate_coupled, evaluate_shapes)
+from diracloud.cloud import CloudBasis, SingularMoment, build_cloud_basis, evaluate_shapes
 from diracloud.enrichment import EnrichmentBasis, basis_from_name
 from diracloud.grid import Grid, generate_grid
 
@@ -62,12 +61,12 @@ def test_single_point_calls_are_rows_of_the_batch(uuo_cloud_200, uuo_quad_200):
     xs = uuo_quad_200.points[::97]
     st = evaluate_shapes(uuo_cloud_200, xs)
     for p, x in enumerate(xs):
-        ev = evaluate_coupled(uuo_cloud_200, float(x))
-        act = st.active[p]
-        assert np.array_equal(ev.active_indices, st.indices[p, act])
-        assert np.array_equal(ev.values, st.values[p, act])
-        assert np.array_equal(ev.derivs, st.derivs[p, act])
-        assert ev.cond == st.cond[p]
+        one = evaluate_shapes(uuo_cloud_200, [x])
+        on, act = one.active[0], st.active[p]
+        assert np.array_equal(one.indices[0, on], st.indices[p, act])
+        assert np.array_equal(one.values[0, on], st.values[p, act])
+        assert np.array_equal(one.derivs[0, on], st.derivs[p, act])
+        assert one.cond[0] == st.cond[p]
 
 
 # ------------------------------------------------ fail-fast through the batch
@@ -76,7 +75,7 @@ def starved_cloud():
     """Uniform 6-interval grid whose clouds leave interval midpoints bare."""
     n = 6
     nodes = np.arange(n + 1, dtype=float)
-    g = Grid(nodes=nodes, spacings=np.ones(n), dilations=np.full(n + 1, 0.3))
+    g = Grid(nodes=nodes, dilations=np.full(n + 1, 0.3))
     return build_cloud_basis(g, basis=BASES["shepard"])
 
 
