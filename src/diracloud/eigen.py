@@ -20,10 +20,8 @@ symmetric only up to quadrature error (see assemble_system):
   Sylvester's law of inertia certifies them (spectrum slicing): the
   negative eigenvalues of d(A - hi B)d less those of dAd, from a block
   LDL^T of the band, count the window exactly, and the count must equal
-  the number found.  A dBd with no banded Cholesky factor, a
-  numerically singular Schur complement, a count that disagrees, or a
-  guess whose match lies farther from it than the window edge, sends
-  the solve to the next path;
+  the number found.  A window given up (see below) sends the solve to
+  the next path;
 - the same pencil without a window, or after such a failure: the
   Cholesky reduction (scipy.linalg.eigh), every eigenvalue;
 - the tau-scaled, nonsymmetric pencil of cpg and cpg_fem_tau, when a
@@ -48,8 +46,8 @@ symmetric only up to quadrature error (see assemble_system):
   The slice moments, one per slice, are independent: they run on a thread pool
   made inside the solve, one worker per usable core, each task with its
   own factor buffer, and the results are read back in slice order, so
-  eigenvalues, record and fallback reason are those of the serial loop,
-  bit for bit.  The banded LU kernels (d/zgbtrf, d/zgbtrs) are bound
+  eigenvalues, certificate and reason given up are those of the serial
+  loop, bit for bit.  The banded LU kernels (d/zgbtrf, d/zgbtrs) are bound
   through ctypes from scipy's cython_lapack, as dpbtrf is: the same
   LAPACK as scipy.linalg's f2py wrappers, which hold the GIL while
   LAPACK runs, where a ctypes call releases it and lets the workers
@@ -61,6 +59,15 @@ symmetric only up to quadrature error (see assemble_system):
   copies it overwrites) on the unscaled pencil: the fallback of the
   dense nonsymmetric path when the scaling or the reduction is unsafe,
   and the reference the faster paths are tested against.
+A window path returns its eigenvalues and their certificate, or raises
+the reason it gives the window up for; solve_generalized alone writes
+either into the window record, and goes on to the dense block after a
+reason.  There are seven: a diagonal entry of B that is not positive,
+a dBd with no banded Cholesky factor (dpbtrf's info), a guess with no
+match or whose match lies farther from it than the window edge (both
+paths), a numerically singular Schur complement, an inertia count that
+disagrees with the values found, a singular contour node, and a slice
+whose moment singular values show no gap.
 The window finder, one for both window paths: banded inverse iteration
 from the closed-form levels finds the eigenvalues, and where the signs
 of banded LU determinants at two shifts (which give the parity of the
@@ -114,6 +121,13 @@ LEAKAGE = 0.1 / SV_GAP  # contour-filter weight left to the nearest level outsid
 
 class EmptySpectrum(RuntimeError):
     """Nothing real came back from the solver."""
+
+
+class _GiveUp(Exception):
+    """Why a window solver gave its window up, the message being the
+    record's fallback.  Not a ValueError or a RuntimeError, which the CLI
+    reports as a config or a numerical error: solve_generalized catches
+    every one and goes on to the dense block."""
 
 
 @dataclass(frozen=True)
@@ -180,13 +194,15 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
 
     A dict passed as `info` receives the path that ran under "path"
     (inertia, window, lu_dgeev, qz or eigh) and, when a window was
-    given, its record under "window": lo (always 0) and hi, the slice
+    given, its record under "window", written here alone: lo (always 0)
+    and hi, then the certificate the window solver returned, the slice
     edges, per-slice counts and per-slice contour nodes (upper half of
-    each slice's ellipse) of the certificate, the ellipses'
-    contour_aspect (CONTOUR_ASPECT: the region certified, see the module
-    docstring); inertia: the one slice [0, hi], its count, no nodes and
-    no aspect; and under "fallback" why the window was given up (None
-    when it was not; the slice entries and the aspect are None then).
+    each slice's ellipse), and the ellipses' contour_aspect
+    (CONTOUR_ASPECT: the region certified, see the module docstring);
+    inertia: the one slice [0, hi], its count, no nodes and no aspect;
+    or under "fallback" the reason it raised instead (one of the seven
+    of the module docstring; the slice entries and the aspect are None
+    then, and the fallback None when the window was kept).
     A dense block past the bound raises np.linalg.LinAlgError naming
     the stage, n, the bytes needed and installed and the fallback."""
     banded = isinstance(A, Band), isinstance(B, Band)
@@ -215,13 +231,17 @@ def solve_generalized(A, B, symmetric_definite: bool = False,
     d = 1.0 / np.sqrt(db) if np.all(db > 0.0) else None
     if d is None and symmetric_definite:
         raise ValueError("symmetric_definite needs positive diagonal in B")
-    if window is not None and d is None:
-        rec["fallback"] = "a diagonal entry of B is not positive"
-    elif window is not None:
+    if window is not None:
         path, solve = (("inertia", _solve_window_inertia) if symmetric_definite
                        else ("window", _solve_window))
-        w = solve(A, B, d, window, rec)
-        if w is not None:
+        try:
+            if d is None:
+                raise _GiveUp("a diagonal entry of B is not positive")
+            w, certificate = solve(A, B, d, window)
+        except _GiveUp as e:
+            rec["fallback"] = str(e)
+        else:
+            rec.update(certificate)
             info["path"] = path
             return w
     need = DENSE_COPIES * 8 * len(db) ** 2
@@ -551,9 +571,10 @@ def _find_window_eigenvalues(Ab, Bb, win: BoundWindow):
     return np.sort(found)
 
 
-def _solve_window_inertia(A, B, d, win: BoundWindow, rec):
-    """The eigenvalues in (0, win.hi] of the symmetric-definite pencil,
-    or None when the window is given up.
+def _solve_window_inertia(A, B, d, win: BoundWindow):
+    """The eigenvalues in (0, win.hi] of the symmetric-definite pencil
+    and their certificate, the one slice [0, hi] and its count; or
+    raises _GiveUp with the reason the window is given up.
 
     1. d(A, B)d is read from its block-order lower triangle into one
        scaled pair (see _symmetric_bands), and dBd must have a banded
@@ -563,35 +584,26 @@ def _solve_window_inertia(A, B, d, win: BoundWindow, rec):
     3. They must pass step 2 of _solve_window (see _match_doubt), and
        their number must be the count of eigenvalues in [0, hi), which
        is exact: the negative eigenvalues of d(A - hi B)d less those of
-       dAd (see _negative_counts), from the lower bands of the pair.
-    rec (the window record of solve_generalized) receives the one slice
-    [0, hi] and its count, or under "fallback" why the window was given
-    up."""
+       dAd (see _negative_counts), from the lower bands of the pair."""
     Ab, Bb, k = _symmetric_bands(A, B, d)
     lapack_info = _call("dpbtrf", b"L", len(d), k, Bb[2 * k:].copy(order="F"), k + 1)
     if lapack_info:
-        rec["fallback"] = (f"dpbtrf returned info {lapack_info}: the equilibrated B "
-                           "is not positive definite")
-        return None
+        raise _GiveUp(f"dpbtrf returned info {lapack_info}: the equilibrated B "
+                      "is not positive definite")
     found = _find_window_eigenvalues(Ab, Bb, win)
     shifted = Ab[2 * k:] - np.array([0.0, win.hi])[:, None, None] * Bb[2 * k:]
     del Ab, Bb  # not read again: freed before the counts, whose blocks peak
-    rec["fallback"] = _match_doubt(found, win)
-    if rec["fallback"] is not None:
-        return None
+    if (reason := _match_doubt(found, win)) is not None:
+        raise _GiveUp(reason)
     counts = _negative_counts(shifted)
     if counts is None:
-        rec["fallback"] = ("a Schur complement of d(A - s B)d, s = 0 or hi, is "
-                           "numerically singular")
-        return None
+        raise _GiveUp("a Schur complement of d(A - s B)d, s = 0 or hi, is "
+                      "numerically singular")
     count = int(counts[1] - counts[0])
     if count != len(found):
-        rec["fallback"] = (f"the inertia count of the window is {count}, but {len(found)} "
-                           "distinct eigenvalues were found")
-        return None
-    rec["slice_edges"] = [0.0, win.hi]
-    rec["slice_counts"] = [count]
-    return found.astype(complex)
+        raise _GiveUp(f"the inertia count of the window is {count}, but {len(found)} "
+                      "distinct eigenvalues were found")
+    return found.astype(complex), {"slice_edges": [0.0, win.hi], "slice_counts": [count]}
 
 
 def _slice_edges(found, hi):
@@ -677,19 +689,11 @@ def _moment_singular_values(Ab, Bb, BV, a, b, nodes):
     return np.linalg.svd(S.real / nodes, compute_uv=False)
 
 
-def _pooled(calls):
-    """The results of `calls` (functions of no argument), in order, from a
-    thread pool of one worker per usable core, at most one per call.
-    The first exception in that order is raised here."""
-    # imported here: only the nonsymmetric window runs threads
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(calls))) as pool:
-        return [f.result() for f in [pool.submit(c) for c in calls]]
-
-
-def _solve_window(A, B, d, win: BoundWindow, rec):
-    """The eigenvalues in (0, win.hi], or None when they cannot be
-    certified complete.
+def _solve_window(A, B, d, win: BoundWindow):
+    """The eigenvalues in (0, win.hi] and their certificate, the slice
+    edges, the certified per-slice counts, the per-slice node counts and
+    CONTOUR_ASPECT; or raises _GiveUp when they cannot be certified
+    complete.
 
     1. Inverse iteration and the parity of slice counts find the
        eigenvalues on the banded d(A, B)d (see _find_window_eigenvalues).
@@ -703,19 +707,15 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
        equal the found values inside, with a gap: every kept singular
        value at least SV_GAP times every dropped one, over all slices.
 
-    Step 3 runs one task per slice (see _pooled); a doubt names the
-    lowest-numbered slice it concerns.
-
-    rec (the window record of solve_generalized: lo, hi, slice_edges,
-    slice_counts, slice_nodes, fallback) receives the slice edges, the
-    certified per-slice counts and the per-slice node counts, or under
-    "fallback" why the window was given up."""
+    Step 3 runs one task per slice on a thread pool of one worker per
+    usable core, at most one per slice, whose results and exceptions
+    come back in slice order: a doubt names the lowest-numbered slice it
+    concerns."""
     Ab, Bb, k = _interleaved_bands(A, B, d)
     n = len(d)
     found = _find_window_eigenvalues(Ab, Bb, win)
-    rec["fallback"] = _match_doubt(found, win)
-    if rec["fallback"] is not None:
-        return None
+    if (reason := _match_doubt(found, win)) is not None:
+        raise _GiveUp(reason)
     edges = _slice_edges(found, win.hi)
     counts = [int(np.sum((found > a) & (found <= b)))
               for a, b in zip(edges[:-1], edges[1:])]
@@ -723,25 +723,23 @@ def _solve_window(A, B, d, win: BoundWindow, rec):
     rng = np.random.default_rng(PROBE_SEED)
     rng.standard_normal(n)  # the finder's start vector: the probes are the next draw
     BV = _band_matvec(Bb[k:], rng.standard_normal((n, PROBES))).astype(complex, order="F")
-    svals = _pooled([functools.partial(_moment_singular_values, Ab, Bb, BV, a, b, m)
-                     for a, b, m in zip(edges[:-1], edges[1:], nodes)])
+    # imported here: only the nonsymmetric window runs threads
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(nodes))) as pool:
+        svals = list(pool.map(functools.partial(_moment_singular_values, Ab, Bb, BV),
+                              edges[:-1], edges[1:], nodes))
     for i, s in enumerate(svals, start=1):
         if s is None:
-            rec["fallback"] = f"a contour node of slice {i} is singular"
-            return None
+            raise _GiveUp(f"a contour node of slice {i} is singular")
     kept = min(s[m - 1] for s, m in zip(svals, counts) if m)
     for i, (s, m) in enumerate(zip(svals, counts), start=1):
         dropped = s[m] if m < len(s) else np.inf
         if dropped * SV_GAP > kept:
             sv = ", ".join(f"{v:.2e}" for v in s)
-            rec["fallback"] = (f"slice {i} of {len(counts)} holds {m} found; its moment "
-                               f"singular values are {sv}, the weakest kept {kept:.2e}")
-            return None
-    rec["slice_edges"] = edges.tolist()
-    rec["slice_counts"] = counts
-    rec["slice_nodes"] = nodes
-    rec["contour_aspect"] = CONTOUR_ASPECT
-    return found.astype(complex)
+            raise _GiveUp(f"slice {i} of {len(counts)} holds {m} found; its moment "
+                          f"singular values are {sv}, the weakest kept {kept:.2e}")
+    return found.astype(complex), {"slice_edges": edges.tolist(), "slice_counts": counts,
+                                   "slice_nodes": nodes, "contour_aspect": CONTOUR_ASPECT}
 
 
 @dataclass(frozen=True, eq=False)

@@ -453,6 +453,26 @@ def test_window_record_partitions_the_window(uuo_wfm_200, uuo_system, uuo_grid_2
     assert counts == rec["slice_counts"]
     assert max(counts) == 1 and sum(counts) == len(w) == 15
     np.testing.assert_array_equal(w.imag, 0.0)
+    # one key order for every outcome (the JSON twin's bytes follow it),
+    # and the entries each outcome leaves None: the window path only the
+    # fallback, the inertia path its nodes and aspect too, and a window
+    # given up every certificate entry
+    sym = assemble_system(uuo_wfm_200, uuo_system, "galerkin")
+    inertia, given_up = {}, {}
+    solve_generalized(sym.bands["A"], sym.bands["B"], symmetric_definite=True,
+                      window=win, info=inertia)
+    twice = BoundWindow(hi=win.hi, guesses=win.guesses + (win.guesses[-1] + 1e-3,))
+    solve_generalized(out.bands["A"], out.bands["B"], window=twice, info=given_up)
+    for got, path, unset in (
+            (info, "window", ["fallback"]),
+            (inertia, "inertia", ["slice_nodes", "contour_aspect", "fallback"]),
+            (given_up, "lu_dgeev", ["slice_edges", "slice_counts", "slice_nodes",
+                                    "contour_aspect"])):
+        assert got["path"] == path
+        assert list(got["window"]) == ["lo", "hi", "slice_edges", "slice_counts",
+                                       "slice_nodes", "contour_aspect", "fallback"]
+        assert [key for key, v in got["window"].items() if v is None] == unset
+        assert got["window"]["lo"] == 0.0 and got["window"]["hi"] == win.hi
 
 
 _VARIANTS = [dict(Z=Z, I_b=I_b) for Z in (117.0, 118.0, 119.0)
@@ -801,6 +821,27 @@ def test_a_window_missing_an_eigenvalue_falls_back_to_eigh(solve_cached, monkeyp
     assert rec["fallback"] == ("the inertia count of the window is 16, but 15 distinct "
                                "eigenvalues were found")
     assert rec["slice_edges"] is rec["slice_counts"] is rec["slice_nodes"] is None
+    np.testing.assert_array_equal(
+        w, solve_generalized(res.system.A, res.system.B, symmetric_definite=True))
+
+
+def test_a_singular_schur_complement_falls_back_to_eigh(solve_cached, monkeypatch):
+    # an inertia count with no answer (see
+    # test_a_singular_schur_complement_gives_no_count) gives the flagship
+    # galerkin window up, and the run takes the dense spectrum
+    res = solve_cached(Z=118.0, kappa=-2, method="galerkin")
+    assert res.eigen_path == "inertia"
+    monkeypatch.setattr(eigen, "_negative_counts", lambda Ml: None)
+    bands = res.system.bands
+    info = {}
+    w = solve_generalized(bands["A"], bands["B"], symmetric_definite=True,
+                          window=bound_window(res.config.physical_system(), 15), info=info)
+    assert info["path"] == "eigh"
+    rec = info["window"]
+    assert rec["fallback"] == ("a Schur complement of d(A - s B)d, s = 0 or hi, is "
+                               "numerically singular")
+    assert [rec[key] for key in ("slice_edges", "slice_counts", "slice_nodes",
+                                 "contour_aspect")] == [None] * 4
     np.testing.assert_array_equal(
         w, solve_generalized(res.system.A, res.system.B, symmetric_definite=True))
 
