@@ -34,6 +34,9 @@ from .physics import PhysicalSystem, potential
 
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss-Legendre on a unit cell
 _CHUNK = 64  # nodal intervals per batched shape evaluation
+# dump file buffer: the default 8 KiB holds about one ~6 KB row of the n=300
+# pencil, so each row would be its own write(2); this holds ~20
+_DUMP_BUFFER = 128 * 1024
 
 METHODS = ("galerkin", "cpg", "cpg_fem_tau")
 
@@ -314,7 +317,9 @@ def dump_matrix(path, M, name: str = ""):
     """Every entry as a 'row col value' line (1-based, '%.17g') after an
     optional '# name RxC' line.  One scan per matrix finds the entries that
     are not +0.0; each row patches them from per-column templates into one
-    list of ' col 0' suffixes.  Memory: nonzero positions and values, a row."""
+    list of ' col 0' suffixes, and the file goes out in 128 KiB writes.
+    Memory: the nonzero scan (positions and values), one row and the write
+    buffer."""
     M = np.asarray(M)
     nr, nc = M.shape
     zero = [f" {j} 0\n" for j in range(1, nc + 1)]
@@ -323,7 +328,7 @@ def dump_matrix(path, M, name: str = ""):
     ii, jj = np.nonzero((M != 0) | np.signbit(M))
     vals = M[ii, jj]
     ends = np.searchsorted(ii, np.arange(nr + 1)).tolist()
-    with open(path, "w") as f:
+    with open(path, "w", buffering=_DUMP_BUFFER) as f:
         if name:
             f.write(f"# {name} {nr}x{nc}\n")
         for i in range(nr if nc else 0):

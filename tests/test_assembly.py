@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -389,23 +390,36 @@ def test_dump_matrix_matches_per_entry_writer(tmp_path, name):
     sparse[7, 0] = np.inf
     last_row = np.zeros((4, 5))
     last_row[3, [1, 4]] = [2.5, -0.0]                 # nonzeros in the last row only
+    # text spanning several flushes of the 128 KiB write buffer, the special
+    # values spread over its rows and a last row of +0.0 only
+    banded = np.zeros((400, 400))
+    for d in range(-4, 5):
+        banded += np.diag(rng.normal(size=400 - abs(d)), d)
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e-320]
+    for i in range(0, 399, 37):
+        banded[i, i:i + len(special)] = special
+    banded[-1] = 0.0
     cases = [m, sparse, sparse[:1], sparse[:, 4:5], sparse[4:5, 3:4],
              np.zeros((3, 0)), np.zeros((0, 4)),
              sparse.T,                                # non-contiguous, as M_010 is M_100.T
              sparse[4:6],                             # ends on an all +0.0 row
-             last_row]
+             last_row, banded]
     for k, case in enumerate(cases):
         dump_matrix(tmp_path / "fast.txt", case, name=name)
         reference_dump(tmp_path / "ref.txt", case, name=name)
         assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), k
 
 
-def test_dump_matrix_memory_stays_below_half_the_matrix(tmp_path):
-    # the benchmark's n=300 cpg A block, 598x598: the writer holds the
-    # nonzero positions and values and one row, never a table of strings
-    _, _, system = assemble_pencil(RunConfig(Z=118.0, kappa=-2, n_intervals=300,
-                                             method="cpg"))
-    M = system.A
+@pytest.fixture(scope="module")
+def pencil_300():
+    """The benchmark's n=300 cpg pencil, whose A block is 598x598."""
+    return assemble_pencil(RunConfig(Z=118.0, kappa=-2, n_intervals=300, method="cpg"))[2]
+
+
+def test_dump_matrix_memory_stays_below_half_the_matrix(tmp_path, pencil_300):
+    # the writer holds the nonzero positions and values, one row and its
+    # write buffer, never a table of strings
+    M = pencil_300.A
     tracemalloc.start()
     try:
         dump_matrix(tmp_path / "A.txt", M, name="A")
@@ -414,3 +428,20 @@ def test_dump_matrix_memory_stays_below_half_the_matrix(tmp_path):
         tracemalloc.stop()
     assert M.shape == (598, 598)
     assert peak < M.nbytes / 2
+
+
+def _write_calls():
+    with open("/proc/self/io") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("syscw:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"),
+                    reason="write(2) counts are read from Linux's /proc/self/io")
+def test_dump_matrix_writes_in_few_calls(tmp_path, pencil_300):
+    # one write(2) per ~6 KB row would be 598 calls for these 3.6 MB
+    M = pencil_300.A
+    before = _write_calls()
+    dump_matrix(tmp_path / "A.txt", M, name="A")
+    calls = _write_calls() - before
+    size = (tmp_path / "A.txt").stat().st_size
+    assert calls <= size // 65536 + 8, (calls, size)
