@@ -12,7 +12,8 @@ intervals share one batched shape evaluation.  Compact cloud supports
 give half-bandwidth 4 on the production grids.  The pencil's blocks are
 written as their formulas in the band arrays and placed into interleaved
 bands, half-bandwidth 9, a zero block left as zeros; dense matrices are
-formed only on read (the dump, the dense eigen fallbacks and the tests).
+formed only on read (the dense eigen fallbacks and the tests).  The dump
+writes each block from its band.
 
 The stabilized variant perturbs the Galerkin blocks row-wise: row j of
 the residual blocks gets scaled by a stability parameter tau_j computed
@@ -313,25 +314,23 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
                            tau=tau)
 
 
-def dump_matrix(path, M, name: str = ""):
-    """Every entry as a 'row col value' line (1-based, '%.17g') after an
-    optional '# name RxC' line.  One scan per matrix finds the entries that
-    are not +0.0; each row patches them from per-column templates into one
-    list of ' col 0' suffixes, and the file goes out in 128 KiB writes.
-    Memory: the nonzero scan (positions and values), one row and the write
-    buffer."""
-    M = np.asarray(M)
-    nr, nc = M.shape
-    zero = [f" {j} 0\n" for j in range(1, nc + 1)]
-    fmt = [f" {j} %.17g\n" for j in range(1, nc + 1)]
+def dump_matrix(path, band: Band, name: str = ""):
+    """Every entry of the block as a 'row col value' line (1-based,
+    '%.17g') after an optional '# name nxn' line.  The entries that are
+    not +0.0 come from the band's slots (Band.nonzeros, no n x n copy);
+    each row patches them from per-column templates into one list of
+    ' col 0' suffixes, and the file goes out in 128 KiB writes.  Memory:
+    the nonzeros (positions and values), one row and the write buffer."""
+    n = band.n
+    zero = [f" {j} 0\n" for j in range(1, n + 1)]
+    fmt = [f" {j} %.17g\n" for j in range(1, n + 1)]
     line = zero.copy()
-    ii, jj = np.nonzero((M != 0) | np.signbit(M))
-    vals = M[ii, jj]
-    ends = np.searchsorted(ii, np.arange(nr + 1)).tolist()
+    ii, jj, vals = band.nonzeros()
+    ends = np.searchsorted(ii, np.arange(n + 1)).tolist()
     with open(path, "w", buffering=_DUMP_BUFFER) as f:
         if name:
-            f.write(f"# {name} {nr}x{nc}\n")
-        for i in range(nr if nc else 0):
+            f.write(f"# {name} {n}x{n}\n")
+        for i in range(n):
             js = jj[ends[i]:ends[i + 1]].tolist()
             for j, v in zip(js, vals[ends[i]:ends[i + 1]].tolist()):
                 line[j] = fmt[j] % v

@@ -7,8 +7,8 @@ outside the band is +0.0.
 
 A 2x2 block matrix of order n is stored with the unknowns of its two
 block rows interleaved, (G1, F1, G2, F2, ...): blocks of half-bandwidth
-k then fit one band of half-bandwidth 2k + 1.  dense() returns block
-order, the order the dense solvers and the dump read.
+k then fit one band of half-bandwidth 2k + 1.  dense() and nonzeros()
+read it in block order.
 """
 from dataclasses import dataclass
 
@@ -36,6 +36,11 @@ def slots(n, lo, hi):
 
 @dataclass(frozen=True, eq=False)
 class Band:
+    """A square matrix in band storage.  dense() forms it, for the dense
+    solvers; nonzeros() reads the entries that are not +0.0 straight from
+    the slots, for the dump, with no n x n copy.  __array__ is dense()
+    for readers outside the package that take np.asarray(band), as the
+    benchmark's dump observer does; the package never calls it."""
     data: np.ndarray          # (2k + 1, n)
     interleaved: bool = False
 
@@ -65,6 +70,33 @@ class Band:
         j = np.broadcast_to(np.arange(n), i.shape)
         out[perm[i[inside]], perm[j[inside]]] = self.data[inside]
         return out
+
+    def __array__(self):
+        """dense(), for np.asarray(band) (no dtype, no copy flag)."""
+        return self.dense()
+
+    def nonzeros(self):
+        """The row, column and value of every entry that is not +0.0
+        (-0.0 and NaN count), in block order row after row, each row's
+        columns ascending: np.nonzero's order on dense(), read from the
+        slots of each block row without forming dense()."""
+        n, k, perm = self.n, self.k, self.order()
+        pos = np.empty(n, dtype=int)  # the stored index of each block index
+        pos[perm] = np.arange(n)
+        off = np.arange(-k, k + 1)
+        if self.interleaved:
+            # block order takes a row's even stored columns (block columns
+            # below n/2) before its odd ones: one order of the offsets for
+            # the rows stored at even indices, one for those at odd
+            parity = (off + np.arange(2)[:, None]) % 2
+            off = off[np.argsort(parity, axis=1, kind="stable")][pos % 2]
+        s = pos[:, None]
+        t = s + off  # the stored column of every slot of each block row
+        inside = (t >= 0) & (t < n)
+        t[~inside] = 0
+        v = self.data[np.where(inside, k + s - t, 0), t]
+        keep = inside & ((v != 0) | np.signbit(v))
+        return np.nonzero(keep)[0], perm[t[keep]], v[keep]
 
     def diagonal(self):
         """The main diagonal, in block order."""

@@ -309,13 +309,15 @@ def cmd_dump_matrices(cfg: RunConfig) -> int:
         raise FileExistsError(f"output {outdir!r} exists and is not a directory")
     _, wfm, system = assemble_pencil(cfg)
     os.makedirs(outdir, exist_ok=True)
-    # one block densified at a time
-    blocks = ([(wfm, name) for name in wfm.NAMES]
-              + [(system, name) for name in system.NAMES])
-    for owner, name in blocks:
-        dump_matrix(os.path.join(outdir, name + ".txt"), getattr(owner, name), name=name)
-    np.savetxt(os.path.join(outdir, "tau.txt"), system.tau)
-    print(f"wrote {len(blocks) + 1} files to {outdir}")
+    # each block is written from its band; M_010 is the transpose of M_100
+    bands = {**wfm.bands, "M_010": wfm.bands["M_100"].T, **system.bands}
+    names = wfm.NAMES + system.NAMES
+    for name in names:
+        dump_matrix(os.path.join(outdir, name + ".txt"), bands[name], name=name)
+    # the bytes np.savetxt writes for a 1-D array, in one write
+    with open(os.path.join(outdir, "tau.txt"), "w") as f:
+        f.write("".join(["%.18e\n" % t for t in system.tau.tolist()]))
+    print(f"wrote {len(names) + 1} files to {outdir}")
     return 0
 
 

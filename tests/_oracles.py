@@ -42,7 +42,8 @@ reference_dense_solve is the dense fallback of eigen.solve_generalized
 as scipy.linalg's wrappers composed it before the solve called getrf,
 gecon and getrs itself: lu_factor, gecon, lu_solve and eigvals, or
 eigh of the two equilibrated copies.  The eigenvalues must agree bit
-for bit.
+for bit.  refuse_dense stands in for Band.dense in the tests
+that a path densifies no band.
 
 exp_basis is a test-only enrichment that drives the kernel into its
 ill-conditioned and overflowing regimes on purpose.
@@ -495,6 +496,11 @@ def banded_weak_form(dense):
     the two blocks stability_tau reads."""
     return WeakFormMatrices(dict(zip(("M_000", "M_100"),
                                      band_from_dense(dense.M_000, dense.M_100))))
+
+
+def refuse_dense(self):
+    """Band.dense, for a test that no band is densified."""
+    raise AssertionError("a band was densified")
 
 
 def reference_dump(path, M, name=""):

@@ -14,6 +14,7 @@ from diracloud import assembly
 from diracloud.assembly import (METHODS, DegenerateTau, assemble_system,
                                 assemble_weak_form, build_quadrature, dump_matrix,
                                 stability_tau, stability_tau_fem)
+from diracloud.band import Band, slots
 from diracloud.cli import RunConfig, assemble_pencil, run_solve
 from diracloud.cloud import build_cloud_basis, evaluate_shapes
 from diracloud.eigen import bound_window, solve_generalized
@@ -364,32 +365,34 @@ def test_production_tau_is_finite_and_small(uuo_wfm_200, uuo_grid_200):
 def test_dump_matrix_round_trips(tmp_path):
     m = np.array([[1.5, 0.0], [-2.25e-7, 3.0]])
     path = tmp_path / "m.txt"
-    dump_matrix(path, m, name="toy")
+    dump_matrix(path, band_from_dense(m)[0], name="toy")
     rows = np.loadtxt(path, ndmin=2)
     assert rows.shape == (4, 3)
     for i, j, v in rows:
         assert m[int(i) - 1, int(j) - 1] == v
 
 
-@pytest.mark.parametrize("name", ["", "blk"])
-def test_dump_matrix_matches_per_entry_writer(tmp_path, name):
+def _special_bands():
+    """Plain and interleaved bands holding every value the dump patches
+    into a row (nonzeros, -0.0, NaN, +-inf, subnormals), with rows of
+    +0.0 only, and their transposes, as M_010 is M_100.T."""
     rng = np.random.default_rng(7)
-    m = rng.normal(size=(9, 11)) * 10.0 ** rng.integers(-300, 300, size=(9, 11))
+    m = rng.normal(size=(12, 12)) * 10.0 ** rng.integers(-300, 300, size=(12, 12))
     m[0, :4] = [-0.0, 0.0, 1e-320, -5e-324]          # signed zero, subnormals
     m[1, :4] = [1.7976931348623157e308, -1.7976931348623157e308, -3.0, 1e22]
     m[2, :2] = [0.1, -123456789.125]
     # mostly +0.0, as the assembled blocks are: runs of the entries the
-    # writer patches into a row (nonzeros, -0.0, NaN, inf)
-    sparse = np.zeros((8, 13))
+    # writer patches into a row
+    sparse = np.zeros((14, 14))
     sparse[0, 2:6] = -0.0
-    sparse[1, :] = rng.normal(size=13)                # fully nonzero row
+    sparse[1, :] = rng.normal(size=14)                # fully nonzero row
     sparse[2, 4:7] = [np.nan, np.inf, -np.inf]
-    sparse[3, [0, 12]] = [5e-324, -2.5e-310]          # subnormals at both ends
+    sparse[3, [0, 13]] = [5e-324, -2.5e-310]          # subnormals at both ends
     sparse[4, 3:9] = [-0.0, np.nan, -0.0, 1e-320, -np.nan, -0.0]
     sparse[6, 12] = -0.0                              # sparse[5] stays all +0.0
-    sparse[7, 0] = np.inf
-    last_row = np.zeros((4, 5))
-    last_row[3, [1, 4]] = [2.5, -0.0]                 # nonzeros in the last row only
+    sparse[7, 0] = np.inf                             # rows 8.. stay all +0.0
+    last_row = np.zeros((6, 6))
+    last_row[5, [1, 4]] = [2.5, -0.0]                 # nonzeros in the last row only
     # text spanning several flushes of the 128 KiB write buffer, the special
     # values spread over its rows and a last row of +0.0 only
     banded = np.zeros((400, 400))
@@ -399,15 +402,41 @@ def test_dump_matrix_matches_per_entry_writer(tmp_path, name):
     for i in range(0, 399, 37):
         banded[i, i:i + len(special)] = special
     banded[-1] = 0.0
-    cases = [m, sparse, sparse[:1], sparse[:, 4:5], sparse[4:5, 3:4],
-             np.zeros((3, 0)), np.zeros((0, 4)),
-             sparse.T,                                # non-contiguous, as M_010 is M_100.T
-             sparse[4:6],                             # ends on an all +0.0 row
-             last_row, banded]
-    for k, case in enumerate(cases):
-        dump_matrix(tmp_path / "fast.txt", case, name=name)
-        reference_dump(tmp_path / "ref.txt", case, name=name)
+    plain = [band_from_dense(M)[0] for M in (m, sparse, last_row, banded)]
+    interleaved = [band_from_dense(M, interleaved=True)[0] for M in (m, sparse, last_row, banded)]
+    return (plain + [b.T for b in plain] + interleaved
+            + [Band(np.array([[-0.0]])), Band(np.zeros((3, 4))),
+               Band(np.zeros((5, 6)), interleaved=True)])
+
+
+@pytest.mark.parametrize("name", ["", "blk"])
+def test_dump_matrix_matches_per_entry_writer(tmp_path, name):
+    for k, band in enumerate(_special_bands()):
+        dump_matrix(tmp_path / "fast.txt", band, name=name)
+        reference_dump(tmp_path / "ref.txt", band.dense(), name=name)
         assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), k
+
+
+def _assert_nonzeros_are_the_dense_scan(band, label):
+    M = band.dense()
+    i, j = np.nonzero((M != 0) | np.signbit(M))
+    r, c, v = band.nonzeros()
+    assert np.array_equal(r, i) and np.array_equal(c, j), label
+    assert np.array_equal(v.view(np.uint64), M[i, j].view(np.uint64)), label
+
+
+def test_band_nonzeros_are_the_dense_scan_bit_for_bit(uuo_wfm_200, uuo_system, uuo_grid_200):
+    # positions, order and value bits; the slots outside the matrix hold
+    # no entry, whatever they hold
+    for k, band in enumerate(_special_bands()):
+        _assert_nonzeros_are_the_dense_scan(band, k)
+        _, inside = slots(band.n, -band.k, band.k)
+        outside = np.where(inside, band.data, np.nan)
+        _assert_nonzeros_are_the_dense_scan(Band(outside, band.interleaved), k)
+    system = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
+    bands = {**uuo_wfm_200.bands, "M_010": uuo_wfm_200.bands["M_100"].T, **system.bands}
+    for name, band in bands.items():
+        _assert_nonzeros_are_the_dense_scan(band, name)
 
 
 @pytest.fixture(scope="module")
@@ -418,16 +447,16 @@ def pencil_300():
 
 def test_dump_matrix_memory_stays_below_half_the_matrix(tmp_path, pencil_300):
     # the writer holds the nonzero positions and values, one row and its
-    # write buffer, never a table of strings
-    M = pencil_300.A
+    # write buffer, never a table of strings nor the dense block
+    band = pencil_300.bands["A"]
     tracemalloc.start()
     try:
-        dump_matrix(tmp_path / "A.txt", M, name="A")
+        dump_matrix(tmp_path / "A.txt", band, name="A")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert M.shape == (598, 598)
-    assert peak < M.nbytes / 2
+    assert band.n == 598
+    assert peak < 8 * 598**2 / 2
 
 
 def _write_calls():
@@ -439,9 +468,8 @@ def _write_calls():
                     reason="write(2) counts are read from Linux's /proc/self/io")
 def test_dump_matrix_writes_in_few_calls(tmp_path, pencil_300):
     # one write(2) per ~6 KB row would be 598 calls for these 3.6 MB
-    M = pencil_300.A
     before = _write_calls()
-    dump_matrix(tmp_path / "A.txt", M, name="A")
+    dump_matrix(tmp_path / "A.txt", pencil_300.bands["A"], name="A")
     calls = _write_calls() - before
     size = (tmp_path / "A.txt").stat().st_size
     assert calls <= size // 65536 + 8, (calls, size)

@@ -12,9 +12,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _oracles import exp_basis, reference_dump
+from _oracles import exp_basis, reference_dump, refuse_dense
 from diracloud import assembly, cli, eigen
 from diracloud.assembly import dump_matrix
+from diracloud.band import Band
 from diracloud.cloud import SingularMoment
 
 
@@ -598,19 +599,23 @@ def test_dump_matrices_writes_every_block(tmp_path):
 @pytest.mark.parametrize("method, n", [("cpg", 20), ("cpg", 100), ("galerkin", 20),
                                        ("cpg_fem_tau", 20)],
                          ids=["20", "100", "galerkin-20", "cpg_fem_tau-20"])
-def test_dump_matrices_files_match_per_entry_writer(tmp_path, method, n):
-    # galerkin is the tau = 0 pencil, whose residual blocks stay unscaled
-    out = tmp_path / "mats"
-    assert cli.main(["dump-matrices", "--Z", "1", "--kappa", "-1", "--n-intervals", str(n),
-                     "--method", method, "--output", str(out)]) == 0
+def test_dump_matrices_files_match_per_entry_writer(tmp_path, monkeypatch, method, n):
+    # galerkin is the tau = 0 pencil, whose residual blocks stay unscaled.
+    # The blocks are densified here, before the dump, which densifies none
     _, wfm, system = cli.assemble_pencil(cli.RunConfig(Z=1.0, kappa=-1, n_intervals=n,
                                                        method=method))
     blocks = {name: getattr(wfm, name) for name in wfm.NAMES}
     blocks.update(A=system.A, B=system.B,
                   script_A=system.script_A, script_B=system.script_B)
+    monkeypatch.setattr(Band, "dense", refuse_dense)
+    out = tmp_path / "mats"
+    assert cli.main(["dump-matrices", "--Z", "1", "--kappa", "-1", "--n-intervals", str(n),
+                     "--method", method, "--output", str(out)]) == 0
     for name, mat in blocks.items():
         reference_dump(tmp_path / "ref.txt", mat, name=name)
         assert (out / f"{name}.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
+    np.savetxt(tmp_path / "tau.txt", system.tau)
+    assert (out / "tau.txt").read_bytes() == (tmp_path / "tau.txt").read_bytes()
 
 
 def test_dump_matrices_calls_dump_matrix_once_per_block(tmp_path, monkeypatch):
@@ -625,8 +630,11 @@ def test_dump_matrices_calls_dump_matrix_once_per_block(tmp_path, monkeypatch):
     out = tmp_path / "mats"
     assert cli.main(["dump-matrices", "--n-intervals", "20", "--method", "cpg",
                      "--output", str(out)]) == 0
+    _, wfm, system = cli.assemble_pencil(cli.RunConfig(n_intervals=20, method="cpg"))
     assert len(calls) == 12
     for (path, mat), kwargs in calls:
-        assert isinstance(mat, np.ndarray) and mat.ndim == 2
+        # what the benchmark's observer reads of the block
+        owner = wfm if kwargs["name"] in wfm.NAMES else system
+        assert np.array_equal(np.asarray(mat), getattr(owner, kwargs["name"]))
         assert path == os.path.join(out, kwargs["name"] + ".txt")
         assert os.path.getsize(path) > 0

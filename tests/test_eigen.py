@@ -25,7 +25,8 @@ from diracloud.physics import PhysicalSystem, exact_eigenvalue
 
 from _oracles import (band_from_dense, band_matvec, charpoly_eigenvalues,
                       ellipse_filter, max_pairing_distance, random_pencil,
-                      reference_dense_solve, serial_window, symmetric_bands)
+                      reference_dense_solve, refuse_dense, serial_window,
+                      symmetric_bands)
 
 
 # ----------------------------------------------------------------- the solver
@@ -85,11 +86,6 @@ def _forbid_qz(monkeypatch):
 
     monkeypatch.setattr(eigen.sla, "eigvals", eigvals)
     monkeypatch.setattr(eigen.sla, "get_lapack_funcs", get_lapack_funcs)
-
-
-def _refuse_dense(self):
-    """Band.dense, for a test that no band is densified."""
-    raise AssertionError("a band was densified")
 
 
 def _graded_pencil(rng, dim):
@@ -221,7 +217,7 @@ def test_a_dense_block_past_physical_memory_raises_before_densifying(monkeypatch
     n = 2 * (math.isqrt(have // (8 * eigen.DENSE_COPIES)) // 2 + 1)
     data = np.zeros((3, n))
     data[1] = 1.0
-    monkeypatch.setattr(Band, "dense", _refuse_dense)
+    monkeypatch.setattr(Band, "dense", refuse_dense)
     for symmetric in (False, True):
         info = {}
         with pytest.raises(np.linalg.LinAlgError, match=(
@@ -615,7 +611,7 @@ def test_galerkin_window_matches_the_dense_spectrum(kwargs, kappa, solve_cached)
 
 @pytest.mark.parametrize("method,path", [("cpg", "window"), ("galerkin", "inertia")])
 def test_window_paths_never_densify(method, path, monkeypatch):
-    monkeypatch.setattr(Band, "dense", _refuse_dense)
+    monkeypatch.setattr(Band, "dense", refuse_dense)
     res = run_solve(RunConfig(Z=118.0, kappa=-2, method=method))
     assert res.eigen_path == path
     assert len(res.report.matches) == 15
