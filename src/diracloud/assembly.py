@@ -12,8 +12,8 @@ intervals share one batched shape evaluation.  Compact cloud supports
 give half-bandwidth 4 on the production grids.  The pencil's blocks are
 written as their formulas in the band arrays and placed into interleaved
 bands, half-bandwidth 9, a zero block left as zeros; dense matrices are
-formed only on read (the dense eigen fallbacks and the tests).  The dump
-writes each block from its band.
+formed only on read (the dense eigen fallbacks and the tests).  M_010
+is stored as M_100's transpose.  The module writes no file.
 
 The stabilized variant perturbs the Galerkin blocks row-wise: row j of
 the residual blocks gets scaled by a stability parameter tau_j computed
@@ -35,9 +35,6 @@ from .physics import PhysicalSystem, potential
 
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss-Legendre on a unit cell
 _CHUNK = 64  # nodal intervals per batched shape evaluation
-# dump file buffer: the default 8 KiB holds about one ~6 KB row of the n=300
-# pencil, so each row would be its own write(2); this holds ~20
-_DUMP_BUFFER = 128 * 1024
 
 METHODS = ("galerkin", "cpg", "cpg_fem_tau")
 
@@ -98,13 +95,13 @@ def _densified(name):
 @dataclass(frozen=True, eq=False)
 class WeakFormMatrices:
     """The weak-form blocks as bands of one half-bandwidth, keyed by
-    block name.  M_010 is the transpose of M_100 and is not stored.
-    Every name in NAMES reads its block as a dense array."""
+    block name, one band per name in NAMES (M_010 the transpose of
+    M_100).  Every name in NAMES reads its block as a dense array."""
     bands: dict
     NAMES = ("M_000", "M_010", "M_001", "M_100", "M_110", "M_101",
              "M_000_V", "M_100_V")
     M_000 = _densified("M_000")
-    M_010 = property(lambda self: self.M_100.T, doc="M_100 transposed")
+    M_010 = _densified("M_010")
     M_001 = _densified("M_001")
     M_100 = _densified("M_100")
     M_110 = _densified("M_110")
@@ -196,9 +193,10 @@ def assemble_weak_form(cb: CloudBasis, sys: PhysicalSystem,
     bands = {name: Band(m) for name, m in zip(names, bands)}
     k = bandwidth(*bands.values())
     bands = {name: b.trimmed(k) for name, b in bands.items()}
-    for name, band in bands.items():  # the seven stored blocks; M_010 is M_100's transpose
+    for name, band in bands.items():
         if not np.isfinite(band.data).all():
             raise SingularMoment(f"weak-form block {name} has non-finite entries")
+    bands["M_010"] = bands["M_100"].T  # by definition: finite when M_100 is
     return WeakFormMatrices(bands)
 
 
@@ -216,7 +214,7 @@ def stability_tau(wfm: WeakFormMatrices, coords) -> np.ndarray:
         raise ValueError("coordinate set does not match matrix dimension")
     # entry (j, j + o) of a band sits in slot (k - o, j + o): row o of the
     # gathers below, one column per row j of the matrix
-    cols, inside = slots(n, -k, k)
+    cols, inside = slots(n, k)
     diag = np.arange(2 * k, -1, -1)[:, None]
     th = np.where(inside, xr[cols] - xr, 0.0)
     sigma, eta = M000.data[diag, cols], M100.data[diag, cols]
@@ -287,7 +285,7 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
     if method != "galerkin" and grid is None:
         raise ValueError(f"{method} needs the grid for the stability parameter")
     W = {name: band.data for name, band in wfm.bands.items()}
-    M000, M100, M010 = W["M_000"], W["M_100"], wfm.bands["M_100"].T.data
+    M000, M100, M010 = W["M_000"], W["M_100"], W["M_010"]
     c, k, mc2 = sys.c, sys.kappa, sys.mc2
     ck = (c * k) * W["M_001"]  # formed once for the two blocks that add it
     A = _interleave([[mc2 * M000 + W["M_000_V"], -c * M010 + ck],
@@ -307,34 +305,9 @@ def assemble_system(wfm: WeakFormMatrices, sys: PhysicalSystem, method: str,
 
     if np.any(tau != 0.0):
         T = np.repeat(tau, 2)  # tau of each interleaved row
-        rows, _ = slots(len(T), -A.k, A.k)
+        rows, _ = slots(len(T), A.k)
         for M, S in ((A, sA), (B, sB)):
             M.data[...] += T[rows] * S.data
     return AssembledSystem(bands={"A": A, "B": B, "script_A": sA, "script_B": sB},
                            tau=tau)
 
-
-def dump_matrix(path, band: Band, name: str = ""):
-    """Every entry of the block as a 'row col value' line (1-based,
-    '%.17g') after an optional '# name nxn' line.  The entries that are
-    not +0.0 come from the band's slots (Band.nonzeros, no n x n copy);
-    each row patches them from per-column templates into one list of
-    ' col 0' suffixes, and the file goes out in 128 KiB writes.  Memory:
-    the nonzeros (positions and values), one row and the write buffer."""
-    n = band.n
-    zero = [f" {j} 0\n" for j in range(1, n + 1)]
-    fmt = [f" {j} %.17g\n" for j in range(1, n + 1)]
-    line = zero.copy()
-    ii, jj, vals = band.nonzeros()
-    ends = np.searchsorted(ii, np.arange(n + 1)).tolist()
-    with open(path, "w", buffering=_DUMP_BUFFER) as f:
-        if name:
-            f.write(f"# {name} {n}x{n}\n")
-        for i in range(n):
-            js = jj[ends[i]:ends[i + 1]].tolist()
-            for j, v in zip(js, vals[ends[i]:ends[i + 1]].tolist()):
-                line[j] = fmt[j] % v
-            r = str(i + 1)
-            f.write(r + r.join(line))
-            for j in js:
-                line[j] = zero[j]

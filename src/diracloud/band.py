@@ -24,12 +24,12 @@ def interleaving(n):
     return perm
 
 
-def slots(n, lo, hi):
-    """The row index i of every slot of diagonals lo..hi (i - j, one row
+def slots(n, k):
+    """The row index i of every slot of diagonals -k..k (i - j, one row
     per diagonal, one column per j) in band storage, and the mask of
-    those inside the matrix: (hi - lo + 1, n) arrays, i clipped to 0
+    those inside the matrix: (2k + 1, n) arrays, i clipped to 0
     outside."""
-    i = np.arange(n)[None, :] + np.arange(lo, hi + 1)[:, None]
+    i = np.arange(n)[None, :] + np.arange(-k, k + 1)[:, None]
     inside = (i >= 0) & (i < n)
     return np.where(inside, i, 0), inside
 
@@ -66,7 +66,7 @@ class Band:
         order, the layout LAPACK overwrites in place."""
         n, k, perm = self.n, self.k, self.order()
         out = np.zeros((n, n), order="F")
-        i, inside = slots(n, -k, k)
+        i, inside = slots(n, k)
         j = np.broadcast_to(np.arange(n), i.shape)
         out[perm[i[inside]], perm[j[inside]]] = self.data[inside]
         return out
@@ -108,7 +108,7 @@ class Band:
     def T(self):
         """The transpose of a band that is not interleaved: slot (k + o, j)
         takes entry (j, j + o), slot (k - o, j + o)."""
-        i, inside = slots(self.n, -self.k, self.k)
+        i, inside = slots(self.n, self.k)
         flipped = np.take_along_axis(self.data[::-1], i, axis=1)
         return Band(np.where(inside, flipped, 0.0))
 

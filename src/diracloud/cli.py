@@ -5,7 +5,8 @@ over a value list, long-format CSV), convergence (node-count study with
 per-level rates), dump-matrices (text triplets of every assembled
 block).  Configs are flat key = value files with CLI flag overrides;
 every output embeds the effective config so results are self-describing.
-Runs are fully deterministic: same config, byte-identical CSV.
+Runs are fully deterministic: same config, byte-identical CSV.  This
+module writes every file a command makes, the dump's triplets included.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (DegenerateTau, METHODS, assemble_system, assemble_weak_form,
-                       build_quadrature, dump_matrix)
+                       build_quadrature)
 from .cloud import SingularMoment, build_cloud_basis
 from .eigen import (FLAG_GENUINE, FLAG_TAIL, EmptySpectrum, SpectrumReport,
                     bound_window, check_spectrum_reality, classify_spectrum,
@@ -29,6 +30,9 @@ from .grid import GridConfig, generate_grid
 from .physics import C_LIGHT, NUCLEI, PhysicalSystem, exact_eigenvalue
 
 CONFIG_ERROR, NUMERICAL_ERROR = 2, 3
+# dump file buffer: the default 8 KiB holds about one ~6 KB row of the n=300
+# pencil, so each row would be its own write(2); this holds ~20
+_DUMP_BUFFER = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,31 @@ def write_solve_json(path, res: RunResult):
         f.write("\n")
 
 
+def dump_matrix(path, band, name):
+    """Every entry of the block as a 'row col value' line (1-based,
+    '%.17g') after a '# name nxn' line.  The entries that are not +0.0
+    come from the band's slots (Band.nonzeros, no n x n copy); each row
+    patches them from per-column templates into one list of ' col 0'
+    suffixes, and the file goes out in 128 KiB writes.  Memory: the
+    nonzeros (positions and values), one row and the write buffer."""
+    n = band.n
+    zero = [f" {j} 0\n" for j in range(1, n + 1)]
+    fmt = [f" {j} %.17g\n" for j in range(1, n + 1)]
+    line = zero.copy()
+    ii, jj, vals = band.nonzeros()
+    ends = np.searchsorted(ii, np.arange(n + 1)).tolist()
+    with open(path, "w", buffering=_DUMP_BUFFER) as f:
+        f.write(f"# {name} {n}x{n}\n")
+        for i in range(n):
+            js = jj[ends[i]:ends[i + 1]].tolist()
+            for j, v in zip(js, vals[ends[i]:ends[i + 1]].tolist()):
+                line[j] = fmt[j] % v
+            r = str(i + 1)
+            f.write(r + r.join(line))
+            for j in js:
+                line[j] = zero[j]
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -309,15 +338,11 @@ def cmd_dump_matrices(cfg: RunConfig) -> int:
         raise FileExistsError(f"output {outdir!r} exists and is not a directory")
     _, wfm, system = assemble_pencil(cfg)
     os.makedirs(outdir, exist_ok=True)
-    # each block is written from its band; M_010 is the transpose of M_100
-    bands = {**wfm.bands, "M_010": wfm.bands["M_100"].T, **system.bands}
-    names = wfm.NAMES + system.NAMES
-    for name in names:
+    bands = {**wfm.bands, **system.bands}
+    for name in wfm.NAMES + system.NAMES:
         dump_matrix(os.path.join(outdir, name + ".txt"), bands[name], name=name)
-    # the bytes np.savetxt writes for a 1-D array, in one write
-    with open(os.path.join(outdir, "tau.txt"), "w") as f:
-        f.write("".join(["%.18e\n" % t for t in system.tau.tolist()]))
-    print(f"wrote {len(names) + 1} files to {outdir}")
+    np.savetxt(os.path.join(outdir, "tau.txt"), system.tau)
+    print(f"wrote {len(bands) + 1} files to {outdir}")
     return 0
 
 

@@ -297,7 +297,7 @@ def _interleaved_bands(A, B, d):
     (3k + 1, n) Fortran arrays, entry (i, j) in row 2k + i - j, the top k
     rows zero.  Each entry is scaled by d_i d_j."""
     k = A.k
-    rows, inside = slots(A.n, -k, k)
+    rows, inside = slots(A.n, k)
     dI = d[A.order()]
     scale = np.where(inside, dI[rows] * dI, 0.0)
     Ab, Bb = (np.zeros((3 * k + 1, A.n), order="F") for _ in range(2))
@@ -313,7 +313,7 @@ def _symmetric_bands(A, B, d):
     itself or its mirror, scaled (v d_p) d_q, p >= q its block-order
     indices, as _dense scales it."""
     k, n = A.k, A.n
-    rows, inside = slots(n, -k, k)
+    rows, inside = slots(n, k)
     perm, o = A.order(), np.arange(-k, k + 1)[:, None]
     p = perm[rows]  # the block-order index of each slot's row; perm is its column's
     # each entry's flat slot: its own in the block-order lower triangle, else (j, i)'s

@@ -470,7 +470,7 @@ def reference_system(wfm, sys, method, grid=None):
         tau = stability_tau_fem(grid)
     if np.any(tau != 0.0):
         T = np.repeat(tau, 2)
-        rows, _ = slots(len(T), -A.k, A.k)
+        rows, _ = slots(len(T), A.k)
         for M, S in ((A, sA), (B, sB)):
             M.data[...] += T[rows] * S.data
     return SimpleNamespace(bands={"A": A, "B": B, "script_A": sA, "script_B": sB}, tau=tau)
@@ -486,7 +486,7 @@ def band_from_dense(*mats, interleaved=False):
     pos[perm] = np.arange(n)
     i, j = np.nonzero(np.logical_or.reduce([M != 0.0 for M in mats]))
     k = int(np.abs(pos[i] - pos[j]).max(initial=0))
-    rows, inside = slots(n, -k, k)
+    rows, inside = slots(n, k)
     return tuple(Band(np.where(inside, M[perm[rows], perm], 0.0), interleaved)
                  for M in mats)
 
@@ -503,12 +503,11 @@ def refuse_dense(self):
     raise AssertionError("a band was densified")
 
 
-def reference_dump(path, M, name=""):
+def reference_dump(path, M, name):
     """The per-entry 'row col value' writer dump_matrix replaced."""
     M = np.asarray(M)
     with open(path, "w") as f:
-        if name:
-            f.write(f"# {name} {M.shape[0]}x{M.shape[1]}\n")
+        f.write(f"# {name} {M.shape[0]}x{M.shape[1]}\n")
         for i in range(M.shape[0]):
             for j in range(M.shape[1]):
                 f.write(f"{i + 1} {j + 1} {M[i, j]:.17g}\n")
@@ -654,7 +653,7 @@ def symmetric_bands(A, B, d):
     for bit."""
     k = bandwidth(A, B)
     n = A.n
-    rows, inside = slots(n, 0, k)
+    rows, inside = (a[k:] for a in slots(n, k))  # diagonals 0..k
     cols = np.arange(n)
     perm, K, o = A.order(), A.k, np.arange(k + 1)[:, None]
     p, q = perm[rows], perm[cols]

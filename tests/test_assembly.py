@@ -12,10 +12,10 @@ from _oracles import (band_from_dense, banded_weak_form, dense_weak_form, refere
                       reference_system, reference_tau, reference_weak_form)
 from diracloud import assembly
 from diracloud.assembly import (METHODS, DegenerateTau, assemble_system,
-                                assemble_weak_form, build_quadrature, dump_matrix,
+                                assemble_weak_form, build_quadrature,
                                 stability_tau, stability_tau_fem)
 from diracloud.band import Band, slots
-from diracloud.cli import RunConfig, assemble_pencil, run_solve
+from diracloud.cli import RunConfig, assemble_pencil, dump_matrix, run_solve
 from diracloud.cloud import build_cloud_basis, evaluate_shapes
 from diracloud.eigen import bound_window, solve_generalized
 from diracloud.enrichment import BASES
@@ -137,6 +137,10 @@ def test_block_symmetries(uuo_wfm_200):
     m = uuo_wfm_200
     assert np.allclose(m.M_000, m.M_000.T, rtol=0, atol=1e-15 * np.abs(m.M_000).max())
     assert np.array_equal(m.M_010, m.M_100.T)
+    # every block of NAMES is stored, M_010 as M_100's transpose, bit for bit
+    assert sorted(m.bands) == sorted(m.NAMES)
+    assert np.array_equal(m.bands["M_010"].data.view(np.uint64),
+                          m.bands["M_100"].T.data.view(np.uint64))
 
 
 def test_derivative_block_interior_columns_sum_to_zero(uuo_wfm_200):
@@ -409,11 +413,10 @@ def _special_bands():
                Band(np.zeros((5, 6)), interleaved=True)])
 
 
-@pytest.mark.parametrize("name", ["", "blk"])
-def test_dump_matrix_matches_per_entry_writer(tmp_path, name):
+def test_dump_matrix_matches_per_entry_writer(tmp_path):
     for k, band in enumerate(_special_bands()):
-        dump_matrix(tmp_path / "fast.txt", band, name=name)
-        reference_dump(tmp_path / "ref.txt", band.dense(), name=name)
+        dump_matrix(tmp_path / "fast.txt", band, name="blk")
+        reference_dump(tmp_path / "ref.txt", band.dense(), name="blk")
         assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), k
 
 
@@ -430,11 +433,11 @@ def test_band_nonzeros_are_the_dense_scan_bit_for_bit(uuo_wfm_200, uuo_system, u
     # no entry, whatever they hold
     for k, band in enumerate(_special_bands()):
         _assert_nonzeros_are_the_dense_scan(band, k)
-        _, inside = slots(band.n, -band.k, band.k)
+        _, inside = slots(band.n, band.k)
         outside = np.where(inside, band.data, np.nan)
         _assert_nonzeros_are_the_dense_scan(Band(outside, band.interleaved), k)
     system = assemble_system(uuo_wfm_200, uuo_system, "cpg", grid=uuo_grid_200)
-    bands = {**uuo_wfm_200.bands, "M_010": uuo_wfm_200.bands["M_100"].T, **system.bands}
+    bands = {**uuo_wfm_200.bands, **system.bands}
     for name, band in bands.items():
         _assert_nonzeros_are_the_dense_scan(band, name)
 

@@ -14,8 +14,8 @@ import pytest
 
 from _oracles import exp_basis, reference_dump, refuse_dense
 from diracloud import assembly, cli, eigen
-from diracloud.assembly import dump_matrix
 from diracloud.band import Band
+from diracloud.cli import dump_matrix
 from diracloud.cloud import SingularMoment
 
 
